@@ -263,11 +263,9 @@ def _model_dimension(model):
 def _cmd_predict(args) -> int:
     model, meta = load_model(args.model)
     schema = _schema_from_args(args)
-    matrix = load_feature_matrix(args.data, schema)
     d = _model_dimension(model)
-    if d is not None and matrix.shape[1] == d + 1:
-        matrix = load_csv(args.data, schema).features  # file carries a target column; drop it
-    elif d is not None and matrix.shape[1] != d:
+    matrix = load_feature_matrix(args.data, schema, n_features=d)  # a d+1th column is the target
+    if d is not None and matrix.shape[1] != d:
         raise ValueError(f"model expects {d} feature columns, file has {matrix.shape[1]}")
     clip_bound = args.clip if args.clip is not None else meta.get("clip_bound")
     preds = model.predict(matrix, clip_bound=clip_bound)

@@ -86,7 +86,7 @@ class Dataset:
     numeric kernels never have to re-check.
     """
 
-    __slots__ = ("_features", "_targets")
+    __slots__ = ("_features", "_targets", "_column_order")
 
     def __init__(self, features, targets):
         X = as_feature_matrix(features)
@@ -107,6 +107,7 @@ class Dataset:
         y.setflags(write=False)
         self._features = X
         self._targets = y
+        self._column_order = None
 
     @property
     def features(self) -> np.ndarray:
@@ -115,6 +116,19 @@ class Dataset:
     @property
     def targets(self) -> np.ndarray:
         return self._targets
+
+    @property
+    def column_order(self) -> np.ndarray:
+        """Row ids of each feature column in stable ascending order, shape (d, m).
+
+        Computed on first use and kept, read-only, since the features never
+        change; tree fitting filters it instead of sorting every node.
+        """
+        if self._column_order is None:
+            order = np.ascontiguousarray(np.argsort(self._features, axis=0, kind="stable").T)
+            order.setflags(write=False)
+            self._column_order = order
+        return self._column_order
 
     @property
     def m(self) -> int:

@@ -109,8 +109,13 @@ def load_csv(path, schema: CsvSchema = CsvSchema()) -> Dataset:
     return Dataset(features, targets)
 
 
-def load_feature_matrix(path, schema: CsvSchema = CsvSchema()) -> np.ndarray:
-    """Read a delimited file of features only (no target column)."""
+def load_feature_matrix(path, schema: CsvSchema = CsvSchema(), n_features: Optional[int] = None) -> np.ndarray:
+    """Read a delimited file of features.
+
+    With n_features given, a file of n_features + 1 columns carries a target
+    column as well; the schema's target column (by default the last) is
+    dropped from the parsed matrix, so the file is read once either way.
+    """
     rows = _read_rows(path, schema.delimiter)
     if not rows:
         raise ValueError(f"{path}: file is empty")
@@ -131,6 +136,8 @@ def load_feature_matrix(path, schema: CsvSchema = CsvSchema()) -> np.ndarray:
             raise ValueError(f"line {line_no}: has {len(row)} fields, expected {len(names)}")
         for c, token in enumerate(row):
             out[i, c] = _parse_cell(token.strip(), line_no, names[c])
+    if n_features is not None and len(names) == n_features + 1:
+        out = np.delete(out, _resolve_target(schema, names), axis=1)
     return out
 
 

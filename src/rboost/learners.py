@@ -11,6 +11,7 @@ implicit tree dictionary). Explicit dictionaries do the argmax literally.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -24,6 +25,11 @@ DEGENERATE_NORM = 1e-12
 # A split must reduce node SSE by more than this relative amount, which
 # keeps constant-residual nodes unsplit despite summation round-off.
 _MIN_GAIN_REL = 1e-12
+
+# Near-tie re-score band of the split search: _BAND_C * (n+2) * eps * (S^2 + tiny).
+_BAND_C = 16.0
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 class DegenerateLearnerError(Exception):
@@ -114,8 +120,16 @@ class RegressionTree:
         return RegressionTree(_Node.from_dict(spec["root"]), int(spec["n_splits"]), int(spec["n_features"]))
 
 
-def _best_split(X: np.ndarray, r: np.ndarray, rows: np.ndarray):
-    """Best SSE-reducing (feature, threshold) over a node's rows, or None.
+def _best_split(xt: np.ndarray, r: np.ndarray, rows: np.ndarray, block: np.ndarray):
+    """Best SSE-reducing split of a node as (gain, feature, threshold, go_left), or None.
+
+    go_left masks the node's rows at or below the threshold. xt is the
+    (d, m) transposed feature matrix, rows the node's row ids in increasing
+    order and block its (d, n) column block: row j holds the node's rows
+    in stable ascending order of feature j. The block equals a
+    per-node stable argsort of X[rows] mapped back to row ids, because node
+    rows are an increasing subsequence of arange(m), so filtering the
+    dataset's column order keeps equal values in row order.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
     feature values. Each column's best boundary comes from a vectorized
@@ -123,54 +137,73 @@ def _best_split(X: np.ndarray, r: np.ndarray, rows: np.ndarray):
     in original row order, which makes gains of identical partitions
     bit-equal across features, so ties genuinely break toward the lower
     feature index (and, within a column, the smaller threshold).
+
+    Only columns whose prefix-sum gain lies within ``band`` of the best one
+    are re-scored. With unit roundoff u = eps/2 and S = sum |r| over the
+    node, any sum of node residuals in any order is within (n-1)uS of its
+    exact value (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., eq. 4.4), and every partition gain is at most S^2. To first
+    order in u that bounds the error of a prefix gain by 6n*uS^2 (two
+    running sums, one subtraction, five roundings) and of a re-scored gain
+    by (4n+4)uS^2 (three sums, eight roundings). A column whose prefix gain
+    trails the best by more than twice their sum, (10n+4)eps*S^2, has a
+    re-scored gain strictly below the best column's, so it can neither win
+    nor tie. The band is 16(n+2)eps*(S^2 + tiny): the factor covers the
+    second-order terms, S itself being rounded and the band's own rounding;
+    tiny, the smallest normal double, covers the absolute error that
+    gradual underflow adds to each product and quotient (Higham eq. 2.8).
+    When S^2 overflows the band is infinite and every column with a finite
+    prefix gain is re-scored.
     """
     n = rows.size
     if n < 2:
         return None
-    sub = X[rows]
-    r_node = r[rows]
-    order = np.argsort(sub, axis=0, kind="stable")
-    xs = np.take_along_axis(sub, order, axis=0)
-    rs = r_node[order]
-    csum = np.cumsum(rs, axis=0)
-    nl = np.arange(1, n, dtype=np.float64)[:, None]
-    sl = csum[:-1]
-    sr = csum[-1] - sl
+    d, m = xt.shape
+    xs = xt.ravel()[block + np.arange(0, d * m, m)[:, None]]  # xs[j] = xt[j, block[j]]
+    csum = np.cumsum(r[block], axis=1)
+    nl = np.arange(1, n, dtype=np.float64)
+    sl = csum[:, :-1]
+    sr = csum[:, -1:] - sl
     gain = sl * sl / nl + sr * sr / (n - nl)  # node-constant offset omitted
-    gain[xs[1:] == xs[:-1]] = -np.inf
-    best_pos = np.argmax(gain, axis=0)  # first max in a column = smallest threshold
+    gain[xs[:, 1:] == xs[:, :-1]] = -np.inf
+    best_pos = np.argmax(gain, axis=1)  # first max in a column = smallest threshold
+    best_gain = gain[np.arange(d), best_pos]
+    finite = np.isfinite(best_gain)
+    if not finite.any():
+        return None
 
-    total = float(np.sum(r_node))
+    r_node = r[rows]
+    scale = float(np.abs(r_node).sum())
+    band = _BAND_C * (n + 2) * _EPS * (scale * scale + _TINY)  # inf keeps every finite column
+    finite &= best_gain >= best_gain[finite].max() - band
+    total = float(r_node.sum())
     node_sse = float(np.dot(r_node, r_node) - total * total / n)
     min_gain = max(node_sse * _MIN_GAIN_REL, 0.0)
     best = None
-    for feat in range(sub.shape[1]):
+    for feat in finite.nonzero()[0].tolist():
         pos = int(best_pos[feat])
-        if not np.isfinite(gain[pos, feat]):
-            continue
-        threshold = 0.5 * (xs[pos, feat] + xs[pos + 1, feat])
-        if not xs[pos, feat] <= threshold < xs[pos + 1, feat]:
-            threshold = float(xs[pos, feat])  # midpoint rounded onto a sample value
-        go_left = sub[:, feat] <= threshold
+        threshold = 0.5 * (xs[feat, pos] + xs[feat, pos + 1])
+        if not xs[feat, pos] <= threshold < xs[feat, pos + 1]:
+            threshold = float(xs[feat, pos])  # midpoint rounded onto a sample value
+        go_left = xt[feat, rows] <= threshold
         n_left = int(np.count_nonzero(go_left))
         # Both block sums taken directly (not total - other) so complementary
         # partitions reached from different features tie bit-exactly.
-        s_left = float(np.sum(r_node[go_left]))
-        s_right = float(np.sum(r_node[~go_left]))
+        s_left = float(r_node[go_left].sum())
+        s_right = float(r_node[~go_left].sum())
         canonical = s_left * s_left / n_left + s_right * s_right / (n - n_left) - total * total / n
         if canonical <= min_gain:
             continue
         if best is None or canonical > best[0]:
             best = (canonical, feat, float(threshold), go_left)
-    if best is None:
-        return None
-    canonical, feat, threshold, go_left = best
-    return canonical, feat, threshold, rows[go_left], rows[~go_left]
+    return best
 
 
 def _routed_mean(values: np.ndarray) -> float:
     # Summing in sorted order makes leaf values independent of row order.
-    return float(np.mean(np.sort(values)))
+    # Same bits as np.mean (one pairwise sum, one division) without its overhead.
+    ordered = np.sort(values)
+    return float(ordered.sum() / ordered.size)
 
 
 def fit_tree(data: Dataset, residual, n_splits: int) -> RegressionTree:
@@ -180,33 +213,44 @@ def fit_tree(data: Dataset, residual, n_splits: int) -> RegressionTree:
     order. A constant residual yields a single leaf at its mean. Fitting is
     invariant to row permutations when per-column feature values are
     distinct (the generic case for continuous data).
+
+    Split search runs on column blocks: the dataset's cached stable column
+    order is the root's block, and a split filters its node's block with
+    the winning row mask, which keeps each column sorted without sorting
+    again (see _best_split). Children of the last split in the budget are
+    not searched, so a tree costs at most 2 * n_splits - 1 searches.
     """
     if n_splits < 1:
         raise ValueError(f"n_splits must be >= 1, got {n_splits}")
     r = np.asarray(residual, dtype=np.float64)
     if r.shape != (data.m,):
         raise ValueError(f"residual must have length m={data.m}, got shape {r.shape}")
-    X = data.features
+    xt = np.ascontiguousarray(data.features.T)
     root = _Node(_routed_mean(r))
     frontier = []
-    counter = 0
-    cand = _best_split(X, r, np.arange(data.m))
-    if cand is not None:
-        heapq.heappush(frontier, (-cand[0], counter, root, cand))
-        counter += 1
+    created = itertools.count()
+
+    def push(node, rows, block):
+        cand = _best_split(xt, r, rows, block)
+        if cand is not None:
+            heapq.heappush(frontier, (-cand[0], next(created), node, rows, block, cand))
+
+    push(root, np.arange(data.m), data.column_order)
     splits = 0
-    while frontier and splits < n_splits:
-        _, _, node, (_, feat, threshold, left_rows, right_rows) = heapq.heappop(frontier)
+    while frontier:
+        _, _, node, rows, block, (_, feat, threshold, go_left) = heapq.heappop(frontier)
+        left_rows = rows[go_left]
+        right_rows = rows[~go_left]
         node.feature = feat
         node.threshold = threshold
         node.left = _Node(_routed_mean(r[left_rows]))
         node.right = _Node(_routed_mean(r[right_rows]))
         splits += 1
-        for child, child_rows in ((node.left, left_rows), (node.right, right_rows)):
-            cand = _best_split(X, r, child_rows)
-            if cand is not None:
-                heapq.heappush(frontier, (-cand[0], counter, child, cand))
-                counter += 1
+        if splits == n_splits:
+            break  # the frontier is discarded, so the children need no search
+        to_left = xt[feat][block] <= threshold
+        push(node.left, left_rows, block[to_left].reshape(block.shape[0], left_rows.size))
+        push(node.right, right_rows, block[~to_left].reshape(block.shape[0], right_rows.size))
     return RegressionTree(root, splits, data.d)
 
 

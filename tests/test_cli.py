@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import rboost.io as rio
 from rboost.cli import main
 from rboost.io import read_delimited
 
@@ -142,6 +143,34 @@ class TestFitPredict:
         columns, rows = read_delimited(pred_dir / "predictions.csv")
         assert columns == ["prediction"]
         assert [float(r[0]) for r in rows] == pytest.approx([2.0, 2.0], abs=1e-12)
+
+    @pytest.mark.parametrize("target_flags", [[], ["--target-column", "y"], ["--target-column", "1"]])
+    def test_predict_drops_target_after_one_read(self, tmp_path, capsys, monkeypatch, target_flags):
+        rng = np.random.default_rng(5)
+        X = rng.uniform(-1, 1, (30, 2))
+        y = np.sin(3 * X[:, 0]) + X[:, 1]
+        train = tmp_path / "train.csv"
+        train.write_text("x0,x1,y\n" + "".join(f"{a!r},{b!r},{t!r}\n" for (a, b), t in zip(X.tolist(), y.tolist())))
+        model = tmp_path / "model"
+        assert run_cli(["fit", str(train), "--algo", "rboost", "--u", "3", "--j", "2", "--k-max", "5", "--out", str(model)]) == 0
+        capsys.readouterr()
+        features = tmp_path / "features.csv"
+        features.write_text("x0,x1\n" + "".join(f"{a!r},{b!r}\n" for a, b in X.tolist()))
+        assert run_cli(["predict", str(model / "model.json"), str(features)]) == 0
+        want = capsys.readouterr().out
+
+        # target last by default, else in the middle, named or by index
+        cols = [0, 1, 2] if not target_flags else [0, 2, 1]
+        table = np.column_stack([X, y])[:, cols]
+        header = ",".join(["x0", "x1", "y"][c] for c in cols)
+        scored = tmp_path / "scored.csv"
+        scored.write_text(header + "\n" + "".join(",".join(repr(v) for v in row) + "\n" for row in table.tolist()))
+        reads = []
+        real_read_rows = rio._read_rows
+        monkeypatch.setattr(rio, "_read_rows", lambda path, delimiter: reads.append(path) or real_read_rows(path, delimiter))
+        assert run_cli(["predict", str(model / "model.json"), str(scored), *target_flags]) == 0
+        assert capsys.readouterr().out == want
+        assert reads == [str(scored)]
 
     def test_fit_rejects_all(self, tmp_path, capsys):
         data = tmp_path / "train.csv"
