@@ -23,9 +23,9 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .boosters import train, train_rboosting
-from .core import Dataset, Ensemble, TrainConfig, clip, empirical_risk
+from .core import Dataset, Ensemble, TrainConfig, empirical_risk
 from .learners import TreeLearnerSpec
-from .selection import adaptive_select, u_grid
+from .selection import adaptive_select, select_k_by_holdout, u_grid
 
 TARGET_DIMENSIONS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 2, 7: 10, 8: 10, 9: 10}
 
@@ -175,21 +175,11 @@ def _summarize(values, selected) -> AlgorithmResult:
     return AlgorithmResult(float(np.mean(arr)), std, tuple(arr.tolist()), tuple(selected))
 
 
-def _staged_test_rmse(model: Ensemble, test: Dataset, clip_bound) -> np.ndarray:
-    preds = model.staged_predict(test.features)
-    if clip_bound is not None:
-        preds = clip(preds, clip_bound)
-    err = preds - test.targets
-    return np.sqrt(np.mean(err * err, axis=1))
-
-
 def _best_truncation(model: Ensemble, test: Dataset, clip_bound):
     """(k, rmse) of the best truncation; an empty model scores as the zero predictor."""
     if len(model) == 0:
         return 0, rmse(np.zeros(test.m), test.targets)
-    curve = _staged_test_rmse(model, test, clip_bound)
-    k = int(np.argmin(curve)) + 1
-    return k, float(curve[k - 1])
+    return select_k_by_holdout(model, test, clip_bound)
 
 
 def _base_config(algorithm: str, k_max: int, learner_spec, clip_bound) -> TrainConfig:

@@ -226,7 +226,7 @@ class Ensemble:
 
     def predict(self, X, clip_bound: Optional[float] = None) -> np.ndarray:
         """Evaluate the full model on feature rows via the staged recursion."""
-        X = as_feature_matrix(X)
+        X = np.asfortranarray(as_feature_matrix(X))  # one copy; every tree then reads contiguous columns
         f = np.full(X.shape[0], self._offset, dtype=np.float64)
         for st in self._stages:
             f = (1.0 - st.alpha) * f + st.beta * st.learner.predict(X)
@@ -236,7 +236,7 @@ class Ensemble:
 
     def staged_predict(self, X) -> np.ndarray:
         """All intermediate predictions, shape (n_stages, n_rows); row k-1 is f_k."""
-        X = as_feature_matrix(X)
+        X = np.asfortranarray(as_feature_matrix(X))
         out = np.empty((len(self._stages), X.shape[0]), dtype=np.float64)
         f = np.full(X.shape[0], self._offset, dtype=np.float64)
         for k, st in enumerate(self._stages):
@@ -265,7 +265,7 @@ class Ensemble:
 
     def expanded_predict(self, X) -> np.ndarray:
         """Prediction via the coefficient expansion; agrees with predict() to fp error."""
-        X = as_feature_matrix(X)
+        X = np.asfortranarray(as_feature_matrix(X))
         f = np.full(X.shape[0], self._offset * self.offset_discount(), dtype=np.float64)
         for c, st in zip(self.effective_coefficients(), self._stages):
             f += c * st.learner.predict(X)

@@ -9,8 +9,10 @@ result file names the manifest that can regenerate it.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -58,6 +60,31 @@ def _read_rows(path, delimiter: str):
         return [row for row in csv.reader(fh, delimiter=delimiter)]
 
 
+def _read_table(path, schema: CsvSchema):
+    """(column names, data rows as string lists, file line number of the first data row)."""
+    rows = _read_rows(path, schema.delimiter)
+    if not rows:
+        raise ValueError(f"{path}: file is empty")
+    if schema.has_header:
+        names, rows, first_line = [name.strip() for name in rows[0]], rows[1:], 2
+    else:
+        names, first_line = [f"col{i}" for i in range(len(rows[0]))], 1
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return names, rows, first_line
+
+
+def _parse_rows(names: list, rows: list, first_line: int) -> np.ndarray:
+    out = np.empty((len(rows), len(names)))
+    for i, row in enumerate(rows):
+        line_no = first_line + i
+        if len(row) != len(names):
+            raise ValueError(f"line {line_no}: has {len(row)} fields, expected {len(names)}")
+        for c, token in enumerate(row):
+            out[i, c] = _parse_cell(token.strip(), line_no, names[c])
+    return out
+
+
 def _resolve_target(schema: CsvSchema, names: list) -> int:
     n_cols = len(names)
     target = schema.target_column
@@ -74,39 +101,12 @@ def _resolve_target(schema: CsvSchema, names: list) -> int:
 
 def load_csv(path, schema: CsvSchema = CsvSchema()) -> Dataset:
     """Read a delimited file into a Dataset; errors name the offending line/column."""
-    rows = _read_rows(path, schema.delimiter)
-    if not rows:
-        raise ValueError(f"{path}: file is empty")
-    if schema.has_header:
-        names = [name.strip() for name in rows[0]]
-        data_rows = rows[1:]
-        first_line = 2
-    else:
-        names = [f"col{i}" for i in range(len(rows[0]))]
-        data_rows = rows
-        first_line = 1
-    if not data_rows:
-        raise ValueError(f"{path}: no data rows")
-    n_cols = len(names)
-    if n_cols < 2:
+    names, rows, first_line = _read_table(path, schema)
+    if len(names) < 2:
         raise ValueError(f"{path}: need at least one feature column and one target column")
     target_idx = _resolve_target(schema, names)
-
-    features = np.empty((len(data_rows), n_cols - 1))
-    targets = np.empty(len(data_rows))
-    for i, row in enumerate(data_rows):
-        line_no = first_line + i
-        if len(row) != n_cols:
-            raise ValueError(f"line {line_no}: has {len(row)} fields, expected {n_cols}")
-        j = 0
-        for c, token in enumerate(row):
-            value = _parse_cell(token.strip(), line_no, names[c])
-            if c == target_idx:
-                targets[i] = value
-            else:
-                features[i, j] = value
-                j += 1
-    return Dataset(features, targets)
+    values = _parse_rows(names, rows, first_line)
+    return Dataset(np.delete(values, target_idx, axis=1), values[:, target_idx])
 
 
 def load_feature_matrix(path, schema: CsvSchema = CsvSchema(), n_features: Optional[int] = None) -> np.ndarray:
@@ -116,26 +116,8 @@ def load_feature_matrix(path, schema: CsvSchema = CsvSchema(), n_features: Optio
     column as well; the schema's target column (by default the last) is
     dropped from the parsed matrix, so the file is read once either way.
     """
-    rows = _read_rows(path, schema.delimiter)
-    if not rows:
-        raise ValueError(f"{path}: file is empty")
-    if schema.has_header:
-        names = [name.strip() for name in rows[0]]
-        data_rows = rows[1:]
-        first_line = 2
-    else:
-        names = [f"col{i}" for i in range(len(rows[0]))]
-        data_rows = rows
-        first_line = 1
-    if not data_rows:
-        raise ValueError(f"{path}: no data rows")
-    out = np.empty((len(data_rows), len(names)))
-    for i, row in enumerate(data_rows):
-        line_no = first_line + i
-        if len(row) != len(names):
-            raise ValueError(f"line {line_no}: has {len(row)} fields, expected {len(names)}")
-        for c, token in enumerate(row):
-            out[i, c] = _parse_cell(token.strip(), line_no, names[c])
+    names, rows, first_line = _read_table(path, schema)
+    out = _parse_rows(names, rows, first_line)
     if n_features is not None and len(names) == n_features + 1:
         out = np.delete(out, _resolve_target(schema, names), axis=1)
     return out
@@ -165,14 +147,17 @@ def write_csv(data: Dataset, path, feature_names: Optional[Sequence[str]] = None
             fh.write(",".join(cells) + "\n")
 
 
+def _tree_of(learner):
+    return learner.base if isinstance(learner, NormalizedLearner) else learner
+
+
 def _learner_to_dict(learner) -> dict:
+    tree = _tree_of(learner)
+    if not isinstance(tree, RegressionTree):
+        raise ValueError(f"cannot persist learner of type {type(tree).__name__}")
     if isinstance(learner, NormalizedLearner):
-        if not isinstance(learner.base, RegressionTree):
-            raise ValueError(f"cannot persist learner of type {type(learner.base).__name__}")
-        return {"type": "scaled_tree", "scale": learner.scale, "tree": learner.base.to_dict()}
-    if isinstance(learner, RegressionTree):
-        return {"type": "tree", "tree": learner.to_dict()}
-    raise ValueError(f"cannot persist learner of type {type(learner).__name__}")
+        return {"type": "scaled_tree", "scale": learner.scale, "tree": tree.to_dict()}
+    return {"type": "tree", "tree": tree.to_dict()}
 
 
 def _learner_from_dict(spec: dict):
@@ -185,7 +170,11 @@ def _learner_from_dict(spec: dict):
 
 
 def save_model(model: Ensemble, path, meta: Optional[dict] = None):
-    """Persist a tree-based ensemble as a versioned, human-inspectable JSON document."""
+    """Persist a tree-based ensemble as a versioned, human-inspectable JSON document.
+
+    The document is encoded in full before the file is opened, so a model
+    that cannot be written leaves no partial file behind.
+    """
     doc = {
         "format": MODEL_FORMAT,
         "version": FORMAT_VERSION,
@@ -196,15 +185,25 @@ def save_model(model: Ensemble, path, meta: Optional[dict] = None):
             for st in model.stages
         ],
     }
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True)
+    except RecursionError:
+        depth = max(_tree_of(st.learner).depth() for st in model.stages)
+        raise ValueError(f"a tree of depth {depth} nests too deep for the v1 JSON model format") from None
     with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_model(path):
     """Load a persisted model; returns (Ensemble, meta dict)."""
     with open(path) as fh:
-        doc = json.load(fh)
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        bare = re.sub(r'"(?:[^"\\]|\\.)*"', "", text)  # brackets inside strings do not nest
+        depth = max(itertools.accumulate(1 if c in "[{" else -1 for c in bare if c in "[]{}"))
+        raise ValueError(f"{path}: JSON nests {depth} levels deep, more than the parser allows") from None
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} document")
     if doc.get("version") != FORMAT_VERSION:

@@ -36,88 +36,94 @@ class DegenerateLearnerError(Exception):
     """Raised when a learner's predictions have ~zero norm on the fitting sample."""
 
 
-class _Node:
-    __slots__ = ("feature", "threshold", "left", "right", "value")
-
-    def __init__(self, value: float):
-        self.feature = None
-        self.threshold = 0.0
-        self.left = None
-        self.right = None
-        self.value = value
-
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-    def to_dict(self) -> dict:
-        if self.is_leaf():
-            return {"value": self.value}
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @staticmethod
-    def from_dict(spec: dict) -> "_Node":
-        if "value" in spec:
-            return _Node(float(spec["value"]))
-        node = _Node(0.0)
-        node.feature = int(spec["feature"])
-        node.threshold = float(spec["threshold"])
-        node.left = _Node.from_dict(spec["left"])
-        node.right = _Node.from_dict(spec["right"])
-        return node
+def _leaf(value: float) -> list:
+    return [-1, 0.0, -1, -1, value]  # feature, threshold, left, right, value
 
 
 class RegressionTree:
-    """Axis-aligned binary regression tree; x routes left iff x[feature] <= threshold.
+    """Axis-aligned binary regression tree stored as flat parallel arrays.
 
-    Leaf values are the means of the fitting targets routed to them. The
-    achieved split count can fall short of the budget when the data has no
-    further SSE-reducing split.
+    Node 0 is the root and children come after their parent. Node i is a
+    split when feature[i] >= 0: x goes to left[i] iff x[feature[i]] <=
+    threshold[i], else to right[i]. Leaves have feature, left and right -1
+    and hold the mean of the fitting targets routed to them in value; a
+    split's value is its own mean when grown by fit_tree and NaN when read
+    from a v1 dict, which does not store it. The achieved split count can
+    fall short of the budget when the data has no further SSE-reducing split.
     """
 
-    def __init__(self, root: _Node, n_splits: int, n_features: int):
-        self._root = root
-        self.n_splits = n_splits
+    def __init__(self, feature, threshold, left, right, value, n_features: int):
+        self.feature, self.left, self.right = (np.array(a, dtype=np.int64) for a in (feature, left, right))
+        self.threshold, self.value = (np.array(a, dtype=np.float64) for a in (threshold, value))
+        self.n_splits = (self.feature.size - 1) // 2  # every split has two children
         self.n_features = n_features
 
     def predict(self, X) -> np.ndarray:
+        """Leaf value of every row, by an iterative children-first descent.
+
+        Each split maps its rows to leaf ids with right + (left - right) *
+        (column <= threshold), an exact integer select without the
+        data-dependent branch of np.where; a child's array is dropped once
+        its parent is built, so one array per level at most is alive. Column
+        reads are contiguous when X is column-major, as Ensemble passes it.
+        """
         X = as_feature_matrix(X)
         if X.shape[1] != self.n_features:
             raise ValueError(f"tree was fit on d={self.n_features}, got d={X.shape[1]}")
-        out = np.empty(X.shape[0], dtype=np.float64)
-        self._route(self._root, X, np.arange(X.shape[0]), out)
-        return out
-
-    def _route(self, node: _Node, X: np.ndarray, rows: np.ndarray, out: np.ndarray):
-        if node.is_leaf():
-            out[rows] = node.value
-            return
-        go_left = X[rows, node.feature] <= node.threshold
-        self._route(node.left, X, rows[go_left], out)
-        self._route(node.right, X, rows[~go_left], out)
-
-    def leaf_values(self) -> list:
-        vals = []
-        stack = [self._root]
+        feature, threshold, left, right = (a.tolist() for a in (self.feature, self.threshold, self.left, self.right))
+        if feature[0] < 0:
+            return np.full(X.shape[0], self.value[0])
+        ids = list(range(len(feature)))
+        stack = [0]
         while stack:
             node = stack.pop()
-            if node.is_leaf():
-                vals.append(node.value)
-            else:
-                stack.append(node.right)
-                stack.append(node.left)
-        return vals
+            if node >= 0:  # first visit: come back as ~node once the split children are built
+                stack.append(~node)
+                stack.extend(c for c in (right[node], left[node]) if feature[c] >= 0)
+                continue
+            node = ~node
+            lo, hi = left[node], right[node]
+            ids[node] = (ids[lo] - ids[hi]) * (X[:, feature[node]] <= threshold[node]) + ids[hi]
+            ids[lo] = ids[hi] = None
+        return self.value.take(ids[0])
+
+    def depth(self) -> int:
+        """Length of the longest root-to-leaf path; 0 for a single leaf."""
+        depths = [0] * self.feature.size
+        for node in np.flatnonzero(self.feature >= 0).tolist():  # parents come first
+            depths[self.left[node]] = depths[self.right[node]] = depths[node] + 1
+        return max(depths)
 
     def to_dict(self) -> dict:
-        return {"n_splits": self.n_splits, "n_features": self.n_features, "root": self._root.to_dict()}
+        """The v1 nested form: {"value"} leaves, {"feature", "threshold", "left", "right"} splits."""
+        feature, threshold, left, right, value = (
+            a.tolist() for a in (self.feature, self.threshold, self.left, self.right, self.value)
+        )
+        nodes = [{"value": v} if f < 0 else {"feature": f, "threshold": t}
+                 for f, t, v in zip(feature, threshold, value)]
+        for node in np.flatnonzero(self.feature >= 0).tolist():
+            nodes[node]["left"], nodes[node]["right"] = nodes[left[node]], nodes[right[node]]
+        return {"n_splits": self.n_splits, "n_features": self.n_features, "root": nodes[0]}
 
     @staticmethod
     def from_dict(spec: dict) -> "RegressionTree":
-        return RegressionTree(_Node.from_dict(spec["root"]), int(spec["n_splits"]), int(spec["n_features"]))
+        """Inverse of to_dict; nodes are numbered in pre-order."""
+        n_features = int(spec["n_features"])
+        nodes = []
+        stack = [(spec["root"], None)]  # (node spec, (parent id, its left/right column))
+        while stack:
+            node, link = stack.pop()
+            if link is not None:
+                nodes[link[0]][link[1]] = len(nodes)
+            if "value" in node:
+                nodes.append(_leaf(float(node["value"])))
+                continue
+            feature = int(node["feature"])
+            if not 0 <= feature < n_features:
+                raise ValueError(f"split on feature {feature}, outside the tree's {n_features} features")
+            nodes.append([feature, float(node["threshold"]), -1, -1, np.nan])
+            stack += [(node["right"], (len(nodes) - 1, 3)), (node["left"], (len(nodes) - 1, 2))]
+        return RegressionTree(*zip(*nodes), n_features)
 
 
 def _best_split(xt: np.ndarray, r: np.ndarray, rows: np.ndarray, block: np.ndarray):
@@ -226,7 +232,7 @@ def fit_tree(data: Dataset, residual, n_splits: int) -> RegressionTree:
     if r.shape != (data.m,):
         raise ValueError(f"residual must have length m={data.m}, got shape {r.shape}")
     xt = np.ascontiguousarray(data.features.T)
-    root = _Node(_routed_mean(r))
+    nodes = [_leaf(_routed_mean(r))]
     frontier = []
     created = itertools.count()
 
@@ -235,23 +241,20 @@ def fit_tree(data: Dataset, residual, n_splits: int) -> RegressionTree:
         if cand is not None:
             heapq.heappush(frontier, (-cand[0], next(created), node, rows, block, cand))
 
-    push(root, np.arange(data.m), data.column_order)
-    splits = 0
+    push(0, np.arange(data.m), data.column_order)
     while frontier:
         _, _, node, rows, block, (_, feat, threshold, go_left) = heapq.heappop(frontier)
         left_rows = rows[go_left]
         right_rows = rows[~go_left]
-        node.feature = feat
-        node.threshold = threshold
-        node.left = _Node(_routed_mean(r[left_rows]))
-        node.right = _Node(_routed_mean(r[right_rows]))
-        splits += 1
-        if splits == n_splits:
-            break  # the frontier is discarded, so the children need no search
+        left_id = len(nodes)
+        nodes[node][:4] = feat, threshold, left_id, left_id + 1
+        nodes += [_leaf(_routed_mean(r[left_rows])), _leaf(_routed_mean(r[right_rows]))]
+        if len(nodes) == 2 * n_splits + 1:
+            break  # budget spent; the frontier is discarded, so the children need no search
         to_left = xt[feat][block] <= threshold
-        push(node.left, left_rows, block[to_left].reshape(block.shape[0], left_rows.size))
-        push(node.right, right_rows, block[~to_left].reshape(block.shape[0], right_rows.size))
-    return RegressionTree(root, splits, data.d)
+        push(left_id, left_rows, block[to_left].reshape(block.shape[0], left_rows.size))
+        push(left_id + 1, right_rows, block[~to_left].reshape(block.shape[0], right_rows.size))
+    return RegressionTree(*zip(*nodes), data.d)
 
 
 def fit_stump(data: Dataset, residual) -> RegressionTree:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .boosters import train_rboosting, train
-from .core import Dataset, Ensemble, TrainConfig
+from .core import Dataset, Ensemble, TrainConfig, clip
 
 
 def u_grid(count: int, lo: float = 1.0, hi: float = 1e6) -> list:
@@ -72,8 +72,11 @@ class SelectionResult:
     per_u_curve: tuple
 
 
-def _staged_mse(model: Ensemble, data: Dataset) -> np.ndarray:
+def _staged_mse(model: Ensemble, data: Dataset, clip_bound: Optional[float] = None) -> np.ndarray:
+    """Risk of every truncation on data: entry k-1 is the MSE of f_k, clipped when a bound is given."""
     preds = model.staged_predict(data.features)
+    if clip_bound is not None:
+        preds = clip(preds, clip_bound)
     err = preds - data.targets
     return np.mean(err * err, axis=1)
 
@@ -125,11 +128,14 @@ def adaptive_select(
     return SelectionResult(u_star, k_star, risk_star, final_model, tuple(curve))
 
 
-def select_k_by_holdout(model: Ensemble, holdout: Dataset):
-    """Truncation count minimizing holdout RMSE, with the RMSE; ties take the smallest k."""
+def select_k_by_holdout(model: Ensemble, holdout: Dataset, clip_bound: Optional[float] = None):
+    """Truncation count minimizing holdout RMSE, with the RMSE; ties take the smallest k.
+
+    With clip_bound set, the RMSE is that of the clipped predictions.
+    """
     if len(model) == 0:
         raise ValueError("model has no stages")
-    rmses = np.sqrt(_staged_mse(model, holdout))
+    rmses = np.sqrt(_staged_mse(model, holdout, clip_bound))
     k = int(np.argmin(rmses)) + 1
     return k, float(rmses[k - 1])
 

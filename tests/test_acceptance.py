@@ -161,10 +161,9 @@ def test_c2_stump_oracle_equivalence():
                 if best is None or key < best[0]:
                     best = (key, fidx, thr, left.mean(), right.mean())
 
-        root = tree._root
-        assert (root.feature, root.threshold) == (best[1], best[2])
-        assert abs(root.left.value - best[3]) <= 1e-12
-        assert abs(root.right.value - best[4]) <= 1e-12
+        assert (tree.feature[0], tree.threshold[0]) == (best[1], best[2])
+        assert abs(tree.value[tree.left[0]] - best[3]) <= 1e-12
+        assert abs(tree.value[tree.right[0]] - best[4]) <= 1e-12
     _report("C2", "fit_tree(J=1) == exhaustive stump search on 100 random datasets", t0)
 
 

@@ -51,9 +51,8 @@ class TestFitTree:
         data = Dataset([[0.0], [1.0], [2.0], [3.0]], np.zeros(4))
         tree = fit_tree(data, [0.0, 0.0, 10.0, 10.0], 1)
         assert tree.n_splits == 1
-        root = tree._root
-        assert root.threshold == 1.5
-        assert sorted(tree.leaf_values()) == [0.0, 10.0]
+        assert tree.threshold[0] == 1.5
+        assert sorted(tree.value[tree.feature < 0].tolist()) == [0.0, 10.0]
 
     def test_stump_matches_oracle(self):
         rng = np.random.default_rng(321)
@@ -64,10 +63,9 @@ class TestFitTree:
             r = rng.standard_normal(m)
             tree = fit_tree(Dataset(X, np.zeros(m)), r, 1)
             _, f, thr, lmean, rmean = stump_oracle(X, r)
-            root = tree._root
-            assert (root.feature, root.threshold) == (f, thr)
-            assert root.left.value == pytest.approx(lmean, abs=1e-12)
-            assert root.right.value == pytest.approx(rmean, abs=1e-12)
+            assert (tree.feature[0], tree.threshold[0]) == (f, thr)
+            assert tree.value[tree.left[0]] == pytest.approx(lmean, abs=1e-12)
+            assert tree.value[tree.right[0]] == pytest.approx(rmean, abs=1e-12)
 
     def test_growth_monotone_in_training_sse(self):
         rng = np.random.default_rng(17)
@@ -132,13 +130,13 @@ class TestFitStump:
         data = Dataset([[0.0], [1.0], [2.0], [3.0]], np.zeros(4))
         stump = fit_stump(data, [0.0, 0.0, 10.0, 10.0])
         assert stump.n_splits == 1
-        assert stump._root.threshold == 1.5
+        assert stump.threshold[0] == 1.5
 
     def test_two_point_split(self):
         data = Dataset([[0.0], [1.0]], np.zeros(2))
         stump = fit_stump(data, [-1.0, 1.0])
-        assert stump._root.threshold == 0.5
-        assert sorted(stump.leaf_values()) == [-1.0, 1.0]
+        assert stump.threshold[0] == 0.5
+        assert sorted(stump.value[stump.feature < 0].tolist()) == [-1.0, 1.0]
 
     def test_constant_residual_single_leaf(self):
         data = Dataset([[0.0], [1.0]], np.zeros(2))

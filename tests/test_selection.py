@@ -197,3 +197,26 @@ class TestSelectKByHoldout:
 
         with pytest.raises(ValueError):
             select_k_by_holdout(Ensemble(), Dataset([[0.0]], [0.0]))
+
+
+class TestStagedMse:
+    def test_one_staged_pass_and_the_same_bits_as_the_explicit_curve(self, monkeypatch):
+        from rboost.core import Ensemble, clip
+        from rboost.selection import _staged_mse
+
+        rng = np.random.default_rng(57)
+        X = rng.uniform(-2, 2, (40, 1))
+        model, _ = train_rboosting(Dataset(X, np.sin(2 * X[:, 0])), toy_config(9))
+        Xh = rng.uniform(-2, 2, (30, 1))
+        holdout = Dataset(Xh, 1.5 * np.sin(2 * Xh[:, 0]))
+        calls = []
+        real = Ensemble.staged_predict
+        monkeypatch.setattr(Ensemble, "staged_predict", lambda self, X: calls.append(None) or real(self, X))
+        for bound in (None, 0.8):
+            preds = real(model, Xh)
+            if bound is not None:
+                preds = clip(preds, bound)
+            err = preds - holdout.targets
+            assert _staged_mse(model, holdout, bound).tobytes() == np.mean(err * err, axis=1).tobytes()
+        assert len(calls) == 2
+        assert _staged_mse(model.truncate(0), holdout).shape == (0,)

@@ -16,9 +16,25 @@ from hypothesis import strategies as st
 
 import rboost.learners as learners
 from rboost import Dataset, fit_tree
-from rboost.learners import RegressionTree, _Node
+from rboost.learners import RegressionTree
 
 _MIN_GAIN_REL = 1e-12
+
+
+class _Node:
+    """The oracle's linked tree node; to_dict gives the v1 nested form."""
+
+    def __init__(self, value):
+        self.feature = None
+        self.threshold = 0.0
+        self.left = None
+        self.right = None
+        self.value = value
+
+    def to_dict(self):
+        if self.feature is None:
+            return {"value": self.value}
+        return {"feature": self.feature, "threshold": self.threshold, "left": self.left.to_dict(), "right": self.right.to_dict()}
 
 
 def _oracle_routed_mean(values):
@@ -91,7 +107,7 @@ def _oracle_fit_tree(data, residual, n_splits):
             if cand is not None:
                 heapq.heappush(frontier, (-cand[0], counter, child, cand))
                 counter += 1
-    return RegressionTree(root, splits, data.d)
+    return RegressionTree.from_dict({"n_splits": splits, "n_features": data.d, "root": root.to_dict()})
 
 
 def _column(kind, m, rng, earlier):
