@@ -274,7 +274,7 @@ def _cmd_predict(args) -> int:
         emit_delimited(
             os.path.join(args.out, "predictions.csv"),
             ["prediction"],
-            [[p] for p in preds],
+            [[p] for p in preds.tolist()],
             manifest_name="manifest.json",
         )
         manifest = RunManifest(

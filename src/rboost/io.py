@@ -41,6 +41,8 @@ class CsvSchema:
     def __post_init__(self):
         if len(self.delimiter) != 1:
             raise ValueError(f"delimiter must be a single character, got {self.delimiter!r}")
+        if self.delimiter in "\r\n":
+            raise ValueError("delimiter cannot be a line end")
         if isinstance(self.target_column, str) and not self.has_header:
             raise ValueError("named target_column requires has_header=True")
 
@@ -55,34 +57,69 @@ def _parse_cell(token: str, line_no: int, col_name: str) -> float:
     return value
 
 
-def _read_rows(path, delimiter: str):
-    with open(path, newline="") as fh:
-        return [row for row in csv.reader(fh, delimiter=delimiter)]
+def _open_table(path):
+    """The one place a table file is opened: UTF-8, a leading byte-order mark dropped."""
+    return open(path, newline="", encoding="utf-8-sig")
 
 
 def _read_table(path, schema: CsvSchema):
-    """(column names, data rows as string lists, file line number of the first data row)."""
-    rows = _read_rows(path, schema.delimiter)
+    """(column names, float matrix) of a delimited file; completely empty rows are skipped.
+
+    NumPy's C tokenizer parses the data rows. It converts each cell with
+    PyOS_string_to_double, the routine behind float(), so its values are
+    the exact path's bit for bit. Where it cannot give the whole answer
+    (it raises, finds another column count than the header's, or reads a
+    non-finite value), the per-cell path rereads the same handle from the
+    start; it alone raises parse errors, naming the file line and column,
+    and accepts what only float() takes, such as quoted cells and 1_0.
+    """
+    with _open_table(path) as fh:
+        table = _parse_fast(fh, schema)
+        if table is None:
+            fh.seek(0)
+            table = _parse_rows(fh, schema, path)
+    return table
+
+
+def _parse_fast(fh, schema: CsvSchema):
+    if schema.has_header:
+        header = next((row for row in csv.reader(fh, delimiter=schema.delimiter) if row), [])
+    first = next((line for line in fh if line.strip("\r\n")), None)  # loadtxt warns on no rows
+    if first is None:
+        return None
+    try:
+        values = np.loadtxt(
+            itertools.chain([first], fh), delimiter=schema.delimiter, comments=None, ndmin=2, dtype=np.float64
+        )
+    except ValueError:
+        return None
+    if schema.has_header:
+        names = [name.strip() for name in header]
+    else:
+        names = [f"col{i}" for i in range(values.shape[1])]  # every cell is a number, so csv splits alike
+    if values.shape[1] != len(names) or not np.isfinite(values).all():
+        return None
+    return names, values
+
+
+def _parse_rows(fh, schema: CsvSchema, path):
+    rows = [(line_no, row) for line_no, row in enumerate(csv.reader(fh, delimiter=schema.delimiter), 1) if row]
     if not rows:
         raise ValueError(f"{path}: file is empty")
     if schema.has_header:
-        names, rows, first_line = [name.strip() for name in rows[0]], rows[1:], 2
+        names = [name.strip() for name in rows[0][1]]
+        rows = rows[1:]
     else:
-        names, first_line = [f"col{i}" for i in range(len(rows[0]))], 1
+        names = [f"col{i}" for i in range(len(rows[0][1]))]
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return names, rows, first_line
-
-
-def _parse_rows(names: list, rows: list, first_line: int) -> np.ndarray:
     out = np.empty((len(rows), len(names)))
-    for i, row in enumerate(rows):
-        line_no = first_line + i
+    for i, (line_no, row) in enumerate(rows):
         if len(row) != len(names):
             raise ValueError(f"line {line_no}: has {len(row)} fields, expected {len(names)}")
         for c, token in enumerate(row):
             out[i, c] = _parse_cell(token.strip(), line_no, names[c])
-    return out
+    return names, out
 
 
 def _resolve_target(schema: CsvSchema, names: list) -> int:
@@ -101,11 +138,10 @@ def _resolve_target(schema: CsvSchema, names: list) -> int:
 
 def load_csv(path, schema: CsvSchema = CsvSchema()) -> Dataset:
     """Read a delimited file into a Dataset; errors name the offending line/column."""
-    names, rows, first_line = _read_table(path, schema)
+    names, values = _read_table(path, schema)
     if len(names) < 2:
         raise ValueError(f"{path}: need at least one feature column and one target column")
     target_idx = _resolve_target(schema, names)
-    values = _parse_rows(names, rows, first_line)
     return Dataset(np.delete(values, target_idx, axis=1), values[:, target_idx])
 
 
@@ -116,8 +152,7 @@ def load_feature_matrix(path, schema: CsvSchema = CsvSchema(), n_features: Optio
     column as well; the schema's target column (by default the last) is
     dropped from the parsed matrix, so the file is read once either way.
     """
-    names, rows, first_line = _read_table(path, schema)
-    out = _parse_rows(names, rows, first_line)
+    names, out = _read_table(path, schema)
     if n_features is not None and len(names) == n_features + 1:
         out = np.delete(out, _resolve_target(schema, names), axis=1)
     return out
@@ -125,6 +160,8 @@ def load_feature_matrix(path, schema: CsvSchema = CsvSchema(), n_features: Optio
 
 def fmt(value) -> str:
     """Render a cell: floats via repr for exact decimal round-trip."""
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value))
     if isinstance(value, (int, np.integer)):
@@ -140,11 +177,11 @@ def write_csv(data: Dataset, path, feature_names: Optional[Sequence[str]] = None
         feature_names = [f"x{j}" for j in range(data.d)]
     if len(feature_names) != data.d:
         raise ValueError(f"need {data.d} feature names, got {len(feature_names)}")
+    lines = [",".join([*feature_names, target_name]) + "\n"]
+    for row, target in zip(data.features.tolist(), data.targets.tolist()):
+        lines.append(",".join(map(fmt, [*row, target])) + "\n")
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join([*feature_names, target_name]) + "\n")
-        for i in range(data.m):
-            cells = [fmt(v) for v in data.features[i]] + [fmt(data.targets[i])]
-            fh.write(",".join(cells) + "\n")
+        fh.write("".join(lines))
 
 
 def _tree_of(learner):
@@ -239,13 +276,12 @@ def emit_delimited(path, columns: Sequence[str], rows: Sequence[Sequence], manif
     """
     if not rows:
         raise ValueError("no rows to emit")
+    lines = [f"# manifest: {manifest_name}\n"] if manifest_name else []
+    lines.append(f"# columns: {','.join(columns)}\n")
+    lines.append(",".join(columns) + "\n")
+    lines.extend(",".join(map(fmt, row)) + "\n" for row in rows)
     with open(path, "w", newline="\n") as fh:
-        if manifest_name:
-            fh.write(f"# manifest: {manifest_name}\n")
-        fh.write(f"# columns: {','.join(columns)}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        fh.write("".join(lines))
 
 
 def read_delimited(path):

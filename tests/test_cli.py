@@ -166,8 +166,8 @@ class TestFitPredict:
         scored = tmp_path / "scored.csv"
         scored.write_text(header + "\n" + "".join(",".join(repr(v) for v in row) + "\n" for row in table.tolist()))
         reads = []
-        real_read_rows = rio._read_rows
-        monkeypatch.setattr(rio, "_read_rows", lambda path, delimiter: reads.append(path) or real_read_rows(path, delimiter))
+        real_open_table = rio._open_table
+        monkeypatch.setattr(rio, "_open_table", lambda path: reads.append(path) or real_open_table(path))
         assert run_cli(["predict", str(model / "model.json"), str(scored), *target_flags]) == 0
         assert capsys.readouterr().out == want
         assert reads == [str(scored)]
@@ -176,6 +176,17 @@ class TestFitPredict:
         data = tmp_path / "train.csv"
         write_constant_csv(data)
         assert run_cli(["fit", str(data), "--algo", "all"]) == 2  # not a valid choice
+
+    def test_fit_names_the_first_column_after_a_byte_order_mark(self, tmp_path, capsys):
+        data = tmp_path / "train.csv"
+        rng = np.random.default_rng(92)
+        rows = "".join(f"5.0,{float(x)!r}\n" for x in rng.uniform(-1, 1, 24))
+        data.write_text("a,x0\n" + rows, encoding="utf-8-sig")
+        out = tmp_path / "model"
+        assert run_cli(["fit", str(data), "--target-column", "a", "--j", "1", "--k-max", "2", "--out", str(out)]) == 0
+        model_doc = json.loads((out / "model.json").read_text())
+        assert model_doc["meta"]["train_rows"] == 24
+        assert "training rmse" in capsys.readouterr().out
 
     def test_fit_manifest_references_model(self, tmp_path):
         data = tmp_path / "train.csv"

@@ -64,6 +64,48 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="line 3"):
             load_csv(path)
 
+    def test_trailing_blank_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,y\n1,2\n3,4\n\n")
+        ds = load_csv(path)
+        assert ds.targets.tolist() == [2.0, 4.0]
+
+    @pytest.mark.parametrize("one", ["1", '"1"'])  # plain cells take the fast parse, a quoted one the per-cell path
+    def test_blank_rows_skipped_anywhere(self, tmp_path, one):
+        path = tmp_path / "data.csv"
+        path.write_bytes(f"\r\na,y\n\n{one},2\r\n\r\n3,4\n\n".encode())
+        ds = load_csv(path)
+        assert ds.features[:, 0].tolist() == [1.0, 3.0]
+        assert ds.targets.tolist() == [2.0, 4.0]
+
+    def test_errors_count_blank_lines(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,y\n\n1,2\n3,oops\n")
+        with pytest.raises(ValueError, match="line 4.*column y"):
+            load_csv(path)
+
+    def test_whitespace_only_line_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,y\n1,2\n  \n3,4\n")
+        with pytest.raises(ValueError, match="line 3: has 1 fields"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("one", ["1", '"1"'])
+    def test_byte_order_mark_dropped(self, tmp_path, one):
+        path = tmp_path / "data.csv"
+        path.write_text(f"a,y\n{one},2\n3,4\n", encoding="utf-8-sig")
+        ds = load_csv(path, CsvSchema(target_column="a"))
+        assert ds.targets.tolist() == [1.0, 3.0]
+        assert ds.features[:, 0].tolist() == [2.0, 4.0]
+
+    @pytest.mark.parametrize("one", ["1", '"1"'])
+    def test_byte_order_mark_before_headerless_cell(self, tmp_path, one):
+        path = tmp_path / "data.csv"
+        path.write_text(f"{one},2\n3,4\n", encoding="utf-8-sig")
+        ds = load_csv(path, CsvSchema(has_header=False))
+        assert ds.features[:, 0].tolist() == [1.0, 3.0]
+        assert ds.targets.tolist() == [2.0, 4.0]
+
     def test_missing_target_column(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,b\n1,2\n")
@@ -83,6 +125,8 @@ class TestLoadCsv:
             CsvSchema(delimiter=",,")
         with pytest.raises(ValueError):
             CsvSchema(has_header=False, target_column="y")
+        with pytest.raises(ValueError, match="line end"):
+            CsvSchema(delimiter="\n")
 
     def test_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(71)
