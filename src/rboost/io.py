@@ -68,10 +68,11 @@ def _read_table(path, schema: CsvSchema):
     NumPy's C tokenizer parses the data rows. It converts each cell with
     PyOS_string_to_double, the routine behind float(), so its values are
     the exact path's bit for bit. Where it cannot give the whole answer
-    (it raises, finds another column count than the header's, or reads a
-    non-finite value), the per-cell path rereads the same handle from the
-    start; it alone raises parse errors, naming the file line and column,
-    and accepts what only float() takes, such as quoted cells and 1_0.
+    (it raises, finds another column count than the header's, reads a
+    non-finite value, or meets a line longer than csv.field_size_limit()),
+    the per-cell path rereads the same handle from the start; it alone
+    raises parse errors, naming the file line and column, and accepts what
+    only float() takes, such as quoted cells and 1_0.
     """
     with _open_table(path) as fh:
         table = _parse_fast(fh, schema)
@@ -81,17 +82,26 @@ def _read_table(path, schema: CsvSchema):
     return table
 
 
+def _bounded_lines(lines, limit: int):
+    """The lines, raising ValueError at one longer than limit: a field over the limit needs such a line."""
+    for line in lines:
+        if len(line) > limit:
+            raise ValueError(f"line longer than {limit} characters")
+        yield line
+
+
 def _parse_fast(fh, schema: CsvSchema):
-    if schema.has_header:
-        header = next((row for row in csv.reader(fh, delimiter=schema.delimiter) if row), [])
-    first = next((line for line in fh if line.strip("\r\n")), None)  # loadtxt warns on no rows
-    if first is None:
-        return None
     try:
+        if schema.has_header:
+            header = next((row for row in csv.reader(fh, delimiter=schema.delimiter) if row), [])
+        lines = _bounded_lines(fh, csv.field_size_limit())  # the per-cell path rejects a longer field
+        first = next((line for line in lines if line.strip("\r\n")), None)  # loadtxt warns on no rows
+        if first is None:
+            return None
         values = np.loadtxt(
-            itertools.chain([first], fh), delimiter=schema.delimiter, comments=None, ndmin=2, dtype=np.float64
+            itertools.chain([first], lines), delimiter=schema.delimiter, comments=None, ndmin=2, dtype=np.float64
         )
-    except ValueError:
+    except (ValueError, csv.Error):
         return None
     if schema.has_header:
         names = [name.strip() for name in header]
@@ -102,8 +112,21 @@ def _parse_fast(fh, schema: CsvSchema):
     return names, values
 
 
+def _records(fh, delimiter: str):
+    """(file line number, fields) of each non-empty record; a record spanning lines gets its first line's number."""
+    reader = csv.reader(fh, delimiter=delimiter)
+    line_no = 1
+    try:
+        for row in reader:
+            if row:
+                yield line_no, row
+            line_no = reader.line_num + 1
+    except csv.Error as exc:
+        raise ValueError(f"line {line_no}: {exc}") from None
+
+
 def _parse_rows(fh, schema: CsvSchema, path):
-    rows = [(line_no, row) for line_no, row in enumerate(csv.reader(fh, delimiter=schema.delimiter), 1) if row]
+    rows = list(_records(fh, schema.delimiter))
     if not rows:
         raise ValueError(f"{path}: file is empty")
     if schema.has_header:
@@ -160,14 +183,12 @@ def load_feature_matrix(path, schema: CsvSchema = CsvSchema(), n_features: Optio
 
 def fmt(value) -> str:
     """Render a cell: floats via repr for exact decimal round-trip."""
-    if type(value) is float:
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
     return str(value)
 
 
@@ -177,11 +198,11 @@ def write_csv(data: Dataset, path, feature_names: Optional[Sequence[str]] = None
         feature_names = [f"x{j}" for j in range(data.d)]
     if len(feature_names) != data.d:
         raise ValueError(f"need {data.d} feature names, got {len(feature_names)}")
-    lines = [",".join([*feature_names, target_name]) + "\n"]
-    for row, target in zip(data.features.tolist(), data.targets.tolist()):
-        lines.append(",".join(map(fmt, [*row, target])) + "\n")
     with open(path, "w", newline="\n") as fh:
-        fh.write("".join(lines))
+        fh.write(",".join([*feature_names, target_name]) + "\n")
+        for i in range(data.m):
+            cells = [fmt(v) for v in data.features[i]] + [fmt(data.targets[i])]
+            fh.write(",".join(cells) + "\n")
 
 
 def _tree_of(learner):

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -88,6 +89,23 @@ class TestLoadCsv:
         path = tmp_path / "data.csv"
         path.write_text("a,y\n1,2\n  \n3,4\n")
         with pytest.raises(ValueError, match="line 3: has 1 fields"):
+            load_csv(path)
+
+    def test_errors_name_the_file_line_after_a_multiline_record(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text('a,y\n"1\n",2\n3,oops\n')
+        with pytest.raises(ValueError, match="line 4.*column y"):
+            load_csv(path)
+        path.write_text('a,y\n1,2\n"x\n",2\n')
+        with pytest.raises(ValueError, match="line 3.*column a"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("one", ["1", '"1"'])  # both parse paths apply the csv field size limit alike
+    def test_field_over_the_size_limit_is_a_value_error(self, tmp_path, one):
+        path = tmp_path / "data.csv"
+        long_cell = "0." + "0" * csv.field_size_limit() + "1"
+        path.write_text(f"a,y\n{one},{long_cell}\n3,4\n")
+        with pytest.raises(ValueError, match="line 2: field larger than field limit"):
             load_csv(path)
 
     @pytest.mark.parametrize("one", ["1", '"1"'])
