@@ -9,7 +9,7 @@ This is a desk-scale sweep (a few trials, small iteration budget) so it
 finishes in well under a minute; bump trials/k_max for smoother curves.
 """
 
-from rboost import SyntheticSpec, TreeLearnerSpec, run_ucurve, u_grid
+from rboost import SyntheticSpec, TreeLearnerSpec, run_comparison, u_grid
 from rboost.io import format_aligned
 
 spec = SyntheticSpec(
@@ -22,7 +22,8 @@ spec = SyntheticSpec(
 )
 
 grid = u_grid(10, 1, 1e6)
-curve = run_ucurve(spec, grid=grid, k_max=100, learner_spec=TreeLearnerSpec(4))
+# The oracle comparison of the re-scaled booster alone keeps its per-u test RMSE as the u-curve.
+curve = run_comparison(spec, ("rboosting",), k_max=100, grid=grid, learner_spec=TreeLearnerSpec(4)).curve
 
 rows = [[p.u, f"{p.mean_rmse:.4f}", f"{p.std_rmse:.4f}"] for p in curve]
 print(format_aligned(["u", "mean_rmse", "std_rmse"], rows))

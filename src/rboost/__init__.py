@@ -25,19 +25,12 @@ from .learners import (
     NormalizedLearner,
     RegressionTree,
     TreeLearnerSpec,
-    fit_stump,
     fit_tree,
-    normalize_learner,
-    select_from_dictionary,
 )
 from .boosters import (
-    ShrinkageSchedule,
     TrainingTrace,
     shrinkage_alpha,
     train,
-    train_boosting,
-    train_ddrboosting,
-    train_rboosting,
     two_dim_linear_search,
 )
 from .selection import (
@@ -55,7 +48,6 @@ from .bench import (
     rmse,
     run_adaptive_eval,
     run_comparison,
-    run_ucurve,
     sample_dataset,
     target_values,
 )
@@ -76,7 +68,6 @@ __all__ = [
     "RealDataReport",
     "RegressionTree",
     "SelectionResult",
-    "ShrinkageSchedule",
     "Stage",
     "SyntheticSpec",
     "TrainConfig",
@@ -90,27 +81,20 @@ __all__ = [
     "empirical_norm",
     "empirical_risk",
     "eval_target",
-    "fit_stump",
     "fit_tree",
     "load_csv",
     "load_model",
-    "normalize_learner",
     "realdata_experiment",
     "rmse",
     "run_adaptive_eval",
     "run_comparison",
-    "run_ucurve",
     "sample_dataset",
     "save_model",
-    "select_from_dictionary",
     "select_k_by_holdout",
     "shrinkage_alpha",
     "split_learn_validate",
     "target_values",
     "train",
-    "train_boosting",
-    "train_ddrboosting",
-    "train_rboosting",
     "two_dim_linear_search",
     "u_grid",
     "write_csv",

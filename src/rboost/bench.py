@@ -8,10 +8,10 @@ variates come from numpy's standard_normal (ziggurat), so reruns are
 bit-identical and trials are independent.
 
 Iteration counts are chosen directly on the noiseless test set throughout
-- the benchmark's oracle convention. run_comparison also oracle-selects
-the re-scale factor u ("ideal"); run_adaptive_eval instead picks u on a
-validation half of the training data, which is the part of the selection
-problem the adaptive strategy is meant to solve.
+- the benchmark's oracle convention. The "rboosting" method also
+oracle-selects the re-scale factor u ("ideal"); "rboosting_adaptive"
+instead picks u on a validation half of the training data, which is the
+part of the selection problem the adaptive strategy is meant to solve.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .boosters import train, train_rboosting
-from .core import Dataset, Ensemble, TrainConfig, empirical_risk
+from .boosters import train
+from .core import Dataset, TrainConfig, empirical_risk
 from .learners import TreeLearnerSpec
 from .selection import adaptive_select, select_k_by_holdout, u_grid
 
@@ -161,7 +161,7 @@ class TrialReport:
     """Aggregated benchmark output keyed by algorithm name.
 
     When the comparison swept the u grid, curve holds the mean-over-trials
-    test RMSE per grid value (the same shape run_ucurve emits).
+    test RMSE per grid value, one UCurvePoint each.
     """
 
     spec: SyntheticSpec
@@ -175,73 +175,41 @@ def _summarize(values, selected) -> AlgorithmResult:
     return AlgorithmResult(float(np.mean(arr)), std, tuple(arr.tolist()), tuple(selected))
 
 
-def _best_truncation(model: Ensemble, test: Dataset, clip_bound):
-    """(k, rmse) of the best truncation; an empty model scores as the zero predictor."""
-    if len(model) == 0:
-        return 0, rmse(np.zeros(test.m), test.targets)
-    return select_k_by_holdout(model, test, clip_bound)
+def _trial(spec, trial, methods, k_max, grid, learner_spec, clip_bound):
+    """Test RMSE and selections of every method on one trial, keyed by method name.
 
-
-def _base_config(algorithm: str, k_max: int, learner_spec, clip_bound) -> TrainConfig:
-    return TrainConfig(
-        algorithm=algorithm,
-        max_iterations=k_max,
-        learner_spec=learner_spec,
-        clip_bound=clip_bound,
-    )
-
-
-def _rboost_grid_scan(train_ds, test_ds, grid, k_max, learner_spec, clip_bound):
-    """Best-k test RMSE for every grid u; returns (per-u rmse array, per-u k list)."""
-    per_u = np.empty(len(grid))
-    ks = []
-    cfg = _base_config("rboosting", k_max, learner_spec, clip_bound)
-    for i, u in enumerate(grid):
-        model, _ = train_rboosting(train_ds, replace(cfg, u=int(u)))
-        k, r = _best_truncation(model, test_ds, clip_bound)
-        per_u[i] = r
-        ks.append(k)
-    return per_u, ks
-
-
-def _comparison_trial(spec, trial, algorithms, k_max, grid, learner_spec, clip_bound):
+    Each fit is scored at its best truncation on the noiseless test set,
+    the benchmark's oracle convention. "rboosting" also picks u on the test
+    set over the grid and keeps its per-u RMSEs under "_rboost_per_u".
+    "rboosting_adaptive" picks u on a shuffled learn/validate split of the
+    training sample, recording the validation-chosen iteration as
+    "k_valid", and retrains that u on the full sample, so its row isolates
+    the cost of choosing u from data.
+    """
     train_ds, test_ds = sample_dataset(spec, trial)
+    config = TrainConfig("rboosting", k_max, learner_spec)
+
+    def fit_and_score(**changes):
+        model, _ = train(train_ds, replace(config, **changes))
+        return select_k_by_holdout(model, test_ds, clip_bound)
+
     out = {}
-    for algo in algorithms:
-        if algo == "rboosting":
-            per_u, ks = _rboost_grid_scan(train_ds, test_ds, grid, k_max, learner_spec, clip_bound)
+    for method in methods:
+        if method == "rboosting":
+            scores = [fit_and_score(u=int(u)) for u in grid]
+            per_u = np.array([r for _, r in scores])
             i = int(np.argmin(per_u))  # first minimum = smallest u on ties
-            out[algo] = (float(per_u[i]), {"u": int(grid[i]), "k": ks[i]})
+            out[method] = (float(per_u[i]), {"u": int(grid[i]), "k": scores[i][0]})
             out["_rboost_per_u"] = per_u
+        elif method == "rboosting_adaptive":
+            sel = adaptive_select(
+                train_ds, grid, k_max, config, retrain_on_full=False, shuffle_seed=_split_seed(spec, trial)
+            )
+            k, r = fit_and_score(u=sel.chosen_u)
+            out[method] = (r, {"u": sel.chosen_u, "k": k, "k_valid": sel.chosen_k})
         else:
-            model, _ = train(train_ds, _base_config(algo, k_max, learner_spec, clip_bound))
-            k, r = _best_truncation(model, test_ds, clip_bound)
-            out[algo] = (r, {"k": k})
-    return out
-
-
-def _ucurve_trial(spec, trial, grid, k_max, learner_spec, clip_bound):
-    train_ds, test_ds = sample_dataset(spec, trial)
-    per_u, _ = _rboost_grid_scan(train_ds, test_ds, grid, k_max, learner_spec, clip_bound)
-    return per_u
-
-
-def _adaptive_trial(spec, trial, grid, k_max, learner_spec, clip_bound, include_ideal):
-    train_ds, test_ds = sample_dataset(spec, trial)
-    cfg = _base_config("rboosting", k_max, learner_spec, clip_bound)
-    sel = adaptive_select(
-        train_ds, grid, k_max, cfg, retrain_on_full=False, shuffle_seed=_split_seed(spec, trial)
-    )
-    # Retrain the chosen u on the full sample, then apply the benchmark's
-    # shared convention: the truncation count is test-selected for every
-    # reported method, so the adaptive row isolates the cost of choosing u.
-    model, _ = train_rboosting(train_ds, replace(cfg, u=sel.chosen_u, max_iterations=k_max))
-    k_eval, r = _best_truncation(model, test_ds, clip_bound)
-    out = {"adaptive": (r, {"u": sel.chosen_u, "k": k_eval, "k_valid": sel.chosen_k})}
-    if include_ideal:
-        per_u, ks = _rboost_grid_scan(train_ds, test_ds, grid, k_max, learner_spec, clip_bound)
-        i = int(np.argmin(per_u))
-        out["ideal"] = (float(per_u[i]), {"u": int(grid[i]), "k": ks[i]})
+            k, r = fit_and_score(algorithm=method)
+            out[method] = (r, {"k": k})
     return out
 
 
@@ -261,21 +229,21 @@ def run_comparison(
     clip_bound: Optional[float] = None,
     workers: int = 1,
 ) -> TrialReport:
-    """Oracle-selection comparison of the requested algorithms over all trials.
+    """Oracle-selection comparison of the requested methods over all trials.
 
-    Per trial, each algorithm trains on the noisy sample and is scored at
-    its best truncation on the noiseless test set; the re-scaled variant
-    additionally sweeps the u grid and keeps the best (u, k). Mean/std are
-    over trials. Selection on the test set reproduces the comparison-table
-    protocol and is labeled as the oracle it is.
+    Methods are the training algorithms plus "rboosting_adaptive" (see
+    _trial). Per trial, each method trains on the noisy sample and is
+    scored at its best truncation on the noiseless test set; the re-scaled
+    variant additionally sweeps the u grid and keeps the best (u, k).
+    Mean/std are over trials. Selection on the test set reproduces the
+    comparison-table protocol and is labeled as the oracle it is. With
+    "rboosting" among the methods, curve holds the test RMSE of every grid
+    u: the u-curve.
     """
     learner_spec = learner_spec or TreeLearnerSpec(4)
-    grid = list(grid) if grid is not None else u_grid(20, 1, 1e6)
-    args = [
-        (spec, t, tuple(algorithms), k_max, tuple(grid), learner_spec, clip_bound)
-        for t in range(spec.trials)
-    ]
-    rows = _map_trials(_comparison_trial, args, workers)
+    grid = tuple(grid) if grid is not None else tuple(u_grid(20, 1, 1e6))
+    args = [(spec, t, tuple(algorithms), k_max, grid, learner_spec, clip_bound) for t in range(spec.trials)]
+    rows = _map_trials(_trial, args, workers)
     summaries = {}
     for algo in algorithms:
         vals = [row[algo][0] for row in rows]
@@ -292,28 +260,6 @@ def run_comparison(
     return TrialReport(spec=spec, algorithms=summaries, curve=curve)
 
 
-def run_ucurve(
-    spec: SyntheticSpec,
-    grid: Optional[Sequence[int]] = None,
-    k_max: int = 500,
-    learner_spec=None,
-    clip_bound: Optional[float] = None,
-    workers: int = 1,
-) -> tuple:
-    """Test RMSE of the re-scaled booster as a function of u.
-
-    Returns one UCurvePoint per grid value: mean and std over trials of
-    the best-truncation test RMSE at that u. Plot-ready.
-    """
-    learner_spec = learner_spec or TreeLearnerSpec(4)
-    grid = list(grid) if grid is not None else u_grid(20, 1, 1e6)
-    args = [(spec, t, tuple(grid), k_max, learner_spec, clip_bound) for t in range(spec.trials)]
-    rows = np.vstack(_map_trials(_ucurve_trial, args, workers))
-    means = rows.mean(axis=0)
-    stds = rows.std(axis=0, ddof=1) if rows.shape[0] > 1 else np.zeros(rows.shape[1])
-    return tuple(UCurvePoint(int(u), float(m), float(s)) for u, m, s in zip(grid, means, stds))
-
-
 def run_adaptive_eval(
     spec: SyntheticSpec,
     grid: Optional[Sequence[int]] = None,
@@ -321,35 +267,16 @@ def run_adaptive_eval(
     learner_spec=None,
     clip_bound: Optional[float] = None,
     workers: int = 1,
-    include_ideal: bool = True,
 ) -> TrialReport:
-    """Evaluation of the adaptive u selection against the oracle sweep.
+    """Adaptive u selection ("rboosting_adaptive") against the oracle sweep ("rboosting_ideal").
 
-    Per trial: choose u on a shuffled learn/validate split of the training
-    sample, retrain it on the full sample, and score on the noiseless test
-    set. Truncation counts stay test-selected for both rows - the
-    benchmark's shared convention - so the adaptive row isolates the cost
-    of picking u from data; the validation-chosen iteration is recorded in
-    the selections as "k_valid". With include_ideal, the oracle-selected
-    booster runs alongside for reference.
+    The comparison of the two re-scaled methods, with the oracle row
+    renamed; the validation-chosen iteration of the adaptive row is in its
+    selections as "k_valid".
     """
-    learner_spec = learner_spec or TreeLearnerSpec(4)
-    grid = list(grid) if grid is not None else u_grid(20, 1, 1e6)
-    args = [
-        (spec, t, tuple(grid), k_max, learner_spec, clip_bound, include_ideal)
-        for t in range(spec.trials)
-    ]
-    rows = _map_trials(_adaptive_trial, args, workers)
-    summaries = {
-        "rboosting_adaptive": _summarize(
-            [r["adaptive"][0] for r in rows], [r["adaptive"][1] for r in rows]
-        )
-    }
-    if include_ideal:
-        summaries["rboosting_ideal"] = _summarize(
-            [r["ideal"][0] for r in rows], [r["ideal"][1] for r in rows]
-        )
-    return TrialReport(spec=spec, algorithms=summaries)
+    report = run_comparison(spec, ("rboosting_adaptive", "rboosting"), k_max, grid, learner_spec, clip_bound, workers)
+    names = {"rboosting": "rboosting_ideal"}
+    return replace(report, algorithms={names.get(k, k): v for k, v in report.algorithms.items()})
 
 
 def selected_u_stats(result: AlgorithmResult):

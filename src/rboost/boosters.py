@@ -39,20 +39,6 @@ def shrinkage_alpha(k: int, u: int) -> float:
     return 2.0 / (k + u)
 
 
-@dataclass(frozen=True)
-class ShrinkageSchedule:
-    """The parameterized shrinkage sequence; strictly decreasing, in (0, 1]."""
-
-    u: int
-
-    def __post_init__(self):
-        if int(self.u) != self.u or self.u < 1:
-            raise ValueError(f"u must be a positive integer, got {self.u}")
-
-    def alpha(self, k: int) -> float:
-        return shrinkage_alpha(k, self.u)
-
-
 class TwoDimResult(NamedTuple):
     alpha: float
     beta: float
@@ -110,9 +96,20 @@ class TrainingTrace:
         return self.risk.size
 
 
-def _train(data: Dataset, config: TrainConfig) -> tuple:
+def train(data: Dataset, config: TrainConfig):
+    """Run the training loop named by config.algorithm; returns (Ensemble, TrainingTrace).
+
+    Raises ValueError when the mean square of the targets overflows, since
+    no residual could then be measured against the target scale.
+    """
     y = data.targets
-    y_scale = max(1.0, float(np.sqrt(np.mean(y * y))))
+    with np.errstate(over="ignore"):
+        mean_square = float(np.mean(y * y))
+    if not np.isfinite(mean_square):
+        raise ValueError(
+            f"the mean square of the targets overflows float64 (max |y| = {np.abs(y).max():.3g}); rescale them"
+        )
+    y_scale = max(1.0, float(np.sqrt(mean_square)))
     fitter = config.learner_spec.bind(data)
     algorithm = config.algorithm
     u = int(config.u)
@@ -171,24 +168,21 @@ def _require_algorithm(config: TrainConfig, expected: str):
         raise ValueError(f"config.algorithm is {config.algorithm!r}, expected {expected!r}")
 
 
+# train under per-algorithm names that also check config.algorithm. The
+# library calls train; perfbench traces these names too, so they stay.
 def train_boosting(data: Dataset, config: TrainConfig):
     """Plain greedy training: unit step on the selected learner each round."""
     _require_algorithm(config, "boosting")
-    return _train(data, config)
+    return train(data, config)
 
 
 def train_rboosting(data: Dataset, config: TrainConfig):
     """Re-scaled training with the alpha_k = 2/(k+u) schedule."""
     _require_algorithm(config, "rboosting")
-    return _train(data, config)
+    return train(data, config)
 
 
 def train_ddrboosting(data: Dataset, config: TrainConfig):
     """Data-driven re-scaling: exact two-dimensional search each round."""
     _require_algorithm(config, "ddrboosting")
-    return _train(data, config)
-
-
-def train(data: Dataset, config: TrainConfig):
-    """Dispatch to the trainer named by config.algorithm; returns (Ensemble, TrainingTrace)."""
-    return _train(data, config)
+    return train(data, config)

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bench import SyntheticSpec, run_adaptive_eval, run_comparison, run_ucurve, selected_u_stats
+from .bench import SyntheticSpec, run_adaptive_eval, run_comparison, selected_u_stats
 from .core import TrainConfig
 from .boosters import train
 from .io import (
@@ -43,6 +43,20 @@ from .realdata import realdata_experiment
 from .selection import u_grid
 
 _ALGO_ALIASES = {"boost": "boosting", "rboost": "rboosting", "ddr": "ddrboosting"}
+
+_TRIAL_COLUMNS = ["target", "sigma", "algorithm", "trial", "rmse", "selected_u", "selected_k"]
+
+
+class _RejectedValue(Exception):
+    """A flag value that parses but is out of range; main reports it with exit status 1."""
+
+
+def _clip_bound(text: str) -> float:
+    """Type of every --clip flag: a bound M > 0, checked before any work starts."""
+    bound = float(text)  # a non-number stays an argparse usage error
+    if not bound > 0:
+        raise _RejectedValue(f"--clip must be > 0, got {text}")
+    return bound
 
 
 def _resolve_algorithms(name: str):
@@ -102,7 +116,7 @@ def _add_bench_flags(p, j_default=4):
     p.add_argument("--k-max", type=int, default=500, help="iteration budget per training run")
     p.add_argument("--grid", default="20:1:1e6", help="u grid as COUNT:LO:HI (log-spaced)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--clip", type=float, default=None, metavar="M", help="clip predictions to [-M, M]")
+    p.add_argument("--clip", type=_clip_bound, default=None, metavar="M", help="clip predictions to [-M, M]")
     p.add_argument("--train-m", type=int, default=500)
     p.add_argument("--test-m", type=int, default=1000)
     p.add_argument("--workers", type=int, default=1, help="parallel trial workers")
@@ -135,47 +149,48 @@ def _bench_config(args, **extra) -> dict:
     return cfg
 
 
-def _cmd_simulate(args) -> int:
-    algorithms = _resolve_algorithms(args.algo)
-    grid = _parse_grid(args.grid)
-    learner = TreeLearnerSpec(args.j)
-    row_cols = ["target", "sigma", "algorithm", "trial", "rmse", "selected_u", "selected_k"]
-    rows, table = [], []
-    for target in args.target:
-        for sigma in args.sigma:
-            report = run_comparison(
-                _spec_for(args, target, sigma),
-                algorithms=algorithms,
-                k_max=args.k_max,
-                grid=grid,
-                learner_spec=learner,
-                clip_bound=args.clip,
-                workers=args.workers,
-            )
-            for algo in algorithms:
-                s = report.algorithms[algo]
-                for t, (r, sel) in enumerate(zip(s.rmse_per_trial, s.selected)):
-                    rows.append([target, sigma, algo, t, r, sel.get("u", ""), sel.get("k", "")])
-                rows.append([target, sigma, algo, "mean", s.rmse_mean, "", ""])
-                rows.append([target, sigma, algo, "std", s.rmse_std, "", ""])
-                table.append([target, sigma, algo, f"{s.rmse_mean:.4f}", f"{s.rmse_std:.4f}"])
-    print(format_aligned(["target", "sigma", "algorithm", "mean_rmse", "std_rmse"], table), end="")
-    if args.out:
-        config = _bench_config(args, targets=list(args.target), sigmas=list(args.sigma), algo=args.algo)
-        _write_outputs(args, config, {"results.csv": (row_cols, rows)})
-    return 0
-
-
-def _cmd_ucurve(args) -> int:
-    grid = _parse_grid(args.grid)
-    curve = run_ucurve(
-        _spec_for(args, args.target, args.sigma),
-        grid=grid,
+def _bench_kwargs(args) -> dict:
+    return dict(
         k_max=args.k_max,
+        grid=_parse_grid(args.grid),
         learner_spec=TreeLearnerSpec(args.j),
         clip_bound=args.clip,
         workers=args.workers,
     )
+
+
+def _trial_rows(target, sigma, name, summary) -> list:
+    """Result rows of one method: one per trial, then its mean and std."""
+    rows = [
+        [target, sigma, name, t, r, sel.get("u", ""), sel.get("k", "")]
+        for t, (r, sel) in enumerate(zip(summary.rmse_per_trial, summary.selected))
+    ]
+    rows.append([target, sigma, name, "mean", summary.rmse_mean, "", ""])
+    rows.append([target, sigma, name, "std", summary.rmse_std, "", ""])
+    return rows
+
+
+def _cmd_simulate(args) -> int:
+    algorithms = _resolve_algorithms(args.algo)
+    kwargs = _bench_kwargs(args)
+    rows, table = [], []
+    for target in args.target:
+        for sigma in args.sigma:
+            report = run_comparison(_spec_for(args, target, sigma), algorithms=algorithms, **kwargs)
+            for algo in algorithms:
+                s = report.algorithms[algo]
+                rows += _trial_rows(target, sigma, algo, s)
+                table.append([target, sigma, algo, f"{s.rmse_mean:.4f}", f"{s.rmse_std:.4f}"])
+    print(format_aligned(["target", "sigma", "algorithm", "mean_rmse", "std_rmse"], table), end="")
+    if args.out:
+        config = _bench_config(args, targets=list(args.target), sigmas=list(args.sigma), algo=args.algo)
+        _write_outputs(args, config, {"results.csv": (_TRIAL_COLUMNS, rows)})
+    return 0
+
+
+def _cmd_ucurve(args) -> int:
+    spec = _spec_for(args, args.target, args.sigma)
+    curve = run_comparison(spec, algorithms=("rboosting",), **_bench_kwargs(args)).curve
     rows = [[p.u, p.mean_rmse, p.std_rmse] for p in curve]
     table = [[p.u, f"{p.mean_rmse:.4f}", f"{p.std_rmse:.4f}"] for p in curve]
     print(format_aligned(["u", "mean_rmse", "std_rmse"], table), end="")
@@ -186,28 +201,16 @@ def _cmd_ucurve(args) -> int:
 
 
 def _cmd_adaptive(args) -> int:
-    grid = _parse_grid(args.grid)
-    report = run_adaptive_eval(
-        _spec_for(args, args.target, args.sigma),
-        grid=grid,
-        k_max=args.k_max,
-        learner_spec=TreeLearnerSpec(args.j),
-        clip_bound=args.clip,
-        workers=args.workers,
-    )
-    row_cols = ["target", "sigma", "algorithm", "trial", "rmse", "selected_u", "selected_k"]
+    report = run_adaptive_eval(_spec_for(args, args.target, args.sigma), **_bench_kwargs(args))
     rows, table = [], []
     for name, s in report.algorithms.items():
-        for t, (r, sel) in enumerate(zip(s.rmse_per_trial, s.selected)):
-            rows.append([args.target, args.sigma, name, t, r, sel.get("u", ""), sel.get("k", "")])
-        rows.append([args.target, args.sigma, name, "mean", s.rmse_mean, "", ""])
-        rows.append([args.target, args.sigma, name, "std", s.rmse_std, "", ""])
+        rows += _trial_rows(args.target, args.sigma, name, s)
         u_mean, u_std = selected_u_stats(s)
         table.append([name, f"{s.rmse_mean:.4f}", f"{s.rmse_std:.4f}", f"{u_mean:.1f}", f"{u_std:.1f}"])
     print(format_aligned(["algorithm", "mean_rmse", "std_rmse", "mean_u", "std_u"], table), end="")
     if args.out:
         config = _bench_config(args, target=args.target, sigma=args.sigma)
-        _write_outputs(args, config, {"adaptive.csv": (row_cols, rows)})
+        _write_outputs(args, config, {"adaptive.csv": (_TRIAL_COLUMNS, rows)})
     return 0
 
 
@@ -221,8 +224,6 @@ def _cmd_fit(args) -> int:
         max_iterations=args.k_max,
         learner_spec=TreeLearnerSpec(args.j),
         u=args.u,
-        clip_bound=args.clip,
-        seed=args.seed,
     )
     model, trace = train(data, config)
     meta = {
@@ -297,20 +298,14 @@ def _cmd_realdata(args) -> int:
     if args.pre_split and args.data:
         raise ValueError("pass a data CSV or --pre-split TRAIN TEST, not both")
     if args.pre_split:
-        train_ds = load_csv(args.pre_split[0], schema)
-        test_ds = load_csv(args.pre_split[1], schema)
-        report = realdata_experiment(
-            pre_split=(train_ds, test_ds), k_max=args.k_max, grid=grid,
-            n_splits=args.j, seed=args.seed, clip_bound=args.clip,
-        )
+        inputs = {"pre_split": tuple(load_csv(path, schema) for path in args.pre_split)}
+    elif args.data:
+        inputs = {"data": load_csv(args.data, schema)}
     else:
-        if not args.data:
-            raise ValueError("pass a data CSV or --pre-split TRAIN TEST")
-        data = load_csv(args.data, schema)
-        report = realdata_experiment(
-            data=data, k_max=args.k_max, grid=grid,
-            n_splits=args.j, seed=args.seed, clip_bound=args.clip,
-        )
+        raise ValueError("pass a data CSV or --pre-split TRAIN TEST")
+    report = realdata_experiment(
+        **inputs, k_max=args.k_max, grid=grid, n_splits=args.j, seed=args.seed, clip_bound=args.clip
+    )
     cols = ["algorithm", "test_rmse", "selected_u", "selected_k", "train_m", "test_m"]
     rows = [
         [name, out.test_rmse, out.selected.get("u", ""), out.selected.get("k", ""), report.train_m, report.test_m]
@@ -367,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, default=4)
     p.add_argument("--k-max", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--clip", type=float, default=None, metavar="M")
+    p.add_argument("--clip", type=_clip_bound, default=None, metavar="M")
     p.add_argument("--out", default=".", metavar="DIR")
     _add_schema_flags(p)
     p.set_defaults(handler=_cmd_fit)
@@ -375,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="emit predictions for a CSV file")
     p.add_argument("model")
     p.add_argument("data")
-    p.add_argument("--clip", type=float, default=None, metavar="M")
+    p.add_argument("--clip", type=_clip_bound, default=None, metavar="M")
     p.add_argument("--out", default=None, metavar="DIR")
     _add_schema_flags(p)
     p.set_defaults(handler=_cmd_predict)
@@ -387,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=500)
     p.add_argument("--grid", default="20:1:1e6")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--clip", type=float, default=None, metavar="M")
+    p.add_argument("--clip", type=_clip_bound, default=None, metavar="M")
     p.add_argument("--out", default=None, metavar="DIR")
     _add_schema_flags(p)
     p.set_defaults(handler=_cmd_realdata)
@@ -402,15 +397,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Entry point; returns the process exit status."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed usage/help
-        code = exc.code
-        return int(code) if code is not None else 0
-    args.command_echo = ["rboost", *argv]
-    try:
+        args = _build_parser().parse_args(argv)
+        args.command_echo = ["rboost", *argv]
         return args.handler(args)
+    except SystemExit as exc:  # argparse already printed usage/help
+        return int(exc.code) if exc.code is not None else 0
     except Exception as exc:
         print(f"rboost: error: {exc}", file=sys.stderr)
         return 1

@@ -161,16 +161,15 @@ class TrainConfig:
         or DictionaryLearnerSpec(atoms).
     u: re-scale factor of the shrinkage schedule alpha_k = 2 / (k + u);
         only read by "rboosting".
-    clip_bound: optional prediction clipping bound; never applied inside
-        the training recursion, only where a caller asks for it.
+
+    Training is deterministic, and predictions are clipped only where a
+    caller asks for it, so neither a seed nor a clip bound belongs here.
     """
 
     algorithm: str
     max_iterations: int
     learner_spec: object
     u: int = 1
-    clip_bound: Optional[float] = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -180,8 +179,6 @@ class TrainConfig:
         if self.algorithm == "rboosting":
             if int(self.u) != self.u or self.u < 1:
                 raise ValueError(f"u must be a positive integer for rboosting, got {self.u}")
-        if self.clip_bound is not None and self.clip_bound <= 0:
-            raise ValueError(f"clip_bound must be > 0 when set, got {self.clip_bound}")
         if self.learner_spec is None:
             raise ValueError("learner_spec is required")
 

@@ -33,7 +33,7 @@ _TINY = float(np.finfo(np.float64).tiny)
 
 
 class DegenerateLearnerError(Exception):
-    """Raised when a learner's predictions have ~zero norm on the fitting sample."""
+    """Raised when every atom of a dictionary has ~zero norm on the fitting sample."""
 
 
 def _leaf(value: float) -> list:
@@ -257,11 +257,6 @@ def fit_tree(data: Dataset, residual, n_splits: int) -> RegressionTree:
     return RegressionTree(*zip(*nodes), data.d)
 
 
-def fit_stump(data: Dataset, residual) -> RegressionTree:
-    """One-split regression tree (J = 1)."""
-    return fit_tree(data, residual, 1)
-
-
 @dataclass(frozen=True)
 class NormalizedLearner:
     """A learner rescaled to unit empirical norm on its fitting sample."""
@@ -273,18 +268,6 @@ class NormalizedLearner:
         return self.scale * self.base.predict(X)
 
 
-def normalize_learner(learner, data: Dataset) -> NormalizedLearner:
-    """Wrap a learner so its predictions have unit empirical norm on data.
-
-    Raises DegenerateLearnerError when the norm is numerically zero; the
-    training loops translate that into an early stop.
-    """
-    nrm = empirical_norm(learner.predict(data.features))
-    if nrm <= DEGENERATE_NORM:
-        raise DegenerateLearnerError(f"learner norm {nrm:.3e} on the fitting sample")
-    return NormalizedLearner(learner, 1.0 / nrm)
-
-
 @dataclass(frozen=True)
 class DictionaryAtom:
     """A fixed candidate function; fn maps an (n, d) feature matrix to (n,) values."""
@@ -294,22 +277,6 @@ class DictionaryAtom:
 
     def predict(self, X) -> np.ndarray:
         return np.asarray(self.fn(as_feature_matrix(X)), dtype=np.float64)
-
-
-def select_from_dictionary(atoms: Sequence[DictionaryAtom], data: Dataset, residual):
-    """Atom maximizing |<residual, g>_m| plus the signed inner product.
-
-    Atoms are expected to already have unit empirical norm on data. Exact
-    ties go to the lowest atom_id.
-    """
-    if not atoms:
-        raise ValueError("dictionary is empty")
-    r = np.asarray(residual, dtype=np.float64)
-    if r.shape != (data.m,):
-        raise ValueError(f"residual must have length m={data.m}, got shape {r.shape}")
-    inners = np.array([np.mean(a.predict(data.features) * r) for a in atoms])
-    best = min(range(len(atoms)), key=lambda i: (-abs(inners[i]), atoms[i].atom_id))
-    return atoms[best], float(inners[best])
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,10 @@ from typing import Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .bench import rmse
-from .core import Dataset, TrainConfig
+from .core import Dataset, Ensemble, TrainConfig
 from .boosters import train
 from .learners import TreeLearnerSpec
-from .selection import adaptive_select, select_k_by_validation, u_grid
+from .selection import adaptive_select, select_k_by_validation, split_learn_validate, u_grid
 
 _SELECT_SALT = 0xCA11  # separates the selection shuffle stream from the main split
 
@@ -34,13 +34,6 @@ class RealDataReport:
     methods: Mapping[str, MethodOutcome]
     train_m: int
     test_m: int
-
-
-def _half_split(data: Dataset, seed: int) -> Tuple[Dataset, Dataset]:
-    rng = np.random.default_rng(seed)
-    idx = rng.permutation(data.m)
-    half = data.m // 2
-    return data.subset(idx[:half]), data.subset(idx[half:])
 
 
 def realdata_experiment(
@@ -66,33 +59,21 @@ def realdata_experiment(
     else:
         if data.m < 4:
             raise ValueError(f"need m >= 4 to split, got {data.m}")
-        train_ds, test_ds = _half_split(data, seed)
+        train_ds, test_ds = split_learn_validate(data, seed)
     grid = list(grid) if grid is not None else u_grid(20, 1, 1e6)
     select_seed = int(np.random.SeedSequence([abs(int(seed)), _SELECT_SALT]).generate_state(1)[0])
-    base = TrainConfig(
-        algorithm="boosting",
-        max_iterations=k_max,
-        learner_spec=TreeLearnerSpec(n_splits),
-        clip_bound=clip_bound,
-    )
+    base = TrainConfig(algorithm="boosting", max_iterations=k_max, learner_spec=TreeLearnerSpec(n_splits))
 
     methods = {}
     for algo in algorithms:
         if algo == "rboosting":
-            sel = adaptive_select(
-                train_ds,
-                grid,
-                k_max,
-                replace(base, algorithm="rboosting"),
-                retrain_on_full=True,
-                shuffle_seed=select_seed,
-            )
-            pred = sel.final_model.predict(test_ds.features, clip_bound=clip_bound)
-            methods[algo] = MethodOutcome(rmse(pred, test_ds.targets), {"u": sel.chosen_u, "k": sel.chosen_k})
+            sel = adaptive_select(train_ds, grid, k_max, base, retrain_on_full=True, shuffle_seed=select_seed)
+            model, selected = sel.final_model, {"u": sel.chosen_u, "k": sel.chosen_k}
         else:
             cfg = replace(base, algorithm=algo)
             k, _ = select_k_by_validation(train_ds, cfg, k_max, shuffle_seed=select_seed)
-            model, _ = train(train_ds, replace(cfg, max_iterations=max(k, 1)))
-            pred = model.predict(test_ds.features, clip_bound=clip_bound)
-            methods[algo] = MethodOutcome(rmse(pred, test_ds.targets), {"k": k})
+            model = train(train_ds, replace(cfg, max_iterations=k))[0] if k else Ensemble()
+            selected = {"k": k}
+        pred = model.predict(test_ds.features, clip_bound=clip_bound)
+        methods[algo] = MethodOutcome(rmse(pred, test_ds.targets), selected)
     return RealDataReport(methods=methods, train_m=train_ds.m, test_m=test_ds.m)

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boosters import train_rboosting, train
+from .boosters import train
 from .core import Dataset, Ensemble, TrainConfig, clip
 
 
@@ -81,6 +81,20 @@ def _staged_mse(model: Ensemble, data: Dataset, clip_bound: Optional[float] = No
     return np.mean(err * err, axis=1)
 
 
+def _best_truncation(model: Ensemble, data: Dataset, clip_bound: Optional[float] = None, score=lambda mse: mse):
+    """(k, score) of the truncation whose MSE on data scores lowest; ties take the smallest k.
+
+    score maps the MSE curve elementwise. An empty model is the zero
+    predictor: k = 0, scored on mean(y^2).
+    """
+    if len(model) == 0:
+        y = data.targets
+        return 0, float(score(np.mean(y * y)))
+    curve = score(_staged_mse(model, data, clip_bound))
+    k = int(np.argmin(curve)) + 1
+    return k, float(curve[k - 1])
+
+
 def adaptive_select(
     data: Dataset,
     grid: Sequence[int],
@@ -91,9 +105,9 @@ def adaptive_select(
 ) -> SelectionResult:
     """Pick (u, k) by validation risk over the grid, optionally retrain on all rows.
 
-    config supplies the learner spec (and clip/seed plumbing); its
-    algorithm, u and iteration budget are overridden per grid point. Ties
-    break toward smaller u, then smaller k.
+    config supplies the learner spec; its algorithm, u and iteration
+    budget are overridden per grid point. Ties break toward smaller u, then
+    smaller k. When the empty model (k = 0) wins, final_model is empty too.
     """
     grid = list(grid)
     if not grid:
@@ -101,57 +115,43 @@ def adaptive_select(
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     learn, validate = split_learn_validate(data, shuffle_seed)
-    y_val = validate.targets
-    zero_risk = float(np.mean(y_val * y_val))  # risk of the empty model
 
     curve = []
     best = None  # (risk, u, k, model)
     for u in grid:
-        cfg = replace(config, algorithm="rboosting", u=int(u), max_iterations=k_max)
-        model, _ = train_rboosting(learn, cfg)
-        if len(model) == 0:
-            k_u, risk_u = 0, zero_risk
-        else:
-            risks = _staged_mse(model, validate)
-            k_u = int(np.argmin(risks)) + 1
-            risk_u = float(risks[k_u - 1])
+        model, _ = train(learn, replace(config, algorithm="rboosting", u=int(u), max_iterations=k_max))
+        k_u, risk_u = _best_truncation(model, validate)
         curve.append((int(u), k_u, risk_u))
         if best is None or (risk_u, u, k_u) < (best[0], best[1], best[2]):
             best = (risk_u, int(u), k_u, model)
 
     risk_star, u_star, k_star, half_model = best
-    if retrain_on_full:
-        cfg = replace(config, algorithm="rboosting", u=u_star, max_iterations=max(k_star, 1))
-        final_model, _ = train_rboosting(data, cfg)
+    if retrain_on_full and k_star > 0:
+        final_model, _ = train(data, replace(config, algorithm="rboosting", u=u_star, max_iterations=k_star))
     else:
-        final_model = half_model.truncate(min(k_star, len(half_model)))
+        final_model = half_model.truncate(k_star)
     return SelectionResult(u_star, k_star, risk_star, final_model, tuple(curve))
 
 
 def select_k_by_holdout(model: Ensemble, holdout: Dataset, clip_bound: Optional[float] = None):
     """Truncation count minimizing holdout RMSE, with the RMSE; ties take the smallest k.
 
-    With clip_bound set, the RMSE is that of the clipped predictions.
+    With clip_bound set, the RMSE is that of the clipped predictions. The
+    argmin runs over the RMSEs, not the MSEs: rounding the square root can
+    merge neighbouring MSEs, and the smaller k then wins. An empty model
+    gives k = 0 and the RMSE of the zero predictor.
     """
-    if len(model) == 0:
-        raise ValueError("model has no stages")
-    rmses = np.sqrt(_staged_mse(model, holdout, clip_bound))
-    k = int(np.argmin(rmses)) + 1
-    return k, float(rmses[k - 1])
+    return _best_truncation(model, holdout, clip_bound, np.sqrt)
 
 
 def select_k_by_validation(data: Dataset, config: TrainConfig, k_max: int, shuffle_seed: Optional[int] = None):
     """Half-split analogue of the adaptive sweep for algorithms without u.
 
     Trains config.algorithm on the learning half for k_max rounds and
-    returns the truncation with the lowest validation risk; used by the
-    real-data protocol for the plain and data-driven variants.
+    returns the truncation with the lowest validation risk, (0, mean(y^2))
+    for an empty model; used by the real-data protocol for the plain and
+    data-driven variants.
     """
     learn, validate = split_learn_validate(data, shuffle_seed)
-    cfg = replace(config, max_iterations=k_max)
-    model, _ = train(learn, cfg)
-    if len(model) == 0:
-        return 1, float(np.mean(validate.targets**2))
-    risks = _staged_mse(model, validate)
-    k = int(np.argmin(risks)) + 1
-    return k, float(risks[k - 1])
+    model, _ = train(learn, replace(config, max_iterations=k_max))
+    return _best_truncation(model, validate)

@@ -24,12 +24,9 @@ from rboost import (
     fit_tree,
     run_adaptive_eval,
     run_comparison,
-    run_ucurve,
-    train_boosting,
-    train_ddrboosting,
-    train_rboosting,
     two_dim_linear_search,
 )
+from rboost.boosters import train_boosting, train_rboosting
 from rboost.cli import main as cli_main
 
 WORKERS = min(2, os.cpu_count() or 1)
@@ -224,7 +221,9 @@ def test_c5_table2_spot_check_m4():
 def test_c6_ucurve_interior_minimum():
     t0 = time.perf_counter()
     spec = SyntheticSpec(target_id=4, noise_sigma=0.5, trials=10, seed_base=0)
-    curve = run_ucurve(spec, grid=_grid20(), k_max=150, learner_spec=TreeLearnerSpec(4), workers=WORKERS)
+    curve = run_comparison(
+        spec, ("rboosting",), k_max=150, grid=_grid20(), learner_spec=TreeLearnerSpec(4), workers=WORKERS
+    ).curve
     interior = min(p.mean_rmse for p in curve[:-1])
     endpoint = curve[-1].mean_rmse
     assert interior <= 0.95 * endpoint, f"interior {interior:.4f} not 5% below endpoint {endpoint:.4f}"

@@ -12,12 +12,12 @@ from rboost import (
     rmse,
     run_adaptive_eval,
     run_comparison,
-    run_ucurve,
     sample_dataset,
+    select_k_by_holdout,
     target_values,
-    train_rboosting,
+    train,
 )
-from rboost.bench import _best_truncation, selected_u_stats
+from rboost.bench import selected_u_stats
 
 
 class TestEvalTarget:
@@ -213,15 +213,20 @@ class TestRunComparison:
             assert seq.algorithms[algo].selected == par.algorithms[algo].selected
 
 
+def ucurve(spec, grid, k_max, learner_spec):
+    """The u-curve: the per-u test RMSEs of the oracle comparison of the re-scaled booster alone."""
+    return run_comparison(spec, ("rboosting",), k_max=k_max, grid=grid, learner_spec=learner_spec).curve
+
+
 class TestRunUcurve:
     def test_one_point_per_grid_value(self):
         spec = SyntheticSpec(target_id=1, noise_sigma=0.5, train_m=40, test_m=25, trials=2)
-        curve = run_ucurve(spec, grid=[1, 10, 1000], k_max=5, learner_spec=TreeLearnerSpec(1))
+        curve = ucurve(spec, grid=[1, 10, 1000], k_max=5, learner_spec=TreeLearnerSpec(1))
         assert [p.u for p in curve] == [1, 10, 1000]
 
     def test_largest_u_approaches_plain_boosting(self):
         spec = SyntheticSpec(target_id=3, noise_sigma=0.0, train_m=120, test_m=80, trials=2)
-        curve = run_ucurve(spec, grid=[1, 10, 10**6], k_max=60, learner_spec=TreeLearnerSpec(2))
+        curve = ucurve(spec, grid=[1, 10, 10**6], k_max=60, learner_spec=TreeLearnerSpec(2))
         report = run_comparison(
             spec, algorithms=("boosting",), k_max=60, grid=[1], learner_spec=TreeLearnerSpec(2)
         )
@@ -232,7 +237,7 @@ class TestRunUcurve:
         # Small-scale version of the published curve shape: some interior u
         # beats the effectively-unshrunk endpoint.
         spec = SyntheticSpec(target_id=4, noise_sigma=0.5, train_m=500, test_m=300, trials=2)
-        curve = run_ucurve(spec, grid=[1, 10, 100, 10**6], k_max=80, learner_spec=TreeLearnerSpec(4))
+        curve = ucurve(spec, grid=[1, 10, 100, 10**6], k_max=80, learner_spec=TreeLearnerSpec(4))
         assert min(p.mean_rmse for p in curve[:-1]) < curve[-1].mean_rmse
 
 
@@ -242,10 +247,10 @@ class TestRunAdaptiveEval:
         report = run_adaptive_eval(spec, grid=[5], k_max=8, learner_spec=TreeLearnerSpec(1))
         adaptive = report.algorithms["rboosting_adaptive"]
         for t in range(2):
-            train, test = sample_dataset(spec, t)
+            train_ds, test = sample_dataset(spec, t)
             cfg = TrainConfig("rboosting", 8, TreeLearnerSpec(1), u=5)
-            model, _ = train_rboosting(train, cfg)
-            _, expected = _best_truncation(model, test, None)
+            model, _ = train(train_ds, cfg)
+            _, expected = select_k_by_holdout(model, test, None)
             assert adaptive.rmse_per_trial[t] == expected
             assert adaptive.selected[t]["u"] == 5
 

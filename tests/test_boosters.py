@@ -5,17 +5,14 @@ from rboost import (
     Dataset,
     DictionaryAtom,
     DictionaryLearnerSpec,
-    ShrinkageSchedule,
     TrainConfig,
     TreeLearnerSpec,
     empirical_risk,
     shrinkage_alpha,
     train,
-    train_boosting,
-    train_ddrboosting,
-    train_rboosting,
     two_dim_linear_search,
 )
+from rboost.boosters import train_boosting, train_ddrboosting, train_rboosting
 
 
 def random_data(rng, m=120, d=1, noise=0.3):
@@ -42,14 +39,13 @@ class TestShrinkageSchedule:
 
     def test_schedule_in_unit_interval_and_decreasing(self):
         for u in (1, 2, 17, 10**6):
-            sched = ShrinkageSchedule(u)
-            values = [sched.alpha(k) for k in range(1, 200)]
+            values = [shrinkage_alpha(k, u) for k in range(1, 200)]
             assert all(0 < a <= 1 for a in values)
             assert all(a > b for a, b in zip(values[:-1], values[1:]))
 
     def test_schedule_rejects_bad_u(self):
         with pytest.raises(ValueError):
-            ShrinkageSchedule(0)
+            shrinkage_alpha(5, 0)
 
 
 class TestTwoDimLinearSearch:
@@ -202,6 +198,17 @@ class TestTrainBoosting:
         data = Dataset([[0.0], [1.0]], [1.0, 2.0])
         with pytest.raises(ValueError):
             train_boosting(data, stump_config("rboosting", 3))
+
+    def test_overflowing_target_scale_is_rejected(self):
+        # At 1e160 the targets' mean square overflows float64; training used
+        # to report zero_residual after 0 stages instead of failing.
+        X = np.linspace(-2, 2, 40)
+        config = TrainConfig("boosting", 20, TreeLearnerSpec(2))
+        with pytest.raises(ValueError, match="mean square of the targets overflows"):
+            train(Dataset(X, 1e160 * np.sin(1.5 * X)), config)
+        model, trace = train(Dataset(X, 1e150 * np.sin(1.5 * X)), config)
+        assert len(model) == len(trace) == 20
+        assert trace.stop_reason is None
 
 
 class TestTrainRBoosting:

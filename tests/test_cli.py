@@ -199,6 +199,42 @@ class TestFitPredict:
         assert model_doc["meta"]["algorithm"] == "rboosting"
 
 
+_TINY_BENCH = ["--trials", "1", "--k-max", "1", "--grid", "2:1:10", "--train-m", "6", "--test-m", "4"]
+
+
+class TestClipFlag:
+    """A bound M <= 0 is rejected while the arguments are parsed, before any work starts."""
+
+    def test_fit_rejects_a_nonpositive_clip_before_training(self, tmp_path, capsys):
+        data = tmp_path / "train.csv"
+        write_constant_csv(data)
+        out = tmp_path / "model"
+        assert run_cli(["fit", str(data), "--j", "1", "--k-max", "2", "--clip", "0", "--out", str(out)]) == 1
+        assert "--clip must be > 0, got 0" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
+    def test_simulate_rejects_a_negative_clip(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli(["simulate", *_TINY_BENCH, "--clip", "-1", "--out", str(out)]) == 1
+        assert "--clip must be > 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["ucurve", *_TINY_BENCH], ["adaptive", *_TINY_BENCH], ["predict", "model.json", "x.csv"],
+         ["realdata", "data.csv"]],
+    )
+    @pytest.mark.parametrize("bound", ["0", "-0.5", "nan"])
+    def test_every_subcommand_checks_the_bound_while_parsing(self, argv, bound, capsys):
+        # The files do not exist: only a parse-time rejection names the bound.
+        assert run_cli([*argv, "--clip", bound]) == 1
+        assert f"--clip must be > 0, got {bound}" in capsys.readouterr().err
+
+    def test_a_non_number_stays_a_usage_error(self, capsys):
+        assert run_cli(["fit", "train.csv", "--clip", "abc"]) == 2
+        assert "usage" in capsys.readouterr().err.lower()
+
+
 class TestRealdataCommand:
     def _write_tabular(self, path, m=60, seed=91):
         rng = np.random.default_rng(seed)

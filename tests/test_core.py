@@ -148,10 +148,6 @@ class TestTrainConfig:
     def test_u_ignored_elsewhere(self):
         TrainConfig("boosting", 10, learner_spec=object(), u=0)  # no error
 
-    def test_rejects_bad_clip(self):
-        with pytest.raises(ValueError):
-            TrainConfig("boosting", 10, learner_spec=object(), clip_bound=0.0)
-
     def test_rejects_zero_iterations(self):
         with pytest.raises(ValueError):
             TrainConfig("boosting", 0, learner_spec=object())

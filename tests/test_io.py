@@ -12,9 +12,9 @@ from rboost import (
     load_csv,
     load_model,
     save_model,
-    train_rboosting,
     write_csv,
 )
+from rboost.boosters import train_rboosting
 from rboost.io import (
     RunManifest,
     emit_delimited,

@@ -8,10 +8,7 @@ from rboost import (
     DictionaryLearnerSpec,
     TreeLearnerSpec,
     empirical_norm,
-    fit_stump,
     fit_tree,
-    normalize_learner,
-    select_from_dictionary,
 )
 
 
@@ -128,20 +125,26 @@ class TestFitTree:
 class TestFitStump:
     def test_delegates_to_single_split(self):
         data = Dataset([[0.0], [1.0], [2.0], [3.0]], np.zeros(4))
-        stump = fit_stump(data, [0.0, 0.0, 10.0, 10.0])
+        stump = fit_tree(data, [0.0, 0.0, 10.0, 10.0], 1)
         assert stump.n_splits == 1
         assert stump.threshold[0] == 1.5
 
     def test_two_point_split(self):
         data = Dataset([[0.0], [1.0]], np.zeros(2))
-        stump = fit_stump(data, [-1.0, 1.0])
+        stump = fit_tree(data, [-1.0, 1.0], 1)
         assert stump.threshold[0] == 0.5
         assert sorted(stump.value[stump.feature < 0].tolist()) == [-1.0, 1.0]
 
     def test_constant_residual_single_leaf(self):
         data = Dataset([[0.0], [1.0]], np.zeros(2))
-        stump = fit_stump(data, [2.0, 2.0])
+        stump = fit_tree(data, [2.0, 2.0], 1)
         assert stump.n_splits == 0
+
+
+def normalize_learner(atom, data):
+    """The unit-norm learner the dictionary fitter makes of a single atom."""
+    learner, _ = DictionaryLearnerSpec((atom,)).bind(data).fit_step(np.ones(data.m))
+    return learner
 
 
 class TestNormalizeLearner:
@@ -161,7 +164,7 @@ class TestNormalizeLearner:
         data = Dataset(np.zeros((3, 1)), np.zeros(3))
         atom = DictionaryAtom(0, lambda X: np.zeros(X.shape[0]))
         with pytest.raises(DegenerateLearnerError):
-            normalize_learner(atom, data)
+            DictionaryLearnerSpec((atom,)).bind(data)
 
 
 def unit_atoms_on(data, columns):
@@ -171,6 +174,12 @@ def unit_atoms_on(data, columns):
         scaled = col / empirical_norm(col)
         atoms.append(DictionaryAtom(i, lambda X, v=scaled: v.copy()))
     return atoms
+
+
+def select_from_dictionary(atoms, data, residual):
+    """The dictionary fitter's pick for the residual, as (atom, <residual, g>_m)."""
+    learner, values = DictionaryLearnerSpec(tuple(atoms)).bind(data).fit_step(residual)
+    return learner.base, float(np.mean(values * residual))
 
 
 class TestSelectFromDictionary:
@@ -213,9 +222,8 @@ class TestSelectFromDictionary:
         assert chosen.atom_id == 2
 
     def test_rejects_empty(self):
-        data = Dataset(np.zeros((2, 1)), np.zeros(2))
         with pytest.raises(ValueError):
-            select_from_dictionary([], data, np.zeros(2))
+            DictionaryLearnerSpec(())
 
 
 class TestLearnerSpecs:

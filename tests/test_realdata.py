@@ -44,7 +44,8 @@ class TestRealDataExperiment:
         rng = np.random.default_rng(84)
         data = make_tabular(rng, m=80)
         report = realdata_experiment(pre_split=(data, data), k_max=20, grid=[1, 10], seed=0)
-        from rboost import TrainConfig, TreeLearnerSpec, train_rboosting
+        from rboost import TrainConfig, TreeLearnerSpec
+        from rboost.boosters import train_rboosting
 
         sel = report.methods["rboosting"].selected
         cfg = TrainConfig("rboosting", sel["k"], TreeLearnerSpec(1), u=sel["u"])
@@ -52,6 +53,28 @@ class TestRealDataExperiment:
         assert report.methods["rboosting"].test_rmse == pytest.approx(
             float(np.sqrt(trace.risk[-1])), rel=1e-12
         )
+
+    def test_all_zero_learning_half_gives_empty_models(self):
+        # Selection sees only zero targets, so every method picks k = 0; the
+        # reported model is then the zero predictor, not a one-stage refit on
+        # the whole training half.
+        from rboost.bench import rmse
+        from rboost.realdata import _SELECT_SALT
+        from rboost.selection import split_learn_validate
+
+        rng = np.random.default_rng(87)
+        train = make_tabular(rng, m=40)
+        test = make_tabular(rng, m=30)
+        select_seed = int(np.random.SeedSequence([4, _SELECT_SALT]).generate_state(1)[0])
+        learn_rows = np.random.default_rng(select_seed).permutation(train.m)[: train.m // 2]
+        y = train.targets.copy()
+        y[learn_rows] = 0.0
+        train = Dataset(train.features, y)
+        assert not split_learn_validate(train, select_seed)[0].targets.any()
+        report = realdata_experiment(pre_split=(train, test), k_max=10, grid=[1, 10], seed=4)
+        for name, outcome in report.methods.items():
+            assert outcome.selected["k"] == 0, name
+            assert outcome.test_rmse == rmse(np.zeros(test.m), test.targets), name
 
     def test_rejects_ambiguous_inputs(self):
         data = make_tabular(np.random.default_rng(85))

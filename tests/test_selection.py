@@ -8,9 +8,10 @@ from rboost import (
     adaptive_select,
     select_k_by_holdout,
     split_learn_validate,
-    train_rboosting,
     u_grid,
 )
+from rboost.boosters import train_rboosting
+from rboost.selection import select_k_by_validation
 
 
 class TestUGrid:
@@ -192,11 +193,35 @@ class TestSelectKByHoldout:
         assert k == 1
         assert risk == pytest.approx(0.0, abs=1e-15)
 
-    def test_rejects_empty_model(self):
+    def test_empty_model_is_the_zero_predictor(self):
         from rboost import Ensemble
+        from rboost.bench import rmse
 
-        with pytest.raises(ValueError):
-            select_k_by_holdout(Ensemble(), Dataset([[0.0]], [0.0]))
+        assert select_k_by_holdout(Ensemble(), Dataset([[0.0]], [0.0])) == (0, 0.0)
+        holdout = Dataset(np.zeros((3, 1)), [1.0, -2.0, 0.5])
+        k, risk = select_k_by_holdout(Ensemble(), holdout, clip_bound=0.25)
+        assert k == 0
+        assert risk == rmse(np.zeros(3), holdout.targets)  # same bits as scoring the zero predictor
+
+
+class TestEmptyModelRule:
+    """An empty model is k = 0, predicting zeros, wherever a truncation is chosen."""
+
+    def test_validation_selects_zero_stages(self):
+        data = Dataset(np.arange(10.0).reshape(-1, 1), np.zeros(10))
+        for algorithm in ("boosting", "ddrboosting"):
+            cfg = TrainConfig(algorithm, 5, TreeLearnerSpec(1))
+            assert select_k_by_validation(data, cfg, 5, shuffle_seed=1) == (0, 0.0)
+
+    def test_adaptive_select_keeps_the_empty_model(self):
+        rng = np.random.default_rng(58)
+        X = rng.uniform(-2, 2, (20, 1))
+        y = np.concatenate([np.zeros(10), rng.standard_normal(10)])  # the learning half is all zeros
+        result = adaptive_select(Dataset(X, y), [1, 10], 6, toy_config(6), retrain_on_full=True)
+        assert (result.chosen_k, result.validation_risk) == (0, float(np.mean(y[10:] ** 2)))
+        assert [k for _, k, _ in result.per_u_curve] == [0, 0]
+        assert len(result.final_model) == 0
+        assert not result.final_model.predict(X).any()
 
 
 class TestStagedMse:
