@@ -7,6 +7,8 @@ with validation-based selection of the re-scale factor and a reproducible
 synthetic/real-data benchmark harness.
 """
 
+__version__ = "0.1.0"  # set before the submodules load: io writes it into manifests
+
 from .core import (
     ALGORITHMS,
     Dataset,
@@ -53,8 +55,6 @@ from .bench import (
 )
 from .realdata import RealDataReport, realdata_experiment
 from .io import CsvSchema, load_csv, load_model, save_model, write_csv
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHMS",

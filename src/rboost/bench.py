@@ -23,9 +23,9 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .boosters import train
-from .core import Dataset, TrainConfig, empirical_risk
+from .core import Dataset, TrainConfig, check_clip_bound, empirical_risk
 from .learners import TreeLearnerSpec
-from .selection import adaptive_select, select_k_by_holdout, u_grid
+from .selection import adaptive_select, select_k_by_holdout, split_learn_validate, u_grid
 
 TARGET_DIMENSIONS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 2, 7: 10, 8: 10, 9: 10}
 
@@ -183,7 +183,7 @@ def _trial(spec, trial, methods, k_max, grid, learner_spec, clip_bound):
     set over the grid and keeps its per-u RMSEs under "_rboost_per_u".
     "rboosting_adaptive" picks u on a shuffled learn/validate split of the
     training sample, recording the validation-chosen iteration as
-    "k_valid", and retrains that u on the full sample, so its row isolates
+    "k_valid", and trains that u on the full sample, so its row isolates
     the cost of choosing u from data.
     """
     train_ds, test_ds = sample_dataset(spec, trial)
@@ -202,9 +202,8 @@ def _trial(spec, trial, methods, k_max, grid, learner_spec, clip_bound):
             out[method] = (float(per_u[i]), {"u": int(grid[i]), "k": scores[i][0]})
             out["_rboost_per_u"] = per_u
         elif method == "rboosting_adaptive":
-            sel = adaptive_select(
-                train_ds, grid, k_max, config, retrain_on_full=False, shuffle_seed=_split_seed(spec, trial)
-            )
+            learn, validate = split_learn_validate(train_ds, _split_seed(spec, trial))
+            sel = adaptive_select(learn, validate, grid, k_max, config)
             k, r = fit_and_score(u=sel.chosen_u)
             out[method] = (r, {"u": sel.chosen_u, "k": k, "k_valid": sel.chosen_k})
         else:
@@ -240,6 +239,7 @@ def run_comparison(
     "rboosting" among the methods, curve holds the test RMSE of every grid
     u: the u-curve.
     """
+    check_clip_bound(clip_bound)
     learner_spec = learner_spec or TreeLearnerSpec(4)
     grid = tuple(grid) if grid is not None else tuple(u_grid(20, 1, 1e6))
     args = [(spec, t, tuple(algorithms), k_max, grid, learner_spec, clip_bound) for t in range(spec.trials)]

@@ -27,7 +27,6 @@ from .core import TrainConfig
 from .boosters import train
 from .io import (
     CsvSchema,
-    RunManifest,
     emit_delimited,
     fmt,
     format_aligned,
@@ -89,19 +88,17 @@ def _schema_from_args(args) -> CsvSchema:
     )
 
 
+def _write_manifest(args, config: dict, outputs):
+    """The one manifest of a run, next to its outputs in --out."""
+    write_manifest(os.path.join(args.out, "manifest.json"), args.command_echo, config, args.seed, sorted(outputs))
+
+
 def _write_outputs(args, config: dict, files: dict):
     """Write result files plus the manifest into --out; files maps name -> (columns, rows)."""
     os.makedirs(args.out, exist_ok=True)
     for name, (columns, rows) in files.items():
         emit_delimited(os.path.join(args.out, name), columns, rows, manifest_name="manifest.json")
-    manifest = RunManifest(
-        command=tuple(args.command_echo),
-        config=config,
-        seed=args.seed,
-        library_version=__version__,
-        outputs=tuple(sorted(files)),
-    )
-    write_manifest(manifest, os.path.join(args.out, "manifest.json"))
+    _write_manifest(args, config, files)
 
 
 def _add_schema_flags(p):
@@ -239,14 +236,7 @@ def _cmd_fit(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     model_path = os.path.join(args.out, "model.json")
     save_model(model, model_path, meta)
-    manifest = RunManifest(
-        command=tuple(args.command_echo),
-        config={**meta, "data": os.path.basename(args.data), "seed": args.seed},
-        seed=args.seed,
-        library_version=__version__,
-        outputs=("model.json",),
-    )
-    write_manifest(manifest, os.path.join(args.out, "manifest.json"))
+    _write_manifest(args, {**meta, "data": os.path.basename(args.data), "seed": args.seed}, ["model.json"])
     final_risk = float(trace.risk[-1]) if len(trace) else float(np.mean(data.targets**2))
     print(f"fit {algorithm}: {len(model)} stages, training rmse {np.sqrt(final_risk):.6g}, model at {model_path}")
     return 0
@@ -271,21 +261,8 @@ def _cmd_predict(args) -> int:
     clip_bound = args.clip if args.clip is not None else meta.get("clip_bound")
     preds = model.predict(matrix, clip_bound=clip_bound)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        emit_delimited(
-            os.path.join(args.out, "predictions.csv"),
-            ["prediction"],
-            [[p] for p in preds.tolist()],
-            manifest_name="manifest.json",
-        )
-        manifest = RunManifest(
-            command=tuple(args.command_echo),
-            config={"model": os.path.basename(args.model), "data": os.path.basename(args.data)},
-            seed=0,
-            library_version=__version__,
-            outputs=("predictions.csv",),
-        )
-        write_manifest(manifest, os.path.join(args.out, "manifest.json"))
+        config = {"model": os.path.basename(args.model), "data": os.path.basename(args.data)}
+        _write_outputs(args, config, {"predictions.csv": (["prediction"], [[p] for p in preds.tolist()])})
     else:
         for p in preds:
             print(fmt(p))
@@ -373,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clip", type=_clip_bound, default=None, metavar="M")
     p.add_argument("--out", default=None, metavar="DIR")
     _add_schema_flags(p)
-    p.set_defaults(handler=_cmd_predict)
+    p.set_defaults(handler=_cmd_predict, seed=0)  # prediction draws nothing at random
 
     p = sub.add_parser("realdata", help="half/half protocol on a tabular dataset")
     p.add_argument("data", nargs="?", default=None)

@@ -65,14 +65,19 @@ def empirical_risk(pred, targets) -> float:
     return float(np.mean(d * d))
 
 
+def check_clip_bound(bound: Optional[float]):
+    """Reject a clip bound that is not > 0, NaN included; None means no clipping."""
+    if bound is not None and not bound > 0:
+        raise ValueError(f"clip bound must be > 0, got {bound}")
+
+
 def clip(values, bound: float):
     """Truncate to [-bound, bound], i.e. min(bound, |t|) * sign(t).
 
     Scalars come back as float, arrays as arrays. Clipping a prediction
     never increases its squared error against a target inside the band.
     """
-    if bound <= 0:
-        raise ValueError(f"clip bound must be > 0, got {bound}")
+    check_clip_bound(bound)
     if np.ndim(values) == 0:
         return float(min(bound, max(-bound, float(values))))
     return np.clip(np.asarray(values, dtype=np.float64), -bound, bound)
@@ -197,23 +202,19 @@ class Ensemble:
 
     The k-stage prediction follows the staged recursion; equivalently it
     expands to sum_j c_j g_j(x) with effective coefficients
-    c_j = beta_j * prod_{i>j} (1 - alpha_i), plus the discounted offset.
-    Instances are immutable; training code builds a fresh one per run.
+    c_j = beta_j * prod_{i>j} (1 - alpha_i). Every model starts from
+    f_0 = 0. Instances are immutable; training code builds a fresh one per
+    run.
     """
 
-    __slots__ = ("_stages", "_offset")
+    __slots__ = ("_stages",)
 
-    def __init__(self, stages: Sequence[Stage] = (), offset: float = 0.0):
+    def __init__(self, stages: Sequence[Stage] = ()):
         self._stages = tuple(stages)
-        self._offset = float(offset)
 
     @property
     def stages(self) -> tuple:
         return self._stages
-
-    @property
-    def offset(self) -> float:
-        return self._offset
 
     def __len__(self) -> int:
         return len(self._stages)
@@ -224,7 +225,7 @@ class Ensemble:
     def predict(self, X, clip_bound: Optional[float] = None) -> np.ndarray:
         """Evaluate the full model on feature rows via the staged recursion."""
         X = np.asfortranarray(as_feature_matrix(X))  # one copy; every tree then reads contiguous columns
-        f = np.full(X.shape[0], self._offset, dtype=np.float64)
+        f = np.zeros(X.shape[0])
         for st in self._stages:
             f = (1.0 - st.alpha) * f + st.beta * st.learner.predict(X)
         if clip_bound is not None:
@@ -235,7 +236,7 @@ class Ensemble:
         """All intermediate predictions, shape (n_stages, n_rows); row k-1 is f_k."""
         X = np.asfortranarray(as_feature_matrix(X))
         out = np.empty((len(self._stages), X.shape[0]), dtype=np.float64)
-        f = np.full(X.shape[0], self._offset, dtype=np.float64)
+        f = np.zeros(X.shape[0])
         for k, st in enumerate(self._stages):
             f = (1.0 - st.alpha) * f + st.beta * st.learner.predict(X)
             out[k] = f
@@ -253,23 +254,16 @@ class Ensemble:
             tail[:-1] = np.cumprod((1.0 - alphas)[:0:-1])[::-1]
         return betas * tail
 
-    def offset_discount(self) -> float:
-        """prod_k (1 - alpha_k): the weight the offset retains in the full model."""
-        out = 1.0
-        for st in self._stages:
-            out *= 1.0 - st.alpha
-        return out
-
     def expanded_predict(self, X) -> np.ndarray:
         """Prediction via the coefficient expansion; agrees with predict() to fp error."""
         X = np.asfortranarray(as_feature_matrix(X))
-        f = np.full(X.shape[0], self._offset * self.offset_discount(), dtype=np.float64)
+        f = np.zeros(X.shape[0])
         for c, st in zip(self.effective_coefficients(), self._stages):
             f += c * st.learner.predict(X)
         return f
 
     def l1_norm(self) -> float:
-        """Sum of |effective coefficient| over stages (offset excluded)."""
+        """Sum of |effective coefficient| over stages."""
         c = self.effective_coefficients()
         return float(np.sum(np.abs(c))) if c.size else 0.0
 
@@ -277,4 +271,4 @@ class Ensemble:
         """The model made of the first k stages, as the trainer had it at iteration k."""
         if not 0 <= k <= len(self._stages):
             raise ValueError(f"cannot truncate to {k} stages, model has {len(self._stages)}")
-        return Ensemble(self._stages[:k], self._offset)
+        return Ensemble(self._stages[:k])

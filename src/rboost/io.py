@@ -18,6 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import __version__
 from .core import Dataset, Ensemble, Stage
 from .learners import NormalizedLearner, RegressionTree
 
@@ -237,7 +238,7 @@ def save_model(model: Ensemble, path, meta: Optional[dict] = None):
         "format": MODEL_FORMAT,
         "version": FORMAT_VERSION,
         "meta": meta or {},
-        "offset": model.offset,
+        "offset": 0.0,  # v1 files carry the key; every model starts from f_0 = 0
         "stages": [
             {"alpha": st.alpha, "beta": st.beta, "learner": _learner_to_dict(st.learner)}
             for st in model.stages
@@ -252,8 +253,26 @@ def save_model(model: Ensemble, path, meta: Optional[dict] = None):
         fh.write(text + "\n")
 
 
+def _nonfinite_field(stage: Stage):
+    """Name of the first of a loaded stage's numbers that is not finite, else None."""
+    tree = _tree_of(stage.learner)
+    fields = {
+        "alpha": stage.alpha,
+        "beta": stage.beta,
+        "scale": getattr(stage.learner, "scale", 1.0),
+        "threshold": tree.threshold[tree.feature >= 0],
+        "value": tree.value[tree.feature < 0],  # a v1 split node stores no value: NaN by design
+    }
+    return next((name for name, v in fields.items() if not np.isfinite(v).all()), None)
+
+
 def load_model(path):
-    """Load a persisted model; returns (Ensemble, meta dict)."""
+    """Load a persisted model; returns (Ensemble, meta dict).
+
+    A file missing a required field, or carrying a non-finite alpha, beta,
+    scale, threshold or leaf value, or a nonzero offset, raises ValueError
+    naming the stage and the field.
+    """
     with open(path) as fh:
         text = fh.read()
     try:
@@ -266,11 +285,21 @@ def load_model(path):
         raise ValueError(f"{path}: not a {MODEL_FORMAT} document")
     if doc.get("version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported version {doc.get('version')}")
-    stages = [
-        Stage(float(st["alpha"]), float(st["beta"]), _learner_from_dict(st["learner"]))
-        for st in doc["stages"]
-    ]
-    return Ensemble(stages, float(doc.get("offset", 0.0))), doc.get("meta", {})
+    if doc.get("offset", 0.0) != 0.0:
+        raise ValueError(f"{path}: offset {doc['offset']!r} is not supported; every model starts from 0")
+    if "stages" not in doc:
+        raise ValueError(f"{path}: missing field 'stages'")
+    stages = []
+    for i, st in enumerate(doc["stages"]):
+        try:
+            stage = Stage(float(st["alpha"]), float(st["beta"]), _learner_from_dict(st["learner"]))
+        except KeyError as exc:
+            raise ValueError(f"{path}: stage {i} is missing field {exc.args[0]!r}") from None
+        bad = _nonfinite_field(stage)
+        if bad is not None:
+            raise ValueError(f"{path}: stage {i} has a non-finite {bad}")
+        stages.append(stage)
+    return Ensemble(stages), doc.get("meta", {})
 
 
 def format_aligned(columns: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -316,29 +345,17 @@ def read_delimited(path):
     return parsed[0], parsed[1:]
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a run's output files exactly."""
-
-    command: tuple
-    config: dict
-    seed: int
-    library_version: str
-    outputs: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "format": MANIFEST_FORMAT,
-            "version": FORMAT_VERSION,
-            "command": list(self.command),
-            "config": self.config,
-            "seed": self.seed,
-            "library_version": self.library_version,
-            "outputs": list(self.outputs),
-        }
-
-
-def write_manifest(manifest: RunManifest, path):
+def write_manifest(path, command: Sequence[str], config: dict, seed: int, outputs: Sequence[str]):
+    """Write everything needed to reproduce a run's output files exactly, as sorted-key JSON."""
+    doc = {
+        "format": MANIFEST_FORMAT,
+        "version": FORMAT_VERSION,
+        "command": list(command),
+        "config": config,
+        "seed": seed,
+        "library_version": __version__,
+        "outputs": list(outputs),
+    }
     with open(path, "w", newline="\n") as fh:
-        json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

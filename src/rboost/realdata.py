@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .bench import rmse
-from .core import Dataset, Ensemble, TrainConfig
+from .core import Dataset, Ensemble, TrainConfig, check_clip_bound
 from .boosters import train
 from .learners import TreeLearnerSpec
 from .selection import adaptive_select, select_k_by_validation, split_learn_validate, u_grid
@@ -54,6 +54,7 @@ def realdata_experiment(
     """
     if (data is None) == (pre_split is None):
         raise ValueError("pass exactly one of data or pre_split")
+    check_clip_bound(clip_bound)
     if pre_split is not None:
         train_ds, test_ds = pre_split
     else:
@@ -62,18 +63,20 @@ def realdata_experiment(
         train_ds, test_ds = split_learn_validate(data, seed)
     grid = list(grid) if grid is not None else u_grid(20, 1, 1e6)
     select_seed = int(np.random.SeedSequence([abs(int(seed)), _SELECT_SALT]).generate_state(1)[0])
+    learn, validate = split_learn_validate(train_ds, select_seed)
     base = TrainConfig(algorithm="boosting", max_iterations=k_max, learner_spec=TreeLearnerSpec(n_splits))
 
     methods = {}
     for algo in algorithms:
+        cfg = replace(base, algorithm=algo)
         if algo == "rboosting":
-            sel = adaptive_select(train_ds, grid, k_max, base, retrain_on_full=True, shuffle_seed=select_seed)
-            model, selected = sel.final_model, {"u": sel.chosen_u, "k": sel.chosen_k}
+            sel = adaptive_select(learn, validate, grid, k_max, cfg)
+            cfg, k = replace(cfg, u=sel.chosen_u), sel.chosen_k
+            selected = {"u": sel.chosen_u, "k": k}
         else:
-            cfg = replace(base, algorithm=algo)
-            k, _ = select_k_by_validation(train_ds, cfg, k_max, shuffle_seed=select_seed)
-            model = train(train_ds, replace(cfg, max_iterations=k))[0] if k else Ensemble()
+            k, _ = select_k_by_validation(learn, validate, cfg, k_max)
             selected = {"k": k}
+        model = train(train_ds, replace(cfg, max_iterations=k))[0] if k else Ensemble()
         pred = model.predict(test_ds.features, clip_bound=clip_bound)
         methods[algo] = MethodOutcome(rmse(pred, test_ds.targets), selected)
     return RealDataReport(methods=methods, train_m=train_ds.m, test_m=test_ds.m)

@@ -1,10 +1,12 @@
 """Choosing the re-scale factor u and the iteration count from data.
 
-The adaptive strategy splits the training sample in half, trains the
-re-scaled booster on the first half once per candidate u, scores every
-truncation on the second half, and keeps the (u, k) pair with the lowest
-validation risk. Retraining on the full sample with that pair is optional
-but on by default.
+A caller splits its training sample once (split_learn_validate) and hands
+the learning and validation halves to a selector. select_k_by_validation
+trains one configuration on the learning half and keeps the truncation
+with the lowest validation risk; adaptive_select runs it once per
+candidate u of the re-scaled booster and keeps the best (u, k) pair. The
+selectors return choices, not models: the caller trains its final model
+once, with the chosen settings, on whatever sample it holds.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .boosters import train
-from .core import Dataset, Ensemble, TrainConfig, clip
+from .core import Dataset, Ensemble, TrainConfig, check_clip_bound, clip
 
 
 def u_grid(count: int, lo: float = 1.0, hi: float = 1e6) -> list:
@@ -61,14 +63,12 @@ class SelectionResult:
 
     per_u_curve has one (u, best_k, best_validation_risk) triple per grid
     value; validation_risk is the minimum of those risks (MSE on the
-    validation half). final_model is retrained on the full sample when
-    requested, else the truncated half-sample model.
+    validation half), reached at (chosen_u, chosen_k).
     """
 
     chosen_u: int
     chosen_k: int
     validation_risk: float
-    final_model: Ensemble
     per_u_curve: tuple
 
 
@@ -95,42 +95,37 @@ def _best_truncation(model: Ensemble, data: Dataset, clip_bound: Optional[float]
     return k, float(curve[k - 1])
 
 
-def adaptive_select(
-    data: Dataset,
-    grid: Sequence[int],
-    k_max: int,
-    config: TrainConfig,
-    retrain_on_full: bool = True,
-    shuffle_seed: Optional[int] = None,
-) -> SelectionResult:
-    """Pick (u, k) by validation risk over the grid, optionally retrain on all rows.
+def select_k_by_validation(learn: Dataset, validate: Dataset, config: TrainConfig, k_max: int):
+    """(k, validation risk) of config trained on learn for k_max rounds.
 
-    config supplies the learner spec; its algorithm, u and iteration
-    budget are overridden per grid point. Ties break toward smaller u, then
-    smaller k. When the empty model (k = 0) wins, final_model is empty too.
+    k is the truncation with the lowest MSE on validate, ties taking the
+    smallest k; an empty model gives (0, mean(y^2)) of validate. Only
+    config's iteration budget is overridden.
+    """
+    model, _ = train(learn, replace(config, max_iterations=k_max))
+    return _best_truncation(model, validate)
+
+
+def adaptive_select(
+    learn: Dataset, validate: Dataset, grid: Sequence[int], k_max: int, config: TrainConfig
+) -> SelectionResult:
+    """Pick (u, k) of the re-scaled booster by validation risk over the grid.
+
+    config supplies the learner spec; each grid value runs
+    select_k_by_validation with algorithm "rboosting" and that u. Ties
+    break toward smaller u, then smaller k; k = 0 means the empty model won.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("u grid is empty")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    learn, validate = split_learn_validate(data, shuffle_seed)
-
     curve = []
-    best = None  # (risk, u, k, model)
     for u in grid:
-        model, _ = train(learn, replace(config, algorithm="rboosting", u=int(u), max_iterations=k_max))
-        k_u, risk_u = _best_truncation(model, validate)
-        curve.append((int(u), k_u, risk_u))
-        if best is None or (risk_u, u, k_u) < (best[0], best[1], best[2]):
-            best = (risk_u, int(u), k_u, model)
-
-    risk_star, u_star, k_star, half_model = best
-    if retrain_on_full and k_star > 0:
-        final_model, _ = train(data, replace(config, algorithm="rboosting", u=u_star, max_iterations=k_star))
-    else:
-        final_model = half_model.truncate(k_star)
-    return SelectionResult(u_star, k_star, risk_star, final_model, tuple(curve))
+        k, risk = select_k_by_validation(learn, validate, replace(config, algorithm="rboosting", u=int(u)), k_max)
+        curve.append((int(u), k, risk))
+    risk, u, k = min((risk, u, k) for u, k, risk in curve)
+    return SelectionResult(u, k, risk, tuple(curve))
 
 
 def select_k_by_holdout(model: Ensemble, holdout: Dataset, clip_bound: Optional[float] = None):
@@ -141,17 +136,5 @@ def select_k_by_holdout(model: Ensemble, holdout: Dataset, clip_bound: Optional[
     merge neighbouring MSEs, and the smaller k then wins. An empty model
     gives k = 0 and the RMSE of the zero predictor.
     """
+    check_clip_bound(clip_bound)
     return _best_truncation(model, holdout, clip_bound, np.sqrt)
-
-
-def select_k_by_validation(data: Dataset, config: TrainConfig, k_max: int, shuffle_seed: Optional[int] = None):
-    """Half-split analogue of the adaptive sweep for algorithms without u.
-
-    Trains config.algorithm on the learning half for k_max rounds and
-    returns the truncation with the lowest validation risk, (0, mean(y^2))
-    for an empty model; used by the real-data protocol for the plain and
-    data-driven variants.
-    """
-    learn, validate = split_learn_validate(data, shuffle_seed)
-    model, _ = train(learn, replace(config, max_iterations=k_max))
-    return _best_truncation(model, validate)

@@ -203,6 +203,18 @@ class TestRunComparison:
         boost_only = run_comparison(spec, algorithms=("boosting",), k_max=5, learner_spec=TreeLearnerSpec(1))
         assert boost_only.curve is None
 
+    @pytest.mark.parametrize("bound", [0, -1.0, float("nan")])
+    def test_bad_clip_bound_fails_before_training(self, monkeypatch, bound):
+        import rboost.bench
+
+        def no_training(*args):
+            raise AssertionError("train was called")
+
+        monkeypatch.setattr(rboost.bench, "train", no_training)
+        spec = SyntheticSpec(target_id=1, train_m=20, test_m=10, trials=1)
+        with pytest.raises(ValueError, match="clip bound"):
+            run_comparison(spec, k_max=3, grid=[1, 10], learner_spec=TreeLearnerSpec(1), clip_bound=bound)
+
     def test_parallel_matches_sequential(self):
         spec = SyntheticSpec(target_id=1, noise_sigma=0.5, train_m=40, test_m=25, trials=3)
         kw = dict(k_max=5, grid=[1, 10], learner_spec=TreeLearnerSpec(1))

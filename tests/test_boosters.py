@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rboost import (
     Dataset,
@@ -327,3 +329,26 @@ class TestDispatch:
             cfg = stump_config(algorithm, 5, u=2)
             model, trace = train(data, cfg)
             assert len(model) == len(trace) == 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 60),
+    d=st.integers(1, 3),
+    n_splits=st.integers(1, 4),
+    k_max=st.integers(1, 30),
+    algorithm=st.sampled_from(["boosting", "ddrboosting"]),
+    decimals=st.sampled_from([None, 0, 1]),
+)
+def test_training_risk_never_increases(seed, m, d, n_splits, k_max, algorithm, decimals):
+    # Boosting removes <r, g>^2 each step (Buehlmann & Yu 2003); DDR searches a
+    # plane that contains the plain step, so it can do no worse.
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2, 2, (m, d))
+    if decimals is not None:
+        X = np.round(X, decimals)  # ties and repeated rows
+    y = np.sin(2 * X[:, 0]) + 0.3 * rng.standard_normal(m)
+    _, trace = train(Dataset(X, y), TrainConfig(algorithm, k_max, TreeLearnerSpec(n_splits)))
+    risks = np.concatenate([[np.mean(y * y)], trace.risk])
+    assert np.all(np.diff(risks) <= 1e-12 * risks[0])

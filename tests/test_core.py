@@ -82,6 +82,8 @@ class TestClip:
             clip(1.0, 0.0)
         with pytest.raises(ValueError):
             clip(1.0, -2.0)
+        with pytest.raises(ValueError):
+            clip(np.array([1.0, -3.0]), float("nan"))
 
     def test_array_input(self):
         out = clip(np.array([-10.0, 0.5, 10.0]), 1.0)
@@ -233,3 +235,8 @@ class TestEnsemble:
     def test_predict_clip_bound(self):
         model = Ensemble([Stage(0.0, 10.0, constant_atom(1.0))])
         assert model.predict(np.zeros((2, 1)), clip_bound=2.5).tolist() == [2.5, 2.5]
+
+    def test_predict_rejects_a_nan_clip_bound(self):
+        model = Ensemble([Stage(0.0, 10.0, constant_atom(1.0))])
+        with pytest.raises(ValueError, match="clip bound"):
+            model.predict(np.zeros((2, 1)), clip_bound=float("nan"))

@@ -60,7 +60,7 @@ def _oracle_stage_predictions(model, X):
 
 
 def _oracle_staged(model, X):
-    f = np.full(as_feature_matrix(X).shape[0], model.offset, dtype=np.float64)
+    f = np.zeros(as_feature_matrix(X).shape[0])
     rows = []
     for st, g in zip(model.stages, _oracle_stage_predictions(model, X)):
         f = (1.0 - st.alpha) * f + st.beta * g
@@ -69,7 +69,7 @@ def _oracle_staged(model, X):
 
 
 def _oracle_expanded(model, X):
-    f = np.full(as_feature_matrix(X).shape[0], model.offset * model.offset_discount(), dtype=np.float64)
+    f = np.zeros(as_feature_matrix(X).shape[0])
     for c, g in zip(model.effective_coefficients(), _oracle_stage_predictions(model, X)):
         f += c * g
     return f
@@ -81,7 +81,7 @@ def _tree_json(tree):
 
 @st.composite
 def models_and_queries(draw):
-    """A small trained model with a drawn offset, and query rows that hit thresholds exactly."""
+    """A small trained model, and query rows that hit thresholds exactly."""
     m = draw(st.integers(2, 40))
     d = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -90,7 +90,6 @@ def models_and_queries(draw):
     algorithm = draw(st.sampled_from(["boosting", "rboosting", "ddrboosting"]))
     config = TrainConfig(algorithm, draw(st.integers(1, 12)), TreeLearnerSpec(draw(st.integers(1, 6))), u=3)
     model, _ = train(Dataset(X, y), config)
-    model = Ensemble(model.stages, draw(st.floats(-2, 2)))
 
     n = draw(st.integers(1, 25))
     pool = [X.ravel(), rng.normal(size=n * d)]

@@ -16,7 +16,6 @@ from rboost import (
 )
 from rboost.boosters import train_rboosting
 from rboost.io import (
-    RunManifest,
     emit_delimited,
     format_aligned,
     load_feature_matrix,
@@ -187,6 +186,7 @@ class TestModelPersistence:
         doc = json.loads(path.read_text())
         assert doc["format"] == "rboost-model"
         assert doc["version"] == 1
+        assert doc["offset"] == 0.0  # v1 files carry the key; a model always starts from 0
         stage = doc["stages"][0]
         assert {"alpha", "beta", "learner"} <= set(stage)
         assert stage["learner"]["type"] == "scaled_tree"
@@ -196,6 +196,75 @@ class TestModelPersistence:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
             load_model(path)
+
+
+def _saved_doc(tmp_path):
+    rng = np.random.default_rng(73)
+    X = rng.uniform(-2, 2, (30, 2))
+    model, _ = train_rboosting(Dataset(X, X[:, 0] - X[:, 1]), TrainConfig("rboosting", 3, TreeLearnerSpec(2), u=3))
+    save_model(model, tmp_path / "model.json")
+    return json.loads((tmp_path / "model.json").read_text())
+
+
+def _first_leaf(node):
+    while "value" not in node:
+        node = node["left"]
+    return node
+
+
+class TestLoadModelValidation:
+    """A hand-edited model file fails on load with the stage and field named, never inside predict."""
+
+    def _load(self, tmp_path, doc):
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        return load_model(path)
+
+    def test_missing_stages(self, tmp_path):
+        doc = _saved_doc(tmp_path)
+        del doc["stages"]
+        with pytest.raises(ValueError, match="'stages'"):
+            self._load(tmp_path, doc)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "learner"])
+    def test_missing_stage_field(self, tmp_path, field):
+        doc = _saved_doc(tmp_path)
+        del doc["stages"][1][field]
+        with pytest.raises(ValueError, match=f"stage 1 is missing field '{field}'"):
+            self._load(tmp_path, doc)
+
+    @pytest.mark.parametrize("field", ["scale", "tree", "type"])
+    def test_missing_learner_field(self, tmp_path, field):
+        doc = _saved_doc(tmp_path)
+        del doc["stages"][2]["learner"][field]
+        with pytest.raises(ValueError, match=f"stage 2 is missing field '{field}'"):
+            self._load(tmp_path, doc)
+
+    @pytest.mark.parametrize("field", ["threshold", "right"])
+    def test_missing_node_field(self, tmp_path, field):
+        doc = _saved_doc(tmp_path)
+        del doc["stages"][0]["learner"]["tree"]["root"][field]
+        with pytest.raises(ValueError, match=f"stage 0 is missing field '{field}'"):
+            self._load(tmp_path, doc)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["alpha", "beta", "scale", "threshold", "value"])
+    def test_non_finite_number(self, tmp_path, field, bad):
+        doc = _saved_doc(tmp_path)
+        stage = doc["stages"][1]
+        root = stage["learner"]["tree"]["root"]
+        target = {"alpha": stage, "beta": stage, "scale": stage["learner"], "threshold": root,
+                  "value": _first_leaf(root)}[field]
+        target[field] = bad
+        with pytest.raises(ValueError, match=f"stage 1 has a non-finite {field}"):
+            self._load(tmp_path, doc)
+
+    @pytest.mark.parametrize("offset", [0.5, float("nan")])
+    def test_nonzero_offset(self, tmp_path, offset):
+        doc = _saved_doc(tmp_path)
+        doc["offset"] = offset
+        with pytest.raises(ValueError, match="offset"):
+            self._load(tmp_path, doc)
 
 
 class TestResultEmission:
@@ -228,17 +297,15 @@ class TestResultEmission:
         assert lines[3].startswith("long-name")
 
     def test_manifest_written_sorted_and_stable(self, tmp_path):
-        manifest = RunManifest(
-            command=("rboost", "simulate"),
-            config={"b": 2, "a": 1},
-            seed=7,
-            library_version="0.1.0",
-            outputs=("results.csv",),
-        )
         p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
-        write_manifest(manifest, p1)
-        write_manifest(manifest, p2)
+        write_manifest(p1, ("rboost", "simulate"), {"b": 2, "a": 1}, 7, ("results.csv",))
+        write_manifest(p2, ("rboost", "simulate"), {"b": 2, "a": 1}, 7, ("results.csv",))
         assert p1.read_bytes() == p2.read_bytes()
         doc = json.loads(p1.read_text())
         assert doc["format"] == "rboost-manifest"
         assert doc["outputs"] == ["results.csv"]
+        assert p1.read_text() == (
+            '{\n  "command": [\n    "rboost",\n    "simulate"\n  ],\n  "config": {\n    "a": 1,\n    "b": 2\n  },\n'
+            '  "format": "rboost-manifest",\n  "library_version": "0.1.0",\n  "outputs": [\n    "results.csv"\n  ],\n'
+            '  "seed": 7,\n  "version": 1\n}\n'
+        )

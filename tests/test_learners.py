@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rboost import (
     Dataset,
@@ -256,3 +258,26 @@ class TestLearnerSpecs:
         atoms = (DictionaryAtom(0, lambda X: np.array([1.0, 1.0])),)
         fitter = DictionaryLearnerSpec(atoms).bind(data)
         assert fitter.fit_step(np.array([1.0, -1.0])) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 60),
+    d=st.integers(1, 4),
+    n_splits=st.integers(1, 6),
+    integer_residual=st.booleans(),
+)
+def test_fit_tree_is_invariant_to_row_permutations(seed, m, d, n_splits, integer_residual):
+    # Continuous draws keep each column's values distinct. Integer
+    # residuals make exact gain ties, which must break the same way too.
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2, 2, (m, d))
+    r = rng.standard_normal(m)
+    if integer_residual:
+        r = np.round(3 * r)
+    perm = rng.permutation(m)
+    tree = fit_tree(Dataset(X, np.zeros(m)), r, n_splits)
+    tree_p = fit_tree(Dataset(X[perm], np.zeros(m)), r[perm], n_splits)
+    for name in ("feature", "threshold", "left", "right", "value"):
+        assert getattr(tree, name).tobytes() == getattr(tree_p, name).tobytes(), name

@@ -88,6 +88,20 @@ class TestRealDataExperiment:
         with pytest.raises(ValueError):
             realdata_experiment(data=tiny)
 
+    @pytest.mark.parametrize("bound", [0, float("nan")])
+    def test_bad_clip_bound_fails_before_training(self, monkeypatch, bound):
+        import rboost.realdata
+        import rboost.selection
+
+        def no_training(*args):
+            raise AssertionError("train was called")
+
+        for module in (rboost.realdata, rboost.selection):
+            monkeypatch.setattr(module, "train", no_training)
+        data = make_tabular(np.random.default_rng(88), m=20)
+        with pytest.raises(ValueError, match="clip bound"):
+            realdata_experiment(data=data, k_max=3, grid=[1], clip_bound=bound)
+
     def test_stumps_by_default(self):
         data = make_tabular(np.random.default_rng(86))
         report = realdata_experiment(data=data, k_max=10, grid=[1], seed=1)

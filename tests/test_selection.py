@@ -3,11 +3,13 @@ import pytest
 
 from rboost import (
     Dataset,
+    Ensemble,
     TrainConfig,
     TreeLearnerSpec,
     adaptive_select,
     select_k_by_holdout,
     split_learn_validate,
+    train,
     u_grid,
 )
 from rboost.boosters import train_rboosting
@@ -95,11 +97,11 @@ class TestAdaptiveSelect:
         X = rng.uniform(-2, 2, (60, 1))
         y = np.sign(X[:, 0]) + 0.2 * rng.standard_normal(60)
         data = Dataset(X, y)
-        result = adaptive_select(data, [7], 15, toy_config(15))
+        learn, validate = split_learn_validate(data)
+        result = adaptive_select(learn, validate, [7], 15, toy_config(15))
         assert result.chosen_u == 7
         assert len(result.per_u_curve) == 1
         # chosen_k is the argmin over truncations of the validation risk
-        learn, validate = split_learn_validate(data)
         model, _ = train_rboosting(learn, TrainConfig("rboosting", 15, TreeLearnerSpec(1), u=7))
         risks = np.mean((model.staged_predict(validate.features) - validate.targets) ** 2, axis=1)
         assert result.chosen_k == int(np.argmin(risks)) + 1
@@ -112,7 +114,7 @@ class TestAdaptiveSelect:
         x = np.linspace(-1, 1, 16)
         y = np.where(x > 0, 1.0, -1.0)
         data = Dataset(np.concatenate([x, x]).reshape(-1, 1), np.concatenate([y, y]))
-        result = adaptive_select(data, [1000000], 6, toy_config(6))
+        result = adaptive_select(*split_learn_validate(data), [1000000], 6, toy_config(6))
         assert result.validation_risk == pytest.approx(0.0, abs=1e-20)
         assert result.chosen_k == 1  # a single stump already fits the step
 
@@ -122,31 +124,51 @@ class TestAdaptiveSelect:
         y = X[:, 0] ** 2 + 0.3 * rng.standard_normal(80)
         data = Dataset(X, y)
         grid = [1, 10, 1000]
-        result = adaptive_select(data, grid, 12, toy_config(12), shuffle_seed=3)
+        result = adaptive_select(*split_learn_validate(data, shuffle_seed=3), grid, 12, toy_config(12))
         assert [u for u, _, _ in result.per_u_curve] == grid
         assert result.validation_risk == min(r for _, _, r in result.per_u_curve)
         assert (result.chosen_u, result.chosen_k, result.validation_risk) in [
             (u, k, r) for u, k, r in result.per_u_curve
         ]
 
-    def test_retrain_on_full_changes_model_rows(self):
+    def test_the_chosen_pair_trains_on_the_rows_the_caller_picks(self):
         rng = np.random.default_rng(53)
         X = rng.uniform(-2, 2, (40, 1))
         y = X[:, 0] + 0.1 * rng.standard_normal(40)
         data = Dataset(X, y)
-        retrained = adaptive_select(data, [5], 8, toy_config(8), retrain_on_full=True)
-        half_only = adaptive_select(data, [5], 8, toy_config(8), retrain_on_full=False)
-        assert len(retrained.final_model) == retrained.chosen_k
-        assert len(half_only.final_model) == min(half_only.chosen_k, 8)
+        learn, validate = split_learn_validate(data)
+        result = adaptive_select(learn, validate, [5], 8, toy_config(8))
+        chosen = TrainConfig("rboosting", result.chosen_k, TreeLearnerSpec(1), u=result.chosen_u)
+        retrained, _ = train(data, chosen)
+        half_only, _ = train(learn, chosen)
+        assert len(retrained) == result.chosen_k
+        assert len(half_only) == min(result.chosen_k, 8)
         # Retraining sees all 40 rows, so the models genuinely differ.
-        assert not np.allclose(
-            retrained.final_model.predict(X), half_only.final_model.predict(X)
+        assert not np.allclose(retrained.predict(X), half_only.predict(X))
+
+    def test_sweeps_select_k_by_validation_once_per_grid_value(self, monkeypatch):
+        import rboost.selection as selection
+
+        rng = np.random.default_rng(59)
+        X = rng.uniform(-2, 2, (30, 1))
+        data = Dataset(X, np.sin(X[:, 0]))
+        learn, validate = split_learn_validate(data)
+        real = selection.select_k_by_validation
+        configs = []
+        monkeypatch.setattr(
+            selection, "select_k_by_validation", lambda *a: configs.append(a[2]) or real(*a)
         )
+        grid = [1, 4, 40]
+        result = adaptive_select(learn, validate, grid, 5, TrainConfig("boosting", 2, TreeLearnerSpec(1)))
+        assert [(c.algorithm, c.u) for c in configs] == [("rboosting", u) for u in grid]
+        assert list(result.per_u_curve) == [
+            (u, *real(learn, validate, TrainConfig("rboosting", 5, TreeLearnerSpec(1), u=u), 5)) for u in grid
+        ]
 
     def test_rejects_empty_grid(self):
         data = Dataset([[0.0], [1.0]], [0.0, 1.0])
         with pytest.raises(ValueError):
-            adaptive_select(data, [], 5, toy_config(5))
+            adaptive_select(*split_learn_validate(data), [], 5, toy_config(5))
 
 
 class TestSelectKByHoldout:
@@ -194,7 +216,6 @@ class TestSelectKByHoldout:
         assert risk == pytest.approx(0.0, abs=1e-15)
 
     def test_empty_model_is_the_zero_predictor(self):
-        from rboost import Ensemble
         from rboost.bench import rmse
 
         assert select_k_by_holdout(Ensemble(), Dataset([[0.0]], [0.0])) == (0, 0.0)
@@ -202,6 +223,15 @@ class TestSelectKByHoldout:
         k, risk = select_k_by_holdout(Ensemble(), holdout, clip_bound=0.25)
         assert k == 0
         assert risk == rmse(np.zeros(3), holdout.targets)  # same bits as scoring the zero predictor
+
+    def test_rejects_a_nan_bound(self):
+        model = self._model(np.random.default_rng(60), k=3)
+        with pytest.raises(ValueError, match="clip bound"):
+            select_k_by_holdout(model, Dataset([[0.0], [1.0]], [0.0, 1.0]), float("nan"))
+
+    def test_rejects_a_bad_bound_for_an_empty_model(self):
+        with pytest.raises(ValueError, match="clip bound"):
+            select_k_by_holdout(Ensemble(), Dataset([[0.0]], [1.0]), 0.0)
 
 
 class TestEmptyModelRule:
@@ -211,17 +241,15 @@ class TestEmptyModelRule:
         data = Dataset(np.arange(10.0).reshape(-1, 1), np.zeros(10))
         for algorithm in ("boosting", "ddrboosting"):
             cfg = TrainConfig(algorithm, 5, TreeLearnerSpec(1))
-            assert select_k_by_validation(data, cfg, 5, shuffle_seed=1) == (0, 0.0)
+            assert select_k_by_validation(*split_learn_validate(data, shuffle_seed=1), cfg, 5) == (0, 0.0)
 
     def test_adaptive_select_keeps_the_empty_model(self):
         rng = np.random.default_rng(58)
         X = rng.uniform(-2, 2, (20, 1))
         y = np.concatenate([np.zeros(10), rng.standard_normal(10)])  # the learning half is all zeros
-        result = adaptive_select(Dataset(X, y), [1, 10], 6, toy_config(6), retrain_on_full=True)
+        result = adaptive_select(*split_learn_validate(Dataset(X, y)), [1, 10], 6, toy_config(6))
         assert (result.chosen_k, result.validation_risk) == (0, float(np.mean(y[10:] ** 2)))
         assert [k for _, k, _ in result.per_u_curve] == [0, 0]
-        assert len(result.final_model) == 0
-        assert not result.final_model.predict(X).any()
 
 
 class TestStagedMse:
