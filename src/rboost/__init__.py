@@ -38,7 +38,6 @@ from .boosters import (
 from .selection import (
     SelectionResult,
     adaptive_select,
-    select_k_by_holdout,
     split_learn_validate,
     u_grid,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "run_comparison",
     "sample_dataset",
     "save_model",
-    "select_k_by_holdout",
     "shrinkage_alpha",
     "split_learn_validate",
     "target_values",

@@ -8,10 +8,13 @@ variates come from numpy's standard_normal (ziggurat), so reruns are
 bit-identical and trials are independent.
 
 Iteration counts are chosen directly on the noiseless test set throughout
-- the benchmark's oracle convention. The "rboosting" method also
-oracle-selects the re-scale factor u ("ideal"); "rboosting_adaptive"
-instead picks u on a validation half of the training data, which is the
-part of the selection problem the adaptive strategy is meant to solve.
+- the benchmark's oracle convention. The oracle is the same pair of
+selectors that choose from data (select_k_by_validation, adaptive_select),
+handed the noiseless test set as their holdout. The "rboosting" method
+is adaptive_select so handed, which also picks the re-scale factor u
+("ideal"); "rboosting_adaptive" instead picks u on a validation half of
+the training data, which is the part of the selection problem the
+adaptive strategy is meant to solve.
 """
 
 from __future__ import annotations
@@ -22,10 +25,9 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .boosters import train
 from .core import Dataset, TrainConfig, check_clip_bound, empirical_risk
 from .learners import TreeLearnerSpec
-from .selection import adaptive_select, select_k_by_holdout, split_learn_validate, u_grid
+from .selection import adaptive_select, select_k_by_validation, split_learn_validate, u_grid
 
 TARGET_DIMENSIONS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 2, 7: 10, 8: 10, 9: 10}
 
@@ -176,40 +178,34 @@ def _summarize(values, selected) -> AlgorithmResult:
 
 
 def _trial(spec, trial, methods, k_max, grid, learner_spec, clip_bound):
-    """Test RMSE and selections of every method on one trial, keyed by method name.
+    """Test RMSE and selections of every method on one trial, and the oracle's per-u curve.
 
     Each fit is scored at its best truncation on the noiseless test set,
-    the benchmark's oracle convention. "rboosting" also picks u on the test
-    set over the grid and keeps its per-u RMSEs under "_rboost_per_u".
-    "rboosting_adaptive" picks u on a shuffled learn/validate split of the
-    training sample, recording the validation-chosen iteration as
-    "k_valid", and trains that u on the full sample, so its row isolates
-    the cost of choosing u from data.
+    the benchmark's oracle convention: select_k_by_validation handed the
+    test set. "rboosting" is adaptive_select handed the test set, so it
+    picks u there too; its per_u_curve is returned beside the rows (None
+    without "rboosting"). "rboosting_adaptive" picks u on a shuffled
+    learn/validate split of the training sample, recording the
+    validation-chosen iteration as "k_valid", and trains that u on the
+    full sample, so its row isolates the cost of choosing u from data.
     """
     train_ds, test_ds = sample_dataset(spec, trial)
     config = TrainConfig("rboosting", k_max, learner_spec)
-
-    def fit_and_score(**changes):
-        model, _ = train(train_ds, replace(config, **changes))
-        return select_k_by_holdout(model, test_ds, clip_bound)
-
-    out = {}
+    risks, curve = {}, None
     for method in methods:
         if method == "rboosting":
-            scores = [fit_and_score(u=int(u)) for u in grid]
-            per_u = np.array([r for _, r in scores])
-            i = int(np.argmin(per_u))  # first minimum = smallest u on ties
-            out[method] = (float(per_u[i]), {"u": int(grid[i]), "k": scores[i][0]})
-            out["_rboost_per_u"] = per_u
+            oracle = adaptive_select(train_ds, test_ds, grid, k_max, config, clip_bound)
+            risks[method] = (oracle.validation_risk, {"u": oracle.chosen_u, "k": oracle.chosen_k})
+            curve = oracle.per_u_curve
         elif method == "rboosting_adaptive":
             learn, validate = split_learn_validate(train_ds, _split_seed(spec, trial))
             sel = adaptive_select(learn, validate, grid, k_max, config)
-            k, r = fit_and_score(u=sel.chosen_u)
-            out[method] = (r, {"u": sel.chosen_u, "k": k, "k_valid": sel.chosen_k})
+            k, risk = select_k_by_validation(train_ds, test_ds, replace(config, u=sel.chosen_u), k_max, clip_bound)
+            risks[method] = (risk, {"u": sel.chosen_u, "k": k, "k_valid": sel.chosen_k})
         else:
-            k, r = fit_and_score(algorithm=method)
-            out[method] = (r, {"k": k})
-    return out
+            k, risk = select_k_by_validation(train_ds, test_ds, replace(config, algorithm=method), k_max, clip_bound)
+            risks[method] = (risk, {"k": k})
+    return {method: (float(np.sqrt(risk)), sel) for method, (risk, sel) in risks.items()}, curve
 
 
 def _map_trials(fn, arg_tuples, workers: int):
@@ -243,15 +239,15 @@ def run_comparison(
     learner_spec = learner_spec or TreeLearnerSpec(4)
     grid = tuple(grid) if grid is not None else tuple(u_grid(20, 1, 1e6))
     args = [(spec, t, tuple(algorithms), k_max, grid, learner_spec, clip_bound) for t in range(spec.trials)]
-    rows = _map_trials(_trial, args, workers)
+    trials = _map_trials(_trial, args, workers)
     summaries = {}
     for algo in algorithms:
-        vals = [row[algo][0] for row in rows]
-        sels = [row[algo][1] for row in rows]
+        vals = [rows[algo][0] for rows, _ in trials]
+        sels = [rows[algo][1] for rows, _ in trials]
         summaries[algo] = _summarize(vals, sels)
     curve = None
     if "rboosting" in algorithms:
-        per_u = np.vstack([row["_rboost_per_u"] for row in rows])
+        per_u = np.sqrt([[risk for _, _, risk in per_u_curve] for _, per_u_curve in trials])
         stds = per_u.std(axis=0, ddof=1) if per_u.shape[0] > 1 else np.zeros(per_u.shape[1])
         curve = tuple(
             UCurvePoint(int(u), float(m), float(s))

@@ -131,14 +131,11 @@ def train(data: Dataset, config: TrainConfig):
             break
         learner, g = step
         fallback = False
-        if algorithm == "boosting":
-            alpha = 0.0
-            beta = float(np.mean(r * g))
-        elif algorithm == "rboosting":
-            alpha = shrinkage_alpha(k, u)
-            beta = float(np.mean((y - (1.0 - alpha) * f) * g))
-        else:
+        if algorithm == "ddrboosting":
             alpha, beta, fallback = two_dim_linear_search(f, g, y)
+        else:  # plain boosting is the re-scaled step with alpha = 0, where y - 1.0 * f is r bit for bit
+            alpha = shrinkage_alpha(k, u) if algorithm == "rboosting" else 0.0
+            beta = float(np.mean((y - (1.0 - alpha) * f) * g))
         f = (1.0 - alpha) * f + beta * g
 
         n = len(stages)

@@ -271,7 +271,7 @@ def load_model(path):
 
     A file missing a required field, or carrying a non-finite alpha, beta,
     scale, threshold or leaf value, or a nonzero offset, raises ValueError
-    naming the stage and the field.
+    naming the stage and the field; so does a field of the wrong JSON type.
     """
     with open(path) as fh:
         text = fh.read()
@@ -281,6 +281,8 @@ def load_model(path):
         bare = re.sub(r'"(?:[^"\\]|\\.)*"', "", text)  # brackets inside strings do not nest
         depth = max(itertools.accumulate(1 if c in "[{" else -1 for c in bare if c in "[]{}"))
         raise ValueError(f"{path}: JSON nests {depth} levels deep, more than the parser allows") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a {MODEL_FORMAT} document: the top level is not a JSON object")
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} document")
     if doc.get("version") != FORMAT_VERSION:
@@ -289,12 +291,17 @@ def load_model(path):
         raise ValueError(f"{path}: offset {doc['offset']!r} is not supported; every model starts from 0")
     if "stages" not in doc:
         raise ValueError(f"{path}: missing field 'stages'")
+    for field, kind, json_kind in (("stages", list, "array"), ("meta", dict, "object")):
+        if not isinstance(doc.get(field, kind()), kind):
+            raise ValueError(f"{path}: field {field!r} is not a JSON {json_kind}")
     stages = []
     for i, st in enumerate(doc["stages"]):
         try:
             stage = Stage(float(st["alpha"]), float(st["beta"]), _learner_from_dict(st["learner"]))
         except KeyError as exc:
             raise ValueError(f"{path}: stage {i} is missing field {exc.args[0]!r}") from None
+        except (TypeError, ValueError, OverflowError) as exc:  # a field of the wrong JSON type or value
+            raise ValueError(f"{path}: stage {i} is malformed: {exc}") from None
         bad = _nonfinite_field(stage)
         if bad is not None:
             raise ValueError(f"{path}: stage {i} has a non-finite {bad}")

@@ -1,11 +1,12 @@
-"""Choosing the re-scale factor u and the iteration count from data.
+"""Choosing the re-scale factor u and the iteration count on a holdout.
 
-A caller splits its training sample once (split_learn_validate) and hands
-the learning and validation halves to a selector. select_k_by_validation
-trains one configuration on the learning half and keeps the truncation
-with the lowest validation risk; adaptive_select runs it once per
-candidate u of the re-scaled booster and keeps the best (u, k) pair. The
-selectors return choices, not models: the caller trains its final model
+A selector takes a learning sample and any holdout: the validation half
+of split_learn_validate, or the benchmark's noiseless test set for its
+oracle rows. select_k_by_validation trains one configuration on the
+learning sample and keeps the truncation with the lowest holdout risk,
+of the clipped predictions given a clip bound; adaptive_select runs it
+once per candidate u of the re-scaled booster and keeps the best (u, k).
+Selectors return choices, not models: the caller trains its final model
 once, with the chosen settings, on whatever sample it holds.
 """
 
@@ -63,7 +64,7 @@ class SelectionResult:
 
     per_u_curve has one (u, best_k, best_validation_risk) triple per grid
     value; validation_risk is the minimum of those risks (MSE on the
-    validation half), reached at (chosen_u, chosen_k).
+    holdout the selector was handed), reached at (chosen_u, chosen_k).
     """
 
     chosen_u: int
@@ -81,60 +82,55 @@ def _staged_mse(model: Ensemble, data: Dataset, clip_bound: Optional[float] = No
     return np.mean(err * err, axis=1)
 
 
-def _best_truncation(model: Ensemble, data: Dataset, clip_bound: Optional[float] = None, score=lambda mse: mse):
-    """(k, score) of the truncation whose MSE on data scores lowest; ties take the smallest k.
+def _best_truncation(model: Ensemble, holdout: Dataset, clip_bound: Optional[float] = None):
+    """(k, MSE) of the truncation with the lowest MSE on holdout; ties take the smallest k.
 
-    score maps the MSE curve elementwise. An empty model is the zero
-    predictor: k = 0, scored on mean(y^2).
+    With clip_bound set, the MSE is that of the clipped predictions. An
+    empty model is the zero predictor: k = 0, scored on mean(y^2).
     """
     if len(model) == 0:
-        y = data.targets
-        return 0, float(score(np.mean(y * y)))
-    curve = score(_staged_mse(model, data, clip_bound))
+        y = holdout.targets
+        return 0, float(np.mean(y * y))
+    curve = _staged_mse(model, holdout, clip_bound)
     k = int(np.argmin(curve)) + 1
     return k, float(curve[k - 1])
 
 
-def select_k_by_validation(learn: Dataset, validate: Dataset, config: TrainConfig, k_max: int):
-    """(k, validation risk) of config trained on learn for k_max rounds.
+def select_k_by_validation(
+    learn: Dataset, validate: Dataset, config: TrainConfig, k_max: int, clip_bound: Optional[float] = None
+):
+    """(k, holdout risk) of config trained on learn for k_max rounds.
 
-    k is the truncation with the lowest MSE on validate, ties taking the
-    smallest k; an empty model gives (0, mean(y^2)) of validate. Only
-    config's iteration budget is overridden.
+    k is the truncation with the lowest MSE on validate (see
+    _best_truncation); an empty model gives (0, mean(y^2)) of validate.
+    Only config's iteration budget is overridden.
     """
+    check_clip_bound(clip_bound)
     model, _ = train(learn, replace(config, max_iterations=k_max))
-    return _best_truncation(model, validate)
+    return _best_truncation(model, validate, clip_bound)
 
 
 def adaptive_select(
-    learn: Dataset, validate: Dataset, grid: Sequence[int], k_max: int, config: TrainConfig
+    learn: Dataset, validate: Dataset, grid: Sequence[int], k_max: int, config: TrainConfig,
+    clip_bound: Optional[float] = None,
 ) -> SelectionResult:
-    """Pick (u, k) of the re-scaled booster by validation risk over the grid.
+    """Pick (u, k) of the re-scaled booster by holdout risk over the grid.
 
     config supplies the learner spec; each grid value runs
-    select_k_by_validation with algorithm "rboosting" and that u. Ties
-    break toward smaller u, then smaller k; k = 0 means the empty model won.
+    select_k_by_validation with algorithm "rboosting", that u and
+    clip_bound. Ties break toward smaller u, then smaller k; k = 0 means
+    the empty model won.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("u grid is empty")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
+    check_clip_bound(clip_bound)
     curve = []
     for u in grid:
-        k, risk = select_k_by_validation(learn, validate, replace(config, algorithm="rboosting", u=int(u)), k_max)
+        u_config = replace(config, algorithm="rboosting", u=u)  # TrainConfig rejects a u that is not an integer
+        k, risk = select_k_by_validation(learn, validate, u_config, k_max, clip_bound)
         curve.append((int(u), k, risk))
     risk, u, k = min((risk, u, k) for u, k, risk in curve)
     return SelectionResult(u, k, risk, tuple(curve))
-
-
-def select_k_by_holdout(model: Ensemble, holdout: Dataset, clip_bound: Optional[float] = None):
-    """Truncation count minimizing holdout RMSE, with the RMSE; ties take the smallest k.
-
-    With clip_bound set, the RMSE is that of the clipped predictions. The
-    argmin runs over the RMSEs, not the MSEs: rounding the square root can
-    merge neighbouring MSEs, and the smaller k then wins. An empty model
-    gives k = 0 and the RMSE of the zero predictor.
-    """
-    check_clip_bound(clip_bound)
-    return _best_truncation(model, holdout, clip_bound, np.sqrt)

@@ -3,7 +3,8 @@
 Each test prints a single `ACCEPTANCE Cn PASS` line with the measured
 numbers (run pytest with -s to watch them stream). The benchmark-scale
 checks (C3-C7) dominate the runtime; with two workers the whole module
-takes on the order of ten minutes.
+takes on the order of ten minutes. They carry the `slow` marker, so
+`pytest -m "not slow"` skips them for a fast inner loop.
 """
 
 import os
@@ -164,6 +165,7 @@ def test_c2_stump_oracle_equivalence():
     _report("C2", "fit_tree(J=1) == exhaustive stump search on 100 random datasets", t0)
 
 
+@pytest.mark.slow
 def test_c3_table1_spot_check_m3():
     t0 = time.perf_counter()
     spec = SyntheticSpec(target_id=3, noise_sigma=0.0, trials=20, seed_base=0)
@@ -182,6 +184,7 @@ def test_c3_table1_spot_check_m3():
     _report("C3", f"m3/sigma=0: rboosting {rb:.4f} in [0.005, 0.06], boosting {bo:.4f}", t0)
 
 
+@pytest.mark.slow
 def test_c4_table3_spot_check_m7():
     t0 = time.perf_counter()
     spec = SyntheticSpec(target_id=7, noise_sigma=0.0, trials=20, seed_base=0)
@@ -200,6 +203,7 @@ def test_c4_table3_spot_check_m7():
     _report("C4", f"m7/sigma=0: rboost/boost = {rb:.4f}/{bo:.4f} = {ratio:.3f} <= 0.70", t0)
 
 
+@pytest.mark.slow
 def test_c5_table2_spot_check_m4():
     t0 = time.perf_counter()
     spec = SyntheticSpec(target_id=4, noise_sigma=0.0, trials=20, seed_base=0)
@@ -218,6 +222,7 @@ def test_c5_table2_spot_check_m4():
     _report("C5", f"m4/sigma=0: rboost/boost = {rb:.4f}/{bo:.4f} = {ratio:.3f} <= 0.60", t0)
 
 
+@pytest.mark.slow
 def test_c6_ucurve_interior_minimum():
     t0 = time.perf_counter()
     spec = SyntheticSpec(target_id=4, noise_sigma=0.5, trials=10, seed_base=0)
@@ -234,6 +239,7 @@ def test_c6_ucurve_interior_minimum():
     )
 
 
+@pytest.mark.slow
 def test_c7_adaptive_selection_fidelity():
     t0 = time.perf_counter()
     spec = SyntheticSpec(target_id=4, noise_sigma=0.5, trials=20, seed_base=0)

@@ -13,11 +13,10 @@ from rboost import (
     run_adaptive_eval,
     run_comparison,
     sample_dataset,
-    select_k_by_holdout,
     target_values,
-    train,
 )
 from rboost.bench import selected_u_stats
+from rboost.selection import adaptive_select, select_k_by_validation
 
 
 class TestEvalTarget:
@@ -205,15 +204,36 @@ class TestRunComparison:
 
     @pytest.mark.parametrize("bound", [0, -1.0, float("nan")])
     def test_bad_clip_bound_fails_before_training(self, monkeypatch, bound):
-        import rboost.bench
+        import rboost.selection
 
         def no_training(*args):
             raise AssertionError("train was called")
 
-        monkeypatch.setattr(rboost.bench, "train", no_training)
+        monkeypatch.setattr(rboost.selection, "train", no_training)  # the selectors do all of bench's training
         spec = SyntheticSpec(target_id=1, train_m=20, test_m=10, trials=1)
         with pytest.raises(ValueError, match="clip bound"):
             run_comparison(spec, k_max=3, grid=[1, 10], learner_spec=TreeLearnerSpec(1), clip_bound=bound)
+
+    @pytest.mark.parametrize("clip_bound", [None, 1.5])
+    def test_oracle_rows_are_the_selectors_handed_the_test_set(self, clip_bound):
+        spec = SyntheticSpec(target_id=4, noise_sigma=0.5, train_m=50, test_m=30, trials=2)
+        grid, k_max = [1, 10, 1000], 6
+        report = run_comparison(
+            spec, ("boosting", "rboosting"), k_max, grid, TreeLearnerSpec(2), clip_bound=clip_bound
+        )
+        config = TrainConfig("rboosting", k_max, TreeLearnerSpec(2))
+        curves = []
+        for t in range(2):
+            train_ds, test_ds = sample_dataset(spec, t)
+            oracle = adaptive_select(train_ds, test_ds, grid, k_max, config, clip_bound)
+            assert report.algorithms["rboosting"].rmse_per_trial[t] == np.sqrt(oracle.validation_risk)
+            assert report.algorithms["rboosting"].selected[t] == {"u": oracle.chosen_u, "k": oracle.chosen_k}
+            boost_config = TrainConfig("boosting", k_max, TreeLearnerSpec(2))
+            k, risk = select_k_by_validation(train_ds, test_ds, boost_config, k_max, clip_bound)
+            assert report.algorithms["boosting"].rmse_per_trial[t] == np.sqrt(risk)
+            assert report.algorithms["boosting"].selected[t] == {"k": k}
+            curves.append([np.sqrt(r) for _, _, r in oracle.per_u_curve])
+        assert [p.mean_rmse for p in report.curve] == np.mean(curves, axis=0).tolist()
 
     def test_parallel_matches_sequential(self):
         spec = SyntheticSpec(target_id=1, noise_sigma=0.5, train_m=40, test_m=25, trials=3)
@@ -261,9 +281,8 @@ class TestRunAdaptiveEval:
         for t in range(2):
             train_ds, test = sample_dataset(spec, t)
             cfg = TrainConfig("rboosting", 8, TreeLearnerSpec(1), u=5)
-            model, _ = train(train_ds, cfg)
-            _, expected = select_k_by_holdout(model, test, None)
-            assert adaptive.rmse_per_trial[t] == expected
+            _, expected = select_k_by_validation(train_ds, test, cfg, 8)
+            assert adaptive.rmse_per_trial[t] == np.sqrt(expected)
             assert adaptive.selected[t]["u"] == 5
 
     def test_ideal_never_worse_than_adaptive_u(self):

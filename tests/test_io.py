@@ -1,8 +1,13 @@
 import csv
 import json
+import tempfile
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rboost import (
     CsvSchema,
@@ -265,6 +270,101 @@ class TestLoadModelValidation:
         doc["offset"] = offset
         with pytest.raises(ValueError, match="offset"):
             self._load(tmp_path, doc)
+
+
+    def test_stages_of_the_wrong_type(self, tmp_path):
+        doc = _saved_doc(tmp_path)
+        doc["stages"] = [1]
+        with pytest.raises(ValueError, match="stage 0 is malformed"):
+            self._load(tmp_path, doc)
+
+    def test_stages_not_an_array(self, tmp_path):
+        doc = _saved_doc(tmp_path)
+        doc["stages"] = {"a": 1}
+        with pytest.raises(ValueError, match="'stages' is not a JSON array"):
+            self._load(tmp_path, doc)
+
+    def test_alpha_stored_as_a_string(self, tmp_path):
+        doc = _saved_doc(tmp_path)
+        doc["stages"][1]["alpha"] = "abc"
+        with pytest.raises(ValueError, match="stage 1 is malformed"):
+            self._load(tmp_path, doc)
+
+    def test_leaf_value_stored_as_a_string(self, tmp_path):
+        doc = _saved_doc(tmp_path)
+        _first_leaf(doc["stages"][1]["learner"]["tree"]["root"])["value"] = "abc"
+        with pytest.raises(ValueError, match="stage 1 is malformed"):
+            self._load(tmp_path, doc)
+
+    def test_scale_stored_as_an_array(self, tmp_path):
+        doc = _saved_doc(tmp_path)
+        doc["stages"][2]["learner"]["scale"] = [1]
+        with pytest.raises(ValueError, match="stage 2 is malformed"):
+            self._load(tmp_path, doc)
+
+    def test_top_level_not_an_object(self, tmp_path):
+        with pytest.raises(ValueError, match="not a JSON object"):
+            self._load(tmp_path, [])
+
+    def test_meta_not_an_object(self, tmp_path):
+        doc = _saved_doc(tmp_path)
+        doc["meta"] = [1]
+        with pytest.raises(ValueError, match="'meta' is not a JSON object"):
+            self._load(tmp_path, doc)
+
+
+@lru_cache(maxsize=None)
+def _saved_text():
+    with tempfile.TemporaryDirectory() as tmp:
+        rng = np.random.default_rng(74)
+        X = rng.uniform(-2, 2, (30, 2))
+        model, _ = train_rboosting(Dataset(X, X[:, 0] * X[:, 1]), TrainConfig("rboosting", 2, TreeLearnerSpec(2), u=3))
+        save_model(model, Path(tmp) / "model.json", {"algorithm": "rboosting", "u": 3, "clip_bound": None})
+        return (Path(tmp) / "model.json").read_text()
+
+
+def _paths(value, prefix=()):
+    """Every path of keys and indices in a JSON document, the root () included."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _json_type(value):
+    if isinstance(value, bool):
+        return "bool"
+    return "number" if isinstance(value, (int, float)) else type(value).__name__
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_value_of_another_json_type_loads_or_raises_value_error(data):
+    """Swap any one value of a saved model for one of another JSON type: load, or fail with ValueError."""
+    doc = json.loads(_saved_text())
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    parent, old = None, doc
+    for key in path:
+        parent, old = old, old[key]
+    new = data.draw(_json_values.filter(lambda v: _json_type(v) != _json_type(old)))
+    if parent is None:
+        doc = new
+    else:
+        parent[path[-1]] = new
+    with tempfile.TemporaryDirectory() as tmp:
+        edited = Path(tmp) / "edited.json"
+        edited.write_text(json.dumps(doc))
+        try:
+            load_model(edited)
+        except ValueError:
+            pass
 
 
 class TestResultEmission:

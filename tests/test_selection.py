@@ -3,11 +3,9 @@ import pytest
 
 from rboost import (
     Dataset,
-    Ensemble,
     TrainConfig,
     TreeLearnerSpec,
     adaptive_select,
-    select_k_by_holdout,
     split_learn_validate,
     train,
     u_grid,
@@ -165,6 +163,42 @@ class TestAdaptiveSelect:
             (u, *real(learn, validate, TrainConfig("rboosting", 5, TreeLearnerSpec(1), u=u), 5)) for u in grid
         ]
 
+    def test_hands_the_clip_bound_to_every_fit(self, monkeypatch):
+        import rboost.selection as selection
+
+        rng = np.random.default_rng(62)
+        X = rng.uniform(-2, 2, (30, 1))
+        learn, validate = split_learn_validate(Dataset(X, 2 * np.sin(X[:, 0])))
+        real = selection.select_k_by_validation
+        bounds = []
+        monkeypatch.setattr(selection, "select_k_by_validation", lambda *a: bounds.append(a[4]) or real(*a))
+        result = adaptive_select(learn, validate, [1, 40], 5, toy_config(5), clip_bound=0.5)
+        assert bounds == [0.5, 0.5]
+        assert list(result.per_u_curve) == [
+            (u, *real(learn, validate, TrainConfig("rboosting", 5, TreeLearnerSpec(1), u=u), 5, 0.5)) for u in [1, 40]
+        ]
+
+    def test_rejects_a_bad_bound_before_training(self, monkeypatch):
+        import rboost.selection as selection
+
+        monkeypatch.setattr(selection, "train", lambda *a: pytest.fail("trained with a bad bound"))
+        data = Dataset([[0.0], [1.0]], [0.0, 1.0])
+        for bound in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="clip bound"):
+                adaptive_select(*split_learn_validate(data), [1], 5, toy_config(5), clip_bound=bound)
+
+    def test_rejects_non_integer_grid_values(self):
+        data = Dataset(np.arange(8.0).reshape(-1, 1), np.arange(8.0))
+        with pytest.raises(ValueError, match="u must be a positive integer"):
+            adaptive_select(*split_learn_validate(data), [2.5, 7.9], 3, toy_config(3))
+
+    def test_integral_grid_values_are_recorded_as_python_ints(self):
+        data = Dataset(np.arange(8.0).reshape(-1, 1), np.arange(8.0))
+        result = adaptive_select(*split_learn_validate(data), [np.int64(2), 7.0], 3, toy_config(3))
+        assert [type(u) for u, _, _ in result.per_u_curve] == [int, int]
+        assert [u for u, _, _ in result.per_u_curve] == [2, 7]
+        assert type(result.chosen_u) is int
+
     def test_rejects_empty_grid(self):
         data = Dataset([[0.0], [1.0]], [0.0, 1.0])
         with pytest.raises(ValueError):
@@ -172,26 +206,27 @@ class TestAdaptiveSelect:
 
 
 class TestSelectKByHoldout:
-    def _model(self, rng, k=12):
+    """select_k_by_validation handed any holdout, as the benchmark's oracle hands it the test set."""
+
+    def _learn(self, rng):
         X = rng.uniform(-2, 2, (60, 1))
         y = np.sin(2 * X[:, 0]) + 0.2 * rng.standard_normal(60)
-        data = Dataset(X, y)
-        model, _ = train_rboosting(data, toy_config(k))
-        return model
+        return Dataset(X, y)
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(54)
-        model = self._model(rng)
+        learn = self._learn(rng)
+        model, _ = train_rboosting(learn, toy_config(12))
         Xh = rng.uniform(-2, 2, (40, 1))
         holdout = Dataset(Xh, np.sin(2 * Xh[:, 0]))
-        k, risk = select_k_by_holdout(model, holdout)
+        k, risk = select_k_by_validation(learn, holdout, toy_config(12), 12)
         # oracle: evaluate every truncation independently
         rmses = [
             np.sqrt(np.mean((model.truncate(j).predict(Xh) - holdout.targets) ** 2))
             for j in range(1, len(model) + 1)
         ]
         assert k == int(np.argmin(rmses)) + 1
-        assert risk == pytest.approx(min(rmses), rel=1e-12)
+        assert np.sqrt(risk) == pytest.approx(min(rmses), rel=1e-12)
 
     def test_monotone_improvement_selects_full_length(self):
         # Noiseless holdout equal to the training rows: training risk falls
@@ -200,38 +235,53 @@ class TestSelectKByHoldout:
         X = rng.uniform(-2, 2, (50, 1))
         y = np.sin(X[:, 0])
         data = Dataset(X, y)
-        model, trace = train_rboosting(data, TrainConfig("rboosting", 10, TreeLearnerSpec(1), u=10**9))
+        config = TrainConfig("rboosting", 10, TreeLearnerSpec(1), u=10**9)
+        model, trace = train_rboosting(data, config)
         assert np.all(np.diff(trace.risk) < 0)
-        k, _ = select_k_by_holdout(model, data)
+        k, _ = select_k_by_validation(data, data, config, 10)
         assert k == len(model)
 
     def test_risk_minimized_at_first_stage(self):
         # Holdout targets equal to the first-stage prediction force k = 1.
         rng = np.random.default_rng(56)
-        model = self._model(rng, k=6)
+        learn = self._learn(rng)
+        model, _ = train_rboosting(learn, toy_config(6))
         Xh = rng.uniform(-2, 2, (30, 1))
         holdout = Dataset(Xh, model.truncate(1).predict(Xh))
-        k, risk = select_k_by_holdout(model, holdout)
+        k, risk = select_k_by_validation(learn, holdout, toy_config(6), 6)
         assert k == 1
-        assert risk == pytest.approx(0.0, abs=1e-15)
+        assert np.sqrt(risk) == pytest.approx(0.0, abs=1e-15)
 
     def test_empty_model_is_the_zero_predictor(self):
         from rboost.bench import rmse
 
-        assert select_k_by_holdout(Ensemble(), Dataset([[0.0]], [0.0])) == (0, 0.0)
+        zeros = Dataset(np.arange(10.0).reshape(-1, 1), np.zeros(10))  # trains no stage
+        assert select_k_by_validation(zeros, Dataset([[0.0]], [0.0]), toy_config(5), 5) == (0, 0.0)
         holdout = Dataset(np.zeros((3, 1)), [1.0, -2.0, 0.5])
-        k, risk = select_k_by_holdout(Ensemble(), holdout, clip_bound=0.25)
+        k, risk = select_k_by_validation(zeros, holdout, toy_config(5), 5, clip_bound=0.25)
         assert k == 0
-        assert risk == rmse(np.zeros(3), holdout.targets)  # same bits as scoring the zero predictor
+        assert np.sqrt(risk) == rmse(np.zeros(3), holdout.targets)  # same bits as scoring the zero predictor
 
     def test_rejects_a_nan_bound(self):
-        model = self._model(np.random.default_rng(60), k=3)
+        learn = self._learn(np.random.default_rng(60))
         with pytest.raises(ValueError, match="clip bound"):
-            select_k_by_holdout(model, Dataset([[0.0], [1.0]], [0.0, 1.0]), float("nan"))
+            select_k_by_validation(learn, Dataset([[0.0], [1.0]], [0.0, 1.0]), toy_config(3), 3, float("nan"))
 
     def test_rejects_a_bad_bound_for_an_empty_model(self):
+        zeros = Dataset(np.arange(10.0).reshape(-1, 1), np.zeros(10))
         with pytest.raises(ValueError, match="clip bound"):
-            select_k_by_holdout(Ensemble(), Dataset([[0.0]], [1.0]), 0.0)
+            select_k_by_validation(zeros, Dataset([[0.0]], [1.0]), toy_config(3), 3, 0.0)
+
+    def test_clipped_risk_scores_the_clipped_predictions(self):
+        rng = np.random.default_rng(61)
+        learn = self._learn(rng)
+        model, _ = train_rboosting(learn, toy_config(8))
+        Xh = rng.uniform(-2, 2, (30, 1))
+        holdout = Dataset(Xh, np.sin(2 * Xh[:, 0]))
+        k, risk = select_k_by_validation(learn, holdout, toy_config(8), 8, clip_bound=0.5)
+        risks = [np.mean((model.truncate(j).predict(Xh, clip_bound=0.5) - holdout.targets) ** 2) for j in range(1, 9)]
+        assert k == int(np.argmin(risks)) + 1
+        assert risk == pytest.approx(min(risks), rel=1e-12)
 
 
 class TestEmptyModelRule:
