@@ -264,8 +264,7 @@ def _cmd_predict(args) -> int:
         config = {"model": os.path.basename(args.model), "data": os.path.basename(args.data)}
         _write_outputs(args, config, {"predictions.csv": (["prediction"], [[p] for p in preds.tolist()])})
     else:
-        for p in preds:
-            print(fmt(p))
+        sys.stdout.writelines(fmt(p) + "\n" for p in preds.tolist())
     return 0
 
 

@@ -223,11 +223,17 @@ class Ensemble:
         return f"Ensemble(stages={len(self._stages)})"
 
     def predict(self, X, clip_bound: Optional[float] = None) -> np.ndarray:
-        """Evaluate the full model on feature rows via the staged recursion."""
+        """Evaluate the full model on feature rows via the staged recursion.
+
+        The recursion updates its own accumulator in place: f *= 1 - alpha,
+        then f += beta * g, the same bits as (1 - alpha) * f + beta * g.
+        A learner's output is only read, never written.
+        """
         X = np.asfortranarray(as_feature_matrix(X))  # one copy; every tree then reads contiguous columns
         f = np.zeros(X.shape[0])
         for st in self._stages:
-            f = (1.0 - st.alpha) * f + st.beta * st.learner.predict(X)
+            f *= 1.0 - st.alpha
+            f += st.beta * st.learner.predict(X)
         if clip_bound is not None:
             f = clip(f, clip_bound)
         return f
@@ -238,7 +244,8 @@ class Ensemble:
         out = np.empty((len(self._stages), X.shape[0]), dtype=np.float64)
         f = np.zeros(X.shape[0])
         for k, st in enumerate(self._stages):
-            f = (1.0 - st.alpha) * f + st.beta * st.learner.predict(X)
+            f *= 1.0 - st.alpha  # in place, as in predict
+            f += st.beta * st.learner.predict(X)
             out[k] = f
         return out
 

@@ -184,6 +184,8 @@ def load_feature_matrix(path, schema: CsvSchema = CsvSchema(), n_features: Optio
 
 def fmt(value) -> str:
     """Render a cell: floats via repr for exact decimal round-trip."""
+    if type(value) is float:  # the common cell, checked before the isinstance chain
+        return repr(value)
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, (bool, np.bool_)):
@@ -271,7 +273,8 @@ def load_model(path):
 
     A file missing a required field, or carrying a non-finite alpha, beta,
     scale, threshold or leaf value, or a nonzero offset, raises ValueError
-    naming the stage and the field; so does a field of the wrong JSON type.
+    naming the stage and the field; so does a field of the wrong JSON type,
+    and a meta.clip_bound that is neither null nor a number > 0.
     """
     with open(path) as fh:
         text = fh.read()
@@ -294,6 +297,13 @@ def load_model(path):
     for field, kind, json_kind in (("stages", list, "array"), ("meta", dict, "object")):
         if not isinstance(doc.get(field, kind()), kind):
             raise ValueError(f"{path}: field {field!r} is not a JSON {json_kind}")
+    bound = doc.get("meta", {}).get("clip_bound")
+    try:
+        bad = bound is not None and (type(bound) not in (int, float) or not float(bound) > 0)
+    except OverflowError:  # an integer beyond the float range
+        bad = True
+    if bad:
+        raise ValueError(f"{path}: meta.clip_bound must be null or a number > 0, got {json.dumps(bound)}")
     stages = []
     for i, st in enumerate(doc["stages"]):
         try:
@@ -329,16 +339,17 @@ def emit_delimited(path, columns: Sequence[str], rows: Sequence[Sequence], manif
     """Write comma-delimited rows with a commented column header.
 
     The first comment line points at the run manifest so every result file
-    is traceable to the exact configuration that produced it.
+    is traceable to the exact configuration that produced it. Rows are
+    streamed: each is rendered and handed to the file's buffer in turn, so
+    no list of lines or joined copy of the file is built.
     """
     if not rows:
         raise ValueError("no rows to emit")
-    lines = [f"# manifest: {manifest_name}\n"] if manifest_name else []
-    lines.append(f"# columns: {','.join(columns)}\n")
-    lines.append(",".join(columns) + "\n")
-    lines.extend(",".join(map(fmt, row)) + "\n" for row in rows)
     with open(path, "w", newline="\n") as fh:
-        fh.write("".join(lines))
+        if manifest_name:
+            fh.write(f"# manifest: {manifest_name}\n")
+        fh.write(f"# columns: {','.join(columns)}\n{','.join(columns)}\n")
+        fh.writelines(",".join(map(fmt, row)) + "\n" for row in rows)
 
 
 def read_delimited(path):

@@ -31,6 +31,9 @@ _BAND_C = 16.0
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
 
+# The largest tree whose node ids 0..n-1 fit int8 (and so do their differences).
+_INT8_NODES = 128
+
 
 class DegenerateLearnerError(Exception):
     """Raised when every atom of a dictionary has ~zero norm on the fitting sample."""
@@ -57,6 +60,8 @@ class RegressionTree:
         self.threshold, self.value = (np.array(a, dtype=np.float64) for a in (threshold, value))
         self.n_splits = (self.feature.size - 1) // 2  # every split has two children
         self.n_features = n_features
+        # predict's split masks: int8 keeps its id arithmetic in int8, bool promotes it to int64.
+        self._mask_type = np.int8 if self.feature.size <= _INT8_NODES else np.bool_
 
     def predict(self, X) -> np.ndarray:
         """Leaf value of every row, by an iterative children-first descent.
@@ -64,8 +69,11 @@ class RegressionTree:
         Each split maps its rows to leaf ids with right + (left - right) *
         (column <= threshold), an exact integer select without the
         data-dependent branch of np.where; a child's array is dropped once
-        its parent is built, so one array per level at most is alive. Column
-        reads are contiguous when X is column-major, as Ensemble passes it.
+        its parent is built, so one array per level at most is alive. In a
+        tree of at most 128 nodes the ids are int8: the bool mask is viewed,
+        not copied, as int8, and Python-int ids keep the arithmetic in one
+        byte a row; larger trees select in int64. Column reads are
+        contiguous when X is column-major, as Ensemble passes it.
         """
         X = as_feature_matrix(X)
         if X.shape[1] != self.n_features:
@@ -83,7 +91,8 @@ class RegressionTree:
                 continue
             node = ~node
             lo, hi = left[node], right[node]
-            ids[node] = (ids[lo] - ids[hi]) * (X[:, feature[node]] <= threshold[node]) + ids[hi]
+            go_left = (X[:, feature[node]] <= threshold[node]).view(self._mask_type)
+            ids[node] = (ids[lo] - ids[hi]) * go_left + ids[hi]
             ids[lo] = ids[hi] = None
         return self.value.take(ids[0])
 

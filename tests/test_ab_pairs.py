@@ -1,0 +1,66 @@
+"""The pairing summary of tools/ab_pairs.py on canned benchmark result lines (no benchmark is run)."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "ab_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("ab_pairs", _PATH)
+ab_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab_pairs)
+
+METRICS = [
+    {"name": "predict_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "rounds_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+]
+
+
+def _line(predict_s, rounds_per_s, failed=0, attempted=5):
+    metrics = {"predict_s": {"value": predict_s, "unit": "s"}, "rounds_per_s": {"value": rounds_per_s, "unit": "1/s"}}
+    return json.dumps({"correct": failed == 0, "attempted": attempted, "failed": failed, "metrics": metrics})
+
+
+PARENT = [_line(1.5, 100.0), _line(1.6, 98.0), _line(1.4, 103.0), _line(1.55, 99.0, failed=1)]
+CHANGE = [_line(1.0, 101.0), _line(1.7, 97.0), _line(0.9, 104.0), _line(1.0, 99.0, attempted=6)]
+
+
+def test_wins_follow_each_metrics_direction():
+    rows, _ = ab_pairs.summarize(METRICS, PARENT, CHANGE)
+    by_name = {row["metric"]: row for row in rows}
+    assert by_name["predict_s"]["wins"] == 3  # lower is better; pair 1 is a loss
+    assert by_name["rounds_per_s"]["wins"] == 2  # higher is better; pair 3 is a tie, not a win
+    assert all(row["pairs"] == 4 for row in rows)
+
+
+def test_medians_quartiles_and_the_iqr_gap():
+    rows, _ = ab_pairs.summarize(METRICS, PARENT, CHANGE)
+    predict = rows[0]
+    assert predict["parent"] == pytest.approx((1.425, 1.525, 1.5875))
+    assert predict["change"][1] == 1.0
+    assert predict["beyond_iqr"]  # |1.0 - 1.525| > 1.5875 - 1.425
+    assert not rows[1]["beyond_iqr"]  # medians 99.5 vs 100.0 inside the parent's spread
+
+
+def test_failed_and_attempted_ops_per_side():
+    _, ops = ab_pairs.summarize(METRICS, PARENT, CHANGE)
+    assert ops == {"parent": (1, 20), "change": (0, 21)}
+
+
+def test_report_prints_one_row_per_metric_and_the_ops():
+    text = ab_pairs.report(*ab_pairs.summarize(METRICS, PARENT, CHANGE))
+    lines = text.splitlines()
+    assert len(lines) == 1 + len(METRICS) + 2
+    assert lines[1].startswith("predict_s") and "-34.4%" in lines[1] and " 3/4 " in lines[1] and lines[1].endswith("yes")
+    assert lines[-2:] == ["parent ops: 1 failed / 20 attempted", "change ops: 0 failed / 21 attempted"]
+
+
+def test_a_single_pair_has_its_value_as_every_quartile():
+    rows, _ = ab_pairs.summarize(METRICS, PARENT[:1], CHANGE[:1])
+    assert rows[0]["parent"] == (1.5, 1.5, 1.5)
+
+
+def test_unequal_run_counts_are_rejected():
+    with pytest.raises(ValueError, match="3 parent runs against 4 change runs"):
+        ab_pairs.summarize(METRICS, PARENT[:3], CHANGE)

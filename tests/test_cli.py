@@ -172,6 +172,33 @@ class TestFitPredict:
         assert capsys.readouterr().out == want
         assert reads == [str(scored)]
 
+    def test_predict_writes_one_rendered_line_per_row(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        X = rng.uniform(-1, 1, (40, 2))
+        train = tmp_path / "train.csv"
+        train.write_text("x0,x1,y\n" + "".join(f"{a!r},{b!r},{a * b!r}\n" for a, b in X.tolist()))
+        model = tmp_path / "model"
+        assert run_cli(["fit", str(train), "--algo", "boost", "--j", "2", "--k-max", "4", "--out", str(model)]) == 0
+        capsys.readouterr()
+        assert run_cli(["predict", str(model / "model.json"), str(train)]) == 0
+        preds = rio.load_model(model / "model.json")[0].predict(X)
+        assert capsys.readouterr().out == "".join(rio.fmt(p) + "\n" for p in preds.tolist())
+
+    @pytest.mark.parametrize("bound", ['"abc"', "[1]", "true"])
+    def test_predict_rejects_a_hand_edited_clip_bound(self, tmp_path, capsys, bound):
+        data = tmp_path / "train.csv"
+        write_constant_csv(data)
+        model = tmp_path / "model"
+        assert run_cli(["fit", str(data), "--j", "1", "--k-max", "2", "--out", str(model)]) == 0
+        text = (model / "model.json").read_text()
+        assert '"clip_bound": null' in text
+        (model / "model.json").write_text(text.replace('"clip_bound": null', f'"clip_bound": {bound}'))
+        capsys.readouterr()
+        assert run_cli(["predict", str(model / "model.json"), str(data)]) == 1
+        captured = capsys.readouterr()
+        assert f"meta.clip_bound must be null or a number > 0, got {bound}" in captured.err
+        assert captured.out == ""
+
     def test_fit_rejects_all(self, tmp_path, capsys):
         data = tmp_path / "train.csv"
         write_constant_csv(data)

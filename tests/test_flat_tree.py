@@ -8,6 +8,7 @@ staged_predict and expanded_predict, on C- and F-ordered inputs.
 """
 
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from rboost import Dataset, Ensemble, TrainConfig, TreeLearnerSpec, fit_tree, load_model, save_model, train
 from rboost.core import Stage, as_feature_matrix
-from rboost.learners import NormalizedLearner, RegressionTree
+from rboost.learners import DictionaryAtom, NormalizedLearner, RegressionTree
 
 
 class _Node:
@@ -193,6 +194,51 @@ def test_deep_tree_predicts_the_routed_leaf_means(deep_tree):
         rows = node == leaf
         assert np.all(pred[rows] == float(np.mean(np.sort(r[rows]))))
     assert tree.predict(np.asfortranarray(X)).tobytes() == pred.tobytes()
+
+
+def _wide_tree(n_splits):
+    rng = np.random.default_rng(n_splits)
+    X = rng.uniform(-2, 2, (400, 3))
+    return fit_tree(Dataset(X, np.zeros(400)), rng.standard_normal(400), n_splits), X
+
+
+# Node ids are int8 up to 128 nodes: 63 splits (127 nodes) is the largest
+# int8 tree, 64 splits (129 nodes) the smallest int64 one.
+@pytest.mark.parametrize("n_splits", [63, 64, _DEEP_SPLITS])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_both_id_widths_match_the_recursive_oracle(n_splits, order, deep_tree):
+    tree, X = deep_tree[:2] if n_splits == _DEEP_SPLITS else _wide_tree(n_splits)
+    assert tree.n_splits == n_splits and tree.feature.size == 2 * n_splits + 1
+    rng = np.random.default_rng(0)
+    pool = np.concatenate([X.ravel(), tree.threshold[tree.feature >= 0], [np.nan, np.inf, -np.inf]])
+    Q = np.vstack([X, rng.choice(pool, size=X.shape)])
+    Q = np.asfortranarray(Q) if order == "F" else np.ascontiguousarray(Q)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4 * n_splits))  # the oracle recurses once per level
+    try:
+        want = _RoutedTree(tree).predict(Q)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert tree.predict(Q).tobytes() == want.tobytes()
+
+
+def test_in_place_recursion_never_writes_a_learners_output():
+    """A learner may return a view of X; predict and staged_predict only read it."""
+    rng = np.random.default_rng(11)
+    X = np.asfortranarray(rng.normal(size=(50, 2)))
+    before = X.copy()
+    atom = DictionaryAtom(0, lambda A: A[:, 0])
+    assert np.shares_memory(atom.predict(X), X)  # Ensemble's column-major copy of X is X itself
+    stages = [Stage(a, b, atom) for a, b in [(0.0, 1.0), (0.5, -2.0), (1.5, 0.25), (-0.3, 3.0)]]
+    model = Ensemble(stages)
+    f, staged = np.zeros(50), []
+    for st_ in stages:
+        f = (1 - st_.alpha) * f + st_.beta * X[:, 0]
+        staged.append(f)
+    assert model.predict(X).tobytes() == staged[-1].tobytes()
+    assert X.tobytes() == before.tobytes()
+    assert model.staged_predict(X).tobytes() == np.array(staged).tobytes()
+    assert X.tobytes() == before.tobytes()
 
 
 def test_deep_tree_converts_to_and_from_the_nested_form(deep_tree):

@@ -312,6 +312,19 @@ class TestLoadModelValidation:
         with pytest.raises(ValueError, match="'meta' is not a JSON object"):
             self._load(tmp_path, doc)
 
+    @pytest.mark.parametrize("bound", ["abc", [1], True, 0, -1.5, float("nan"), 10**400], ids=lambda b: repr(b)[:8])
+    def test_clip_bound_not_a_positive_number(self, tmp_path, bound):
+        doc = _saved_doc(tmp_path)
+        doc["meta"]["clip_bound"] = bound
+        with pytest.raises(ValueError, match=r"meta\.clip_bound must be null or a number > 0"):
+            self._load(tmp_path, doc)
+
+    @pytest.mark.parametrize("bound", [None, 2, 0.5, float("inf")])
+    def test_clip_bound_null_or_positive_loads(self, tmp_path, bound):
+        doc = _saved_doc(tmp_path)
+        doc["meta"]["clip_bound"] = bound
+        assert self._load(tmp_path, doc)[1] == {"clip_bound": bound}
+
 
 @lru_cache(maxsize=None)
 def _saved_text():
