@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import __version__
-from .core import Dataset, Ensemble, Stage
+from .core import Dataset, Ensemble, Stage, check_clip_bound
 from .learners import NormalizedLearner, RegressionTree
 
 MODEL_FORMAT = "rboost-model"
@@ -184,8 +184,6 @@ def load_feature_matrix(path, schema: CsvSchema = CsvSchema(), n_features: Optio
 
 def fmt(value) -> str:
     """Render a cell: floats via repr for exact decimal round-trip."""
-    if type(value) is float:  # the common cell, checked before the isinstance chain
-        return repr(value)
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, (bool, np.bool_)):
@@ -274,7 +272,8 @@ def load_model(path):
     A file missing a required field, or carrying a non-finite alpha, beta,
     scale, threshold or leaf value, or a nonzero offset, raises ValueError
     naming the stage and the field; so does a field of the wrong JSON type,
-    and a meta.clip_bound that is neither null nor a number > 0.
+    and a meta.clip_bound that is neither null nor a JSON number that
+    core.check_clip_bound accepts.
     """
     with open(path) as fh:
         text = fh.read()
@@ -299,11 +298,11 @@ def load_model(path):
             raise ValueError(f"{path}: field {field!r} is not a JSON {json_kind}")
     bound = doc.get("meta", {}).get("clip_bound")
     try:
-        bad = bound is not None and (type(bound) not in (int, float) or not float(bound) > 0)
-    except OverflowError:  # an integer beyond the float range
-        bad = True
-    if bad:
-        raise ValueError(f"{path}: meta.clip_bound must be null or a number > 0, got {json.dumps(bound)}")
+        if bound is not None and type(bound) not in (int, float):  # a bool, string, array or object
+            raise ValueError(f"clip bound must be null or a JSON number, got {json.dumps(bound)}")
+        check_clip_bound(None if bound is None else float(bound))
+    except (ValueError, OverflowError) as exc:  # OverflowError: an integer beyond the float range
+        raise ValueError(f"{path}: meta.clip_bound: {exc}") from None
     stages = []
     for i, st in enumerate(doc["stages"]):
         try:

@@ -196,7 +196,7 @@ class TestFitPredict:
         capsys.readouterr()
         assert run_cli(["predict", str(model / "model.json"), str(data)]) == 1
         captured = capsys.readouterr()
-        assert f"meta.clip_bound must be null or a number > 0, got {bound}" in captured.err
+        assert f"meta.clip_bound: clip bound must be null or a JSON number, got {bound}" in captured.err
         assert captured.out == ""
 
     def test_fit_rejects_all(self, tmp_path, capsys):

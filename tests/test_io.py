@@ -316,7 +316,7 @@ class TestLoadModelValidation:
     def test_clip_bound_not_a_positive_number(self, tmp_path, bound):
         doc = _saved_doc(tmp_path)
         doc["meta"]["clip_bound"] = bound
-        with pytest.raises(ValueError, match=r"meta\.clip_bound must be null or a number > 0"):
+        with pytest.raises(ValueError, match=r"meta\.clip_bound: (clip bound must be|int too large)"):
             self._load(tmp_path, doc)
 
     @pytest.mark.parametrize("bound", [None, 2, 0.5, float("inf")])
