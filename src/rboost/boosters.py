@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import Dataset, Ensemble, Stage, TrainConfig
+from .core import Dataset, Ensemble, Stage, TrainConfig, empirical_norm
 
 # Residual below this (relative to the target scale) means the sample is fit.
 _RESIDUAL_TOL = 1e-13
@@ -99,22 +99,27 @@ class TrainingTrace:
 def train(data: Dataset, config: TrainConfig):
     """Run the training loop named by config.algorithm; returns (Ensemble, TrainingTrace).
 
-    Raises ValueError when the mean square of the targets overflows, since
-    no residual could then be measured against the target scale.
+    Training stops with "zero_residual" once rms(r) <= 1e-13 * rms(y), a
+    tolerance relative to the targets at every scale. Raises ValueError
+    when the mean square of the targets overflows, since no residual could
+    then be measured against the target scale.
+
+    Every mean here is (v * v).sum() / m or the like: np.mean's one
+    pairwise sum and one division, without its per-call overhead.
     """
     y = data.targets
+    m = data.m
     with np.errstate(over="ignore"):
-        mean_square = float(np.mean(y * y))
-    if not np.isfinite(mean_square):
+        y_rms = empirical_norm(y)
+    if not np.isfinite(y_rms):
         raise ValueError(
             f"the mean square of the targets overflows float64 (max |y| = {np.abs(y).max():.3g}); rescale them"
         )
-    y_scale = max(1.0, float(np.sqrt(mean_square)))
+    tolerance = _RESIDUAL_TOL * y_rms
     fitter = config.learner_spec.bind(data)
     algorithm = config.algorithm
-    u = int(config.u)
 
-    f = np.zeros(data.m)
+    f = np.zeros(m)
     stages = []
     coeffs = np.empty(config.max_iterations)
     risks, alphas, betas, l1s, fallbacks = [], [], [], [], []
@@ -122,7 +127,7 @@ def train(data: Dataset, config: TrainConfig):
 
     for k in range(1, config.max_iterations + 1):
         r = y - f
-        if np.sqrt(np.mean(r * r)) <= _RESIDUAL_TOL * y_scale:
+        if np.sqrt((r * r).sum() / m) <= tolerance:
             stop_reason = "zero_residual"
             break
         step = fitter.fit_step(r)
@@ -134,8 +139,8 @@ def train(data: Dataset, config: TrainConfig):
         if algorithm == "ddrboosting":
             alpha, beta, fallback = two_dim_linear_search(f, g, y)
         else:  # plain boosting is the re-scaled step with alpha = 0, where y - 1.0 * f is r bit for bit
-            alpha = shrinkage_alpha(k, u) if algorithm == "rboosting" else 0.0
-            beta = float(np.mean((y - (1.0 - alpha) * f) * g))
+            alpha = shrinkage_alpha(k, config.u) if algorithm == "rboosting" else 0.0
+            beta = float(((y - (1.0 - alpha) * f) * g).sum() / m)
         f = (1.0 - alpha) * f + beta * g
 
         n = len(stages)
@@ -143,7 +148,7 @@ def train(data: Dataset, config: TrainConfig):
         coeffs[n] = beta
         stages.append(Stage(alpha, beta, learner))
         resid = f - y
-        risks.append(float(np.mean(resid * resid)))
+        risks.append(float((resid * resid).sum() / m))
         alphas.append(alpha)
         betas.append(beta)
         l1s.append(float(np.sum(np.abs(coeffs[: n + 1]))))

@@ -14,7 +14,7 @@ earlier iteration and to track the l1 norm of the expanded coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -65,6 +65,18 @@ def empirical_risk(pred, targets) -> float:
     return float(np.mean(d * d))
 
 
+def positive_int(value, name: str) -> int:
+    """value as an int when it is an integer >= 1 (3, 3.0 and np.int64(3) all
+    give 3); otherwise a ValueError naming the field."""
+    try:
+        integral = int(value)
+    except (TypeError, ValueError, OverflowError):
+        integral = None
+    if integral is None or integral != value or integral < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return integral
+
+
 def check_clip_bound(bound: Optional[float]):
     """Reject a clip bound that is not > 0, NaN included; None means no clipping."""
     if bound is not None and not bound > 0:
@@ -83,6 +95,28 @@ def clip(values, bound: float):
     return np.clip(np.asarray(values, dtype=np.float64), -bound, bound)
 
 
+class SplitCache(NamedTuple):
+    """The constants of an exact split search that depend only on the features.
+
+    Every array is read-only. xt is the features transposed, (d, m) and
+    C-contiguous: one row per column. tied holds the ids of the columns
+    with some value twice; a node's rows are a subset of the sample's, so a
+    column without ties has none at any node. root_ties holds the flat
+    positions j * (m - 1) + p of the (d, m - 1) boundaries between
+    neighbours in column_order where column j's p-th and (p+1)-th smallest
+    values are equal: the root may not split there. rows is arange(m), the
+    root's row ids, and steps is arange(1, m) as float64: a node of n rows
+    has steps[:n - 1] rows left of its boundaries and steps[n - 2::-1]
+    right of them, the same integers as arange(1, n) and n - arange(1, n).
+    """
+
+    xt: np.ndarray
+    tied: np.ndarray
+    root_ties: np.ndarray
+    rows: np.ndarray
+    steps: np.ndarray
+
+
 class Dataset:
     """An immutable regression sample: features (m, d) and targets (m,).
 
@@ -91,7 +125,7 @@ class Dataset:
     numeric kernels never have to re-check.
     """
 
-    __slots__ = ("_features", "_targets", "_column_order")
+    __slots__ = ("_features", "_targets", "_column_order", "_split_cache")
 
     def __init__(self, features, targets):
         X = as_feature_matrix(features)
@@ -113,6 +147,7 @@ class Dataset:
         self._features = X
         self._targets = y
         self._column_order = None
+        self._split_cache = None
 
     @property
     def features(self) -> np.ndarray:
@@ -134,6 +169,26 @@ class Dataset:
             order.setflags(write=False)
             self._column_order = order
         return self._column_order
+
+    @property
+    def split_cache(self) -> SplitCache:
+        """What every split search on this sample would otherwise re-derive (see SplitCache).
+
+        Computed on first use and kept, like column_order: a boosting run
+        fits hundreds of trees to one sample, and a u sweep dozens of runs.
+        """
+        if self._split_cache is None:
+            xt = np.ascontiguousarray(self._features.T)
+            xs = np.take_along_axis(xt, self.column_order, axis=1)
+            equal = xs[:, 1:] == xs[:, :-1]
+            cache = SplitCache(
+                xt, np.flatnonzero(equal.any(axis=1)), np.flatnonzero(equal),
+                np.arange(self.m), np.arange(1, self.m, dtype=np.float64),
+            )
+            for array in cache:
+                array.setflags(write=False)
+            self._split_cache = cache
+        return self._split_cache
 
     @property
     def m(self) -> int:
@@ -167,6 +222,9 @@ class TrainConfig:
     u: re-scale factor of the shrinkage schedule alpha_k = 2 / (k + u);
         only read by "rboosting".
 
+    max_iterations, and u under "rboosting", must be integers >= 1; an
+    integral float such as 10.0 is stored as the int 10.
+
     Training is deterministic, and predictions are clipped only where a
     caller asks for it, so neither a seed nor a clip bound belongs here.
     """
@@ -179,11 +237,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        object.__setattr__(self, "max_iterations", positive_int(self.max_iterations, "max_iterations"))
         if self.algorithm == "rboosting":
-            if int(self.u) != self.u or self.u < 1:
-                raise ValueError(f"u must be a positive integer for rboosting, got {self.u}")
+            object.__setattr__(self, "u", positive_int(self.u, "u"))
         if self.learner_spec is None:
             raise ValueError("learner_spec is required")
 

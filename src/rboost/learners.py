@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Dataset, as_feature_matrix, empirical_norm
+from .core import Dataset, SplitCache, as_feature_matrix, empirical_norm, positive_int
 
 # Below this empirical norm a fitted learner is useless as a direction.
 DEGENERATE_NORM = 1e-12
@@ -135,16 +135,17 @@ class RegressionTree:
         return RegressionTree(*zip(*nodes), n_features)
 
 
-def _best_split(xt: np.ndarray, r: np.ndarray, rows: np.ndarray, block: np.ndarray):
+def _best_split(cache: SplitCache, r: np.ndarray, rows: np.ndarray, block: np.ndarray):
     """Best SSE-reducing split of a node as (gain, feature, threshold, go_left), or None.
 
-    go_left masks the node's rows at or below the threshold. xt is the
-    (d, m) transposed feature matrix, rows the node's row ids in increasing
-    order and block its (d, n) column block: row j holds the node's rows
-    in stable ascending order of feature j. The block equals a
-    per-node stable argsort of X[rows] mapped back to row ids, because node
-    rows are an increasing subsequence of arange(m), so filtering the
-    dataset's column order keeps equal values in row order.
+    go_left masks the node's rows at or below the threshold. cache is the
+    sample's SplitCache, rows the node's row ids in increasing order and
+    block its (d, n) column block: row j holds the node's rows in stable
+    ascending order of feature j. The block equals a per-node stable
+    argsort of X[rows] mapped back to row ids, because node rows are an
+    increasing subsequence of arange(m), so filtering the dataset's column
+    order keeps equal values in row order. For the same reason the root is
+    the only node of m rows, and there rows is arange(m) and r[rows] is r.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
     feature values. Each column's best boundary comes from a vectorized
@@ -152,6 +153,14 @@ def _best_split(xt: np.ndarray, r: np.ndarray, rows: np.ndarray, block: np.ndarr
     in original row order, which makes gains of identical partitions
     bit-equal across features, so ties genuinely break toward the lower
     feature index (and, within a column, the smaller threshold).
+
+    The scan reads the per-sample constants from the cache instead of
+    re-deriving them: the boundary counts nl and n - nl are slices of one
+    step vector, tied boundaries are masked from the root's cached
+    positions or, below the root, only in the columns that hold ties at
+    all, and a re-scored column reads just the two values around its
+    boundary. The gain is built in place with the same operations in the
+    same order as sl*sl/nl + sr*sr/(n - nl), so every bit is unchanged.
 
     Only columns whose prefix-sum gain lies within ``band`` of the best one
     are re-scored. With unit roundoff u = eps/2 and S = sum |r| over the
@@ -173,21 +182,29 @@ def _best_split(xt: np.ndarray, r: np.ndarray, rows: np.ndarray, block: np.ndarr
     n = rows.size
     if n < 2:
         return None
-    d, m = xt.shape
-    xs = xt.ravel()[block + np.arange(0, d * m, m)[:, None]]  # xs[j] = xt[j, block[j]]
-    csum = np.cumsum(r[block], axis=1)
-    nl = np.arange(1, n, dtype=np.float64)
+    xt = cache.xt
+    root = n == xt.shape[1]
+    csum = r[block].cumsum(axis=1)
     sl = csum[:, :-1]
     sr = csum[:, -1:] - sl
-    gain = sl * sl / nl + sr * sr / (n - nl)  # node-constant offset omitted
-    gain[xs[:, 1:] == xs[:, :-1]] = -np.inf
+    gain = sl * sl  # node-constant offset omitted
+    gain /= cache.steps[: n - 1]
+    sr *= sr
+    sr /= cache.steps[n - 2 :: -1]
+    gain += sr
+    if root:
+        gain.ravel()[cache.root_ties] = -np.inf  # gain is a new C-contiguous array, so ravel is a view
+    elif cache.tied.size:
+        tied = cache.tied
+        xs = xt[tied[:, None], block[tied]]
+        gain[tied] = np.where(xs[:, 1:] == xs[:, :-1], -np.inf, gain[tied])
     best_pos = np.argmax(gain, axis=1)  # first max in a column = smallest threshold
-    best_gain = gain[np.arange(d), best_pos]
+    best_gain = gain.max(axis=1)
     finite = np.isfinite(best_gain)
     if not finite.any():
         return None
 
-    r_node = r[rows]
+    r_node = r if root else r[rows]
     scale = float(np.abs(r_node).sum())
     band = _BAND_C * (n + 2) * _EPS * (scale * scale + _TINY)  # inf keeps every finite column
     finite &= best_gain >= best_gain[finite].max() - band
@@ -197,10 +214,12 @@ def _best_split(xt: np.ndarray, r: np.ndarray, rows: np.ndarray, block: np.ndarr
     best = None
     for feat in finite.nonzero()[0].tolist():
         pos = int(best_pos[feat])
-        threshold = 0.5 * (xs[feat, pos] + xs[feat, pos + 1])
-        if not xs[feat, pos] <= threshold < xs[feat, pos + 1]:
-            threshold = float(xs[feat, pos])  # midpoint rounded onto a sample value
-        go_left = xt[feat, rows] <= threshold
+        column = xt[feat]
+        lo, hi = column[block[feat, pos]], column[block[feat, pos + 1]]
+        threshold = 0.5 * (lo + hi)
+        if not lo <= threshold < hi:
+            threshold = lo  # midpoint rounded onto a sample value
+        go_left = (column if root else column[rows]) <= threshold
         n_left = int(np.count_nonzero(go_left))
         # Both block sums taken directly (not total - other) so complementary
         # partitions reached from different features tie bit-exactly.
@@ -233,24 +252,30 @@ def fit_tree(data: Dataset, residual, n_splits: int) -> RegressionTree:
     order is the root's block, and a split filters its node's block with
     the winning row mask, which keeps each column sorted without sorting
     again (see _best_split). Children of the last split in the budget are
-    not searched, so a tree costs at most 2 * n_splits - 1 searches.
+    not searched, so a tree costs at most 2 * n_splits - 1 searches. The
+    transposed features, tie positions and index vectors every search
+    reads come from data.split_cache, built by the sample's first fit and
+    only read after that; they are the arrays each fit used to rebuild,
+    so the trees are the same bit for bit.
+
+    n_splits must be an integer >= 1 (an integral float is used as an int).
     """
-    if n_splits < 1:
-        raise ValueError(f"n_splits must be >= 1, got {n_splits}")
-    r = np.asarray(residual, dtype=np.float64)
+    n_splits = positive_int(n_splits, "n_splits")
+    r = np.ascontiguousarray(residual, dtype=np.float64)
     if r.shape != (data.m,):
         raise ValueError(f"residual must have length m={data.m}, got shape {r.shape}")
-    xt = np.ascontiguousarray(data.features.T)
+    cache = data.split_cache
+    xt = cache.xt
     nodes = [_leaf(_routed_mean(r))]
     frontier = []
     created = itertools.count()
 
     def push(node, rows, block):
-        cand = _best_split(xt, r, rows, block)
+        cand = _best_split(cache, r, rows, block)
         if cand is not None:
             heapq.heappush(frontier, (-cand[0], next(created), node, rows, block, cand))
 
-    push(0, np.arange(data.m), data.column_order)
+    push(0, cache.rows, data.column_order)
     while frontier:
         _, _, node, rows, block, (_, feat, threshold, go_left) = heapq.heappop(frontier)
         left_rows = rows[go_left]
@@ -295,8 +320,7 @@ class TreeLearnerSpec:
     n_splits: int = 4
 
     def __post_init__(self):
-        if self.n_splits < 1:
-            raise ValueError(f"n_splits must be >= 1, got {self.n_splits}")
+        object.__setattr__(self, "n_splits", positive_int(self.n_splits, "n_splits"))
 
     def bind(self, data: Dataset) -> "_TreeFitter":
         return _TreeFitter(data, self.n_splits)
@@ -306,13 +330,19 @@ class _TreeFitter:
     def __init__(self, data: Dataset, n_splits: int):
         self._data = data
         self._n_splits = n_splits
+        # Tree norms scale with the targets, so below rms(y) = 1 the floor does too.
+        self._floor = DEGENERATE_NORM * min(1.0, empirical_norm(data.targets))
 
     def fit_step(self, residual):
-        """Fit one unit-norm tree to the residual; None when degenerate."""
+        """Fit one unit-norm tree to the residual; None when degenerate.
+
+        A tree is degenerate when its empirical norm is at most
+        DEGENERATE_NORM * min(1, rms(y)) of the bound sample's targets.
+        """
         tree = fit_tree(self._data, residual, self._n_splits)
         pred = tree.predict(self._data.features)
-        nrm = empirical_norm(pred)
-        if nrm <= DEGENERATE_NORM:
+        nrm = float(np.sqrt((pred * pred).sum() / self._data.m))  # empirical_norm's bits, without its checks
+        if nrm <= self._floor:
             return None
         return NormalizedLearner(tree, 1.0 / nrm), pred / nrm
 

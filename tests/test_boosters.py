@@ -212,6 +212,29 @@ class TestTrainBoosting:
         assert len(model) == len(trace) == 20
         assert trace.stop_reason is None
 
+    def test_integral_float_settings_train(self):
+        # An integral float budget, u or split count is used as an int; a
+        # 10.0 budget used to reach np.empty and fail with a TypeError.
+        data = random_data(np.random.default_rng(20), m=50)
+        model, trace = train(data, TrainConfig("rboosting", 10.0, TreeLearnerSpec(2.0), u=3.0))
+        want, want_trace = train(data, TrainConfig("rboosting", 10, TreeLearnerSpec(2), u=3))
+        assert len(model) == len(trace) == 10
+        assert trace.beta.tobytes() == want_trace.beta.tobytes()
+        assert model.predict(data.features).tobytes() == want.predict(data.features).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-11, 1e-14, 1e-20])
+    def test_small_target_scales_train_every_stage(self, scale):
+        # The stop test and the tree fitter's degenerate floor are relative
+        # to rms(y) below 1; with absolute ones these runs stopped after 3
+        # stages (degenerate_learner) or 0 (zero_residual).
+        X = np.linspace(-2, 2, 200)
+        config = TrainConfig("boosting", 20, TreeLearnerSpec(2))
+        _, base = train(Dataset(X, np.sin(1.5 * X)), config)
+        model, trace = train(Dataset(X, scale * np.sin(1.5 * X)), config)
+        assert len(model) == len(trace) == len(base) == 20
+        assert trace.stop_reason is base.stop_reason is None
+        np.testing.assert_allclose(trace.risk / scale**2, base.risk, rtol=1e-9)
+
 
 class TestTrainRBoosting:
     def test_u1_first_step_discards_offset(self):
@@ -352,3 +375,51 @@ def test_training_risk_never_increases(seed, m, d, n_splits, k_max, algorithm, d
     _, trace = train(Dataset(X, y), TrainConfig(algorithm, k_max, TreeLearnerSpec(n_splits)))
     risks = np.concatenate([[np.mean(y * y)], trace.risk])
     assert np.all(np.diff(risks) <= 1e-12 * risks[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 40),
+    d=st.integers(1, 3),
+    n_splits=st.integers(1, 4),
+    k_max=st.integers(1, 15),
+    algorithm=st.sampled_from(["boosting", "rboosting", "ddrboosting"]),
+    decimals=st.sampled_from([None, 0, 1]),
+    exponents=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    below_one=st.booleans(),
+)
+def test_power_of_two_target_scaling_scales_the_model_exactly(
+    seed, m, d, n_splits, k_max, algorithm, decimals, exponents, below_one
+):
+    # Scaling by 2**k is exact and every tolerance below rms(y) = 1 is
+    # relative, so both runs take the same decisions on values 2**k apart.
+    # The exponents keep rms(y) within 2**-40 .. 2**40: all values normal.
+    # At rms(y) >= 1 the degenerate floor is the absolute DEGENERATE_NORM,
+    # which keeps every decision on such targets as it was: a round-off
+    # tree (a residual already fit exactly) can fall below it at one scale
+    # and not at the other. So there the runs may part only by one of them
+    # stopping on "degenerate_learner", and every stage they share must
+    # still scale exactly.
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2, 2, (m, d))
+    if decimals is not None:
+        X = np.round(X, decimals)
+    y = np.sin(2 * X[:, 0]) + 0.3 * rng.standard_normal(m)
+    y = np.ldexp(y, -np.frexp(np.sqrt(np.mean(y * y)))[1])  # rms(y) in [0.5, 1)
+    a, b = (-e for e in exponents) if below_one else exponents  # rms(2**a * y) < 1, or >= 1, for both
+    k = b - a
+    config = TrainConfig(algorithm, k_max, TreeLearnerSpec(n_splits), u=3)
+    model_a, trace_a = train(Dataset(X, np.ldexp(y, a)), config)
+    model_b, trace_b = train(Dataset(X, np.ldexp(y, b)), config)
+    shared = min(len(model_a), len(model_b))
+    if below_one or len(model_a) == len(model_b):
+        assert len(model_b) == len(model_a)
+        assert trace_b.stop_reason == trace_a.stop_reason
+        assert model_b.predict(X).tobytes() == np.ldexp(model_a.predict(X), k).tobytes()
+    else:
+        assert (trace_a if len(model_a) < len(model_b) else trace_b).stop_reason == "degenerate_learner"
+    assert trace_b.alpha[:shared].tobytes() == trace_a.alpha[:shared].tobytes()
+    assert trace_b.beta[:shared].tobytes() == np.ldexp(trace_a.beta[:shared], k).tobytes()
+    for stage_a, stage_b in zip(model_a.stages, model_b.stages):
+        assert stage_b.learner.base.value.tobytes() == np.ldexp(stage_a.learner.base.value, k).tobytes()

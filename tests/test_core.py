@@ -154,6 +154,21 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig("boosting", 0, learner_spec=object())
 
+    @pytest.mark.parametrize("bad", [10.5, "10", None, float("nan"), float("inf")])
+    def test_rejects_a_non_integral_budget(self, bad):
+        with pytest.raises(ValueError, match=f"max_iterations must be a positive integer, got {bad!r}"):
+            TrainConfig("rboosting", bad, learner_spec=object())
+
+    @pytest.mark.parametrize("bad", [2.5, "3", None, float("nan")])
+    def test_rejects_a_non_integral_u_for_rboosting(self, bad):
+        with pytest.raises(ValueError, match=f"u must be a positive integer, got {bad!r}"):
+            TrainConfig("rboosting", 10, learner_spec=object(), u=bad)
+
+    def test_integral_values_are_stored_as_ints(self):
+        cfg = TrainConfig("rboosting", 10.0, learner_spec=object(), u=np.int64(3))
+        assert (cfg.max_iterations, cfg.u) == (10, 3)
+        assert type(cfg.max_iterations) is int and type(cfg.u) is int
+
 
 def random_ensemble(rng, n_stages, d=2):
     """Stages with random alpha in [0, 1), beta, and random-direction linear atoms."""

@@ -238,6 +238,22 @@ class TestLearnerSpecs:
         assert empirical_norm(values) == pytest.approx(1.0, abs=1e-10)
         assert np.allclose(learner.predict(X), values)
 
+    @pytest.mark.parametrize("bad", [2.5, 0, 0.0, "2", None])
+    def test_rejects_a_split_budget_that_is_not_a_positive_integer(self, bad):
+        data = Dataset(np.linspace(-2, 2, 200), np.zeros(200))
+        with pytest.raises(ValueError, match=f"n_splits must be a positive integer, got {bad!r}"):
+            TreeLearnerSpec(bad)
+        with pytest.raises(ValueError, match=f"n_splits must be a positive integer, got {bad!r}"):
+            fit_tree(data, np.sin(np.linspace(-2, 2, 200)), bad)
+
+    def test_an_integral_float_budget_is_used_as_an_int(self):
+        X = np.linspace(-2, 2, 200)
+        spec = TreeLearnerSpec(3.0)
+        assert type(spec.n_splits) is int and spec.n_splits == 3
+        tree = fit_tree(Dataset(X, np.zeros(200)), np.sin(X), 3.0)
+        assert tree.n_splits == 3
+        assert tree.to_dict() == fit_tree(Dataset(X, np.zeros(200)), np.sin(X), 3).to_dict()
+
     def test_tree_fitter_degenerate_on_zero_residual(self):
         data = Dataset([[0.0], [1.0]], np.zeros(2))
         fitter = TreeLearnerSpec(1).bind(data)

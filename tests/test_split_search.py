@@ -4,6 +4,8 @@ The oracle below sorts every node's rows again and re-scores every feature
 in Python, which is how split search worked before column blocks. The
 column-block search must grow the same trees bit for bit: same features,
 thresholds, leaf values and split counts, so the same in-sample predictions.
+The oracle reads nothing from Dataset.split_cache, so it also checks that
+the cached per-sample constants stand in exactly for what they replace.
 """
 
 import heapq
@@ -15,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rboost.learners as learners
-from rboost import Dataset, fit_tree
+from rboost import Dataset, TrainConfig, TreeLearnerSpec, fit_tree, train
 from rboost.learners import RegressionTree
 
 _MIN_GAIN_REL = 1e-12
@@ -165,6 +167,49 @@ def test_column_blocks_grow_the_oracle_tree(case):
     _assert_same_tree(*case)
 
 
+@st.composite
+def shared_sample_cases(draw):
+    """One feature matrix mixing tie-free and tied columns, and several (residual, n_splits) fits on it."""
+    m = draw(st.integers(2, 40))
+    tied = draw(st.lists(st.sampled_from(["integer", "rounded", "constant", "duplicate"]), min_size=1, max_size=4))
+    kinds = draw(st.permutations(["normal"] * draw(st.integers(1, 2)) + tied))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for kind in kinds:
+        cols.append(_column(kind, m, rng, cols))
+    fits = []
+    for _ in range(draw(st.integers(2, 6))):
+        r = _residual(draw(st.sampled_from(["normal", "integer", "two_level"])), m, rng)
+        fits.append((r * 10.0 ** draw(st.integers(-150, 300)), draw(st.integers(1, 8))))
+    return np.column_stack(cols), fits
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_sample_cases())
+def test_fits_sharing_one_dataset_grow_the_oracle_trees(case):
+    # Every fit after the first reads the split cache the first one built.
+    # The root search is compared on its own (gain bits, feature, threshold
+    # and partition); the trees, J = 1 to 8, cover the searches below it.
+    X, fits = case
+    data = Dataset(X, np.zeros(X.shape[0]))
+    cache = data.split_cache
+    rows = np.arange(data.m)
+    for r, n_splits in fits:
+        with np.errstate(over="ignore", invalid="ignore"):  # gains overflow at the largest scales
+            got = learners._best_split(cache, r, cache.rows, data.column_order)
+            want = _oracle_best_split(X, r, rows)
+            tree = fit_tree(data, r, n_splits)
+            want_tree = _oracle_fit_tree(data, r, n_splits)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+            assert got[1:3] == want[1:3]
+            assert rows[got[3]].tolist() == want[3].tolist()
+        assert json.dumps(tree.to_dict(), sort_keys=True) == json.dumps(want_tree.to_dict(), sort_keys=True)
+        assert tree.predict(X).tobytes() == want_tree.predict(X).tobytes()
+    assert data.split_cache is cache
+
+
 def test_wide_continuous_data_grows_the_oracle_tree():
     # distinct values in 10 columns: the band leaves most columns unscored
     rng = np.random.default_rng(7)
@@ -213,3 +258,51 @@ class TestColumnOrder:
         assert sub.column_order is not parent
         assert sub.column_order.tolist() == np.argsort(X[[2, 0, 3]], axis=0, kind="stable").T.tolist()
         assert data.column_order is parent
+
+
+class TestSplitCache:
+    X = np.array([[2.0, 1.0, 0.5], [1.0, 1.0, 0.25], [2.0, 0.0, 0.75], [0.0, 1.0, 1.0]])
+
+    def test_contents(self):
+        cache = Dataset(self.X, np.zeros(4)).split_cache
+        assert cache.xt.tolist() == self.X.T.tolist() and cache.xt.flags.c_contiguous
+        assert cache.tied.tolist() == [0, 1]  # column 2 has no repeated value
+        # sorted column 0 is 0, 1, 2, 2 (tie at boundary 2); column 1 is 0, 1, 1, 1 (boundaries 1 and 2)
+        assert cache.root_ties.tolist() == [0 * 3 + 2, 1 * 3 + 1, 1 * 3 + 2]
+        assert cache.rows.tolist() == [0, 1, 2, 3]
+        assert cache.steps.dtype == np.float64 and cache.steps.tolist() == [1.0, 2.0, 3.0]
+
+    def test_read_only_and_cached(self):
+        data = Dataset(self.X, np.zeros(4))
+        cache = data.split_cache
+        for array in cache:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = 0
+        assert data.split_cache is cache
+
+    def test_subset_gets_its_own(self):
+        data = Dataset(self.X, np.zeros(4))
+        parent = data.split_cache
+        sub = data.subset([1, 2, 3])  # column 0 is 1, 2, 0 there: its tie left with row 0
+        assert sub.split_cache is not parent
+        assert sub.split_cache.xt.tolist() == self.X[[1, 2, 3]].T.tolist()
+        assert sub.split_cache.tied.tolist() == [1]
+        assert sub.split_cache.root_ties.tolist() == [1 * 2 + 1]
+        assert data.split_cache is parent
+        assert parent.tied.tolist() == [0, 1]
+
+    def test_fits_never_write_to_the_dataset(self):
+        rng = np.random.default_rng(3)
+        X = np.column_stack([rng.normal(size=60), rng.integers(-2, 3, 60), np.round(rng.normal(size=60), 1)])
+        y = rng.normal(size=60)
+        data = Dataset(X, y)
+
+        def snapshot():
+            return [a.tobytes() for a in (data.features, data.targets, data.column_order, *data.split_cache)]
+
+        before = snapshot()
+        for n_splits in (1, 3, 8):
+            fit_tree(data, rng.normal(size=60), n_splits)
+        train(data, TrainConfig("ddrboosting", 10, TreeLearnerSpec(4)))
+        assert snapshot() == before
