@@ -25,7 +25,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import Dataset, TrainConfig, check_clip_bound, empirical_risk
+from .core import ALGORITHMS, Dataset, TrainConfig, check_clip_bound, empirical_risk
 from .learners import TreeLearnerSpec
 from .selection import adaptive_select, select_k_by_validation, split_learn_validate, u_grid
 
@@ -171,10 +171,11 @@ class TrialReport:
     curve: Optional[tuple] = None
 
 
-def _summarize(values, selected) -> AlgorithmResult:
+def _mean_std(values):
+    """Mean and sample std (ddof=1) over the first axis, the trials; one trial has std 0."""
     arr = np.asarray(values, dtype=np.float64)
-    std = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-    return AlgorithmResult(float(np.mean(arr)), std, tuple(arr.tolist()), tuple(selected))
+    mean = arr.mean(axis=0)
+    return mean, arr.std(axis=0, ddof=1) if arr.shape[0] > 1 else np.zeros_like(mean)
 
 
 def _trial(spec, trial, methods, k_max, grid, learner_spec, clip_bound):
@@ -194,16 +195,16 @@ def _trial(spec, trial, methods, k_max, grid, learner_spec, clip_bound):
     risks, curve = {}, None
     for method in methods:
         if method == "rboosting":
-            oracle = adaptive_select(train_ds, test_ds, grid, k_max, config, clip_bound)
+            oracle = adaptive_select(train_ds, test_ds, grid, config, clip_bound=clip_bound)
             risks[method] = (oracle.validation_risk, {"u": oracle.chosen_u, "k": oracle.chosen_k})
             curve = oracle.per_u_curve
         elif method == "rboosting_adaptive":
             learn, validate = split_learn_validate(train_ds, _split_seed(spec, trial))
-            sel = adaptive_select(learn, validate, grid, k_max, config)
-            k, risk = select_k_by_validation(train_ds, test_ds, replace(config, u=sel.chosen_u), k_max, clip_bound)
+            sel = adaptive_select(learn, validate, grid, config)
+            k, risk = select_k_by_validation(train_ds, test_ds, replace(config, u=sel.chosen_u), clip_bound=clip_bound)
             risks[method] = (risk, {"u": sel.chosen_u, "k": k, "k_valid": sel.chosen_k})
         else:
-            k, risk = select_k_by_validation(train_ds, test_ds, replace(config, algorithm=method), k_max, clip_bound)
+            k, risk = select_k_by_validation(train_ds, test_ds, replace(config, algorithm=method), clip_bound=clip_bound)
             risks[method] = (risk, {"k": k})
     return {method: (float(np.sqrt(risk)), sel) for method, (risk, sel) in risks.items()}, curve
 
@@ -217,7 +218,7 @@ def _map_trials(fn, arg_tuples, workers: int):
 
 def run_comparison(
     spec: SyntheticSpec,
-    algorithms: Sequence[str] = ("boosting", "rboosting", "ddrboosting"),
+    algorithms: Sequence[str] = ALGORITHMS,
     k_max: int = 500,
     grid: Optional[Sequence[int]] = None,
     learner_spec=None,
@@ -244,14 +245,15 @@ def run_comparison(
     for algo in algorithms:
         vals = [rows[algo][0] for rows, _ in trials]
         sels = [rows[algo][1] for rows, _ in trials]
-        summaries[algo] = _summarize(vals, sels)
+        mean, std = _mean_std(vals)
+        summaries[algo] = AlgorithmResult(float(mean), float(std), tuple(vals), tuple(sels))
     curve = None
     if "rboosting" in algorithms:
         per_u = np.sqrt([[risk for _, _, risk in per_u_curve] for _, per_u_curve in trials])
-        stds = per_u.std(axis=0, ddof=1) if per_u.shape[0] > 1 else np.zeros(per_u.shape[1])
+        means, stds = _mean_std(per_u)
         curve = tuple(
             UCurvePoint(int(u), float(m), float(s))
-            for u, m, s in zip(grid, per_u.mean(axis=0), stds)
+            for u, m, s in zip(grid, means, stds)
         )
     return TrialReport(spec=spec, algorithms=summaries, curve=curve)
 
@@ -280,5 +282,5 @@ def selected_u_stats(result: AlgorithmResult):
     us = np.array([s["u"] for s in result.selected if "u" in s], dtype=np.float64)
     if us.size == 0:
         raise ValueError("no u selections recorded")
-    std = float(np.std(us, ddof=1)) if us.size > 1 else 0.0
-    return float(np.mean(us)), std
+    mean, std = _mean_std(us)
+    return float(mean), float(std)

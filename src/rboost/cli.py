@@ -23,10 +23,11 @@ import numpy as np
 
 from . import __version__
 from .bench import SyntheticSpec, run_adaptive_eval, run_comparison, selected_u_stats
-from .core import TrainConfig
+from .core import ALGORITHMS, TrainConfig
 from .boosters import train
 from .io import (
     CsvSchema,
+    _tree_of,
     emit_delimited,
     fmt,
     format_aligned,
@@ -37,7 +38,7 @@ from .io import (
     save_model,
     write_manifest,
 )
-from .learners import NormalizedLearner, RegressionTree, TreeLearnerSpec
+from .learners import RegressionTree, TreeLearnerSpec
 from .realdata import realdata_experiment
 from .selection import u_grid
 
@@ -56,12 +57,6 @@ def _clip_bound(text: str) -> float:
     if not bound > 0:
         raise _RejectedValue(f"--clip must be > 0, got {text}")
     return bound
-
-
-def _resolve_algorithms(name: str):
-    if name == "all":
-        return ("boosting", "rboosting", "ddrboosting")
-    return (_ALGO_ALIASES[name],)
 
 
 def _parse_grid(text: str):
@@ -168,7 +163,7 @@ def _trial_rows(target, sigma, name, summary) -> list:
 
 
 def _cmd_simulate(args) -> int:
-    algorithms = _resolve_algorithms(args.algo)
+    algorithms = ALGORITHMS if args.algo == "all" else (_ALGO_ALIASES[args.algo],)
     kwargs = _bench_kwargs(args)
     rows, table = [], []
     for target in args.target:
@@ -212,8 +207,6 @@ def _cmd_adaptive(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    if args.algo == "all":
-        raise ValueError("fit needs a single algorithm, not 'all'")
     algorithm = _ALGO_ALIASES[args.algo]
     data = load_csv(args.data, _schema_from_args(args))
     config = TrainConfig(
@@ -244,10 +237,9 @@ def _cmd_fit(args) -> int:
 
 def _model_dimension(model):
     for st in model.stages:
-        learner = st.learner
-        base = learner.base if isinstance(learner, NormalizedLearner) else learner
-        if isinstance(base, RegressionTree):
-            return base.n_features
+        tree = _tree_of(st.learner)
+        if isinstance(tree, RegressionTree):
+            return tree.n_features
     return None
 
 

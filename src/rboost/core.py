@@ -99,11 +99,13 @@ class SplitCache(NamedTuple):
     """The constants of an exact split search that depend only on the features.
 
     Every array is read-only. xt is the features transposed, (d, m) and
-    C-contiguous: one row per column. tied holds the ids of the columns
-    with some value twice; a node's rows are a subset of the sample's, so a
-    column without ties has none at any node. root_ties holds the flat
-    positions j * (m - 1) + p of the (d, m - 1) boundaries between
-    neighbours in column_order where column j's p-th and (p+1)-th smallest
+    C-contiguous: one row per column. order holds the row ids of each
+    column in stable ascending order, (d, m): the root's block, which tree
+    fitting filters instead of sorting every node. tied holds the ids of
+    the columns with some value twice; a node's rows are a subset of the
+    sample's, so a column without ties has none at any node. root_ties
+    holds the flat positions j * (m - 1) + p of the (d, m - 1) boundaries
+    between neighbours in order where column j's p-th and (p+1)-th smallest
     values are equal: the root may not split there. rows is arange(m), the
     root's row ids, and steps is arange(1, m) as float64: a node of n rows
     has steps[:n - 1] rows left of its boundaries and steps[n - 2::-1]
@@ -111,6 +113,7 @@ class SplitCache(NamedTuple):
     """
 
     xt: np.ndarray
+    order: np.ndarray
     tied: np.ndarray
     root_ties: np.ndarray
     rows: np.ndarray
@@ -125,7 +128,7 @@ class Dataset:
     numeric kernels never have to re-check.
     """
 
-    __slots__ = ("_features", "_targets", "_column_order", "_split_cache")
+    __slots__ = ("_features", "_targets", "_split_cache")
 
     def __init__(self, features, targets):
         X = as_feature_matrix(features)
@@ -146,7 +149,6 @@ class Dataset:
         y.setflags(write=False)
         self._features = X
         self._targets = y
-        self._column_order = None
         self._split_cache = None
 
     @property
@@ -158,31 +160,20 @@ class Dataset:
         return self._targets
 
     @property
-    def column_order(self) -> np.ndarray:
-        """Row ids of each feature column in stable ascending order, shape (d, m).
-
-        Computed on first use and kept, read-only, since the features never
-        change; tree fitting filters it instead of sorting every node.
-        """
-        if self._column_order is None:
-            order = np.ascontiguousarray(np.argsort(self._features, axis=0, kind="stable").T)
-            order.setflags(write=False)
-            self._column_order = order
-        return self._column_order
-
-    @property
     def split_cache(self) -> SplitCache:
         """What every split search on this sample would otherwise re-derive (see SplitCache).
 
-        Computed on first use and kept, like column_order: a boosting run
-        fits hundreds of trees to one sample, and a u sweep dozens of runs.
+        Computed on first use and kept, since the features never change: a
+        boosting run fits hundreds of trees to one sample, and a u sweep
+        dozens of runs.
         """
         if self._split_cache is None:
             xt = np.ascontiguousarray(self._features.T)
-            xs = np.take_along_axis(xt, self.column_order, axis=1)
+            order = np.ascontiguousarray(np.argsort(self._features, axis=0, kind="stable").T)
+            xs = np.take_along_axis(xt, order, axis=1)
             equal = xs[:, 1:] == xs[:, :-1]
             cache = SplitCache(
-                xt, np.flatnonzero(equal.any(axis=1)), np.flatnonzero(equal),
+                xt, order, np.flatnonzero(equal.any(axis=1)), np.flatnonzero(equal),
                 np.arange(self.m), np.arange(1, self.m, dtype=np.float64),
             )
             for array in cache:

@@ -248,15 +248,15 @@ def fit_tree(data: Dataset, residual, n_splits: int) -> RegressionTree:
     invariant to row permutations when per-column feature values are
     distinct (the generic case for continuous data).
 
-    Split search runs on column blocks: the dataset's cached stable column
-    order is the root's block, and a split filters its node's block with
-    the winning row mask, which keeps each column sorted without sorting
-    again (see _best_split). Children of the last split in the budget are
-    not searched, so a tree costs at most 2 * n_splits - 1 searches. The
-    transposed features, tie positions and index vectors every search
-    reads come from data.split_cache, built by the sample's first fit and
-    only read after that; they are the arrays each fit used to rebuild,
-    so the trees are the same bit for bit.
+    Split search runs on column blocks: the stable column order in
+    data.split_cache is the root's block, and a split filters its node's
+    block with the winning row mask, which keeps each column sorted
+    without sorting again (see _best_split). Children of the last split in
+    the budget are not searched, so a tree costs at most 2 * n_splits - 1
+    searches. The transposed features, tie positions and index vectors
+    every search reads come from the same cache, built by the sample's
+    first fit and only read after that; they are the arrays each fit used
+    to rebuild, so the trees are the same bit for bit.
 
     n_splits must be an integer >= 1 (an integral float is used as an int).
     """
@@ -275,7 +275,7 @@ def fit_tree(data: Dataset, residual, n_splits: int) -> RegressionTree:
         if cand is not None:
             heapq.heappush(frontier, (-cand[0], next(created), node, rows, block, cand))
 
-    push(0, cache.rows, data.column_order)
+    push(0, cache.rows, cache.order)
     while frontier:
         _, _, node, rows, block, (_, feat, threshold, go_left) = heapq.heappop(frontier)
         left_rows = rows[go_left]
@@ -330,14 +330,14 @@ class _TreeFitter:
     def __init__(self, data: Dataset, n_splits: int):
         self._data = data
         self._n_splits = n_splits
-        # Tree norms scale with the targets, so below rms(y) = 1 the floor does too.
-        self._floor = DEGENERATE_NORM * min(1.0, empirical_norm(data.targets))
+        # Tree norms scale with the targets, so the floor does too.
+        self._floor = DEGENERATE_NORM * empirical_norm(data.targets)
 
     def fit_step(self, residual):
         """Fit one unit-norm tree to the residual; None when degenerate.
 
         A tree is degenerate when its empirical norm is at most
-        DEGENERATE_NORM * min(1, rms(y)) of the bound sample's targets.
+        DEGENERATE_NORM * rms(y) of the bound sample's targets.
         """
         tree = fit_tree(self._data, residual, self._n_splits)
         pred = tree.predict(self._data.features)

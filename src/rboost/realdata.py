@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .bench import rmse
-from .core import Dataset, Ensemble, TrainConfig, check_clip_bound
+from .core import ALGORITHMS, Dataset, Ensemble, TrainConfig, check_clip_bound
 from .boosters import train
 from .learners import TreeLearnerSpec
 from .selection import adaptive_select, select_k_by_validation, split_learn_validate, u_grid
@@ -39,14 +39,13 @@ class RealDataReport:
 def realdata_experiment(
     data: Optional[Dataset] = None,
     pre_split: Optional[Tuple[Dataset, Dataset]] = None,
-    algorithms: Sequence[str] = ("boosting", "rboosting", "ddrboosting"),
     k_max: int = 500,
     grid: Optional[Sequence[int]] = None,
     n_splits: int = 1,
     seed: int = 0,
     clip_bound: Optional[float] = None,
 ) -> RealDataReport:
-    """Compare the training loops on one tabular dataset.
+    """Compare the three training loops on one tabular dataset.
 
     Pass either data (shuffled and halved here) or pre_split=(train, test)
     for datasets that come already divided. Weak learners default to
@@ -67,14 +66,14 @@ def realdata_experiment(
     base = TrainConfig(algorithm="boosting", max_iterations=k_max, learner_spec=TreeLearnerSpec(n_splits))
 
     methods = {}
-    for algo in algorithms:
+    for algo in ALGORITHMS:
         cfg = replace(base, algorithm=algo)
         if algo == "rboosting":
-            sel = adaptive_select(learn, validate, grid, k_max, cfg)
+            sel = adaptive_select(learn, validate, grid, cfg)
             cfg, k = replace(cfg, u=sel.chosen_u), sel.chosen_k
             selected = {"u": sel.chosen_u, "k": k}
         else:
-            k, _ = select_k_by_validation(learn, validate, cfg, k_max)
+            k, _ = select_k_by_validation(learn, validate, cfg)
             selected = {"k": k}
         model = train(train_ds, replace(cfg, max_iterations=k))[0] if k else Ensemble()
         pred = model.predict(test_ds.features, clip_bound=clip_bound)

@@ -2,12 +2,14 @@
 
 A selector takes a learning sample and any holdout: the validation half
 of split_learn_validate, or the benchmark's noiseless test set for its
-oracle rows. select_k_by_validation trains one configuration on the
-learning sample and keeps the truncation with the lowest holdout risk,
-of the clipped predictions given a clip bound; adaptive_select runs it
-once per candidate u of the re-scaled booster and keeps the best (u, k).
-Selectors return choices, not models: the caller trains its final model
-once, with the chosen settings, on whatever sample it holds.
+oracle rows. Both read the budget from config.max_iterations.
+select_k_by_validation trains one configuration on the learning sample,
+scores all its truncations in one staged pass over the holdout and keeps
+the one with the lowest risk, of the clipped predictions given a clip
+bound; adaptive_select runs it once per candidate u of the re-scaled
+booster and keeps the best (u, k). Selectors return choices, not models:
+the caller trains its final model once, with the chosen settings, on
+whatever sample it holds.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .boosters import train
-from .core import Dataset, Ensemble, TrainConfig, check_clip_bound, clip
+from .core import Dataset, TrainConfig, check_clip_bound, clip
 
 
 def u_grid(count: int, lo: float = 1.0, hi: float = 1e6) -> list:
@@ -73,64 +75,47 @@ class SelectionResult:
     per_u_curve: tuple
 
 
-def _staged_mse(model: Ensemble, data: Dataset, clip_bound: Optional[float] = None) -> np.ndarray:
-    """Risk of every truncation on data: entry k-1 is the MSE of f_k, clipped when a bound is given."""
-    preds = model.staged_predict(data.features)
+def select_k_by_validation(
+    learn: Dataset, validate: Dataset, config: TrainConfig, *, clip_bound: Optional[float] = None
+):
+    """(k, MSE) of the truncation of config, trained on learn, with the lowest MSE on validate.
+
+    One staged_predict pass scores every truncation, on the clipped
+    predictions when clip_bound is set; ties take the smallest k. An empty
+    model is the zero predictor: k = 0, scored on mean(y^2) of validate.
+    """
+    check_clip_bound(clip_bound)
+    model, _ = train(learn, config)
+    y = validate.targets
+    if len(model) == 0:
+        return 0, float(np.mean(y * y))
+    preds = model.staged_predict(validate.features)
     if clip_bound is not None:
         preds = clip(preds, clip_bound)
-    err = preds - data.targets
-    return np.mean(err * err, axis=1)
-
-
-def _best_truncation(model: Ensemble, holdout: Dataset, clip_bound: Optional[float] = None):
-    """(k, MSE) of the truncation with the lowest MSE on holdout; ties take the smallest k.
-
-    With clip_bound set, the MSE is that of the clipped predictions. An
-    empty model is the zero predictor: k = 0, scored on mean(y^2).
-    """
-    if len(model) == 0:
-        y = holdout.targets
-        return 0, float(np.mean(y * y))
-    curve = _staged_mse(model, holdout, clip_bound)
+    err = preds - y
+    curve = np.mean(err * err, axis=1)
     k = int(np.argmin(curve)) + 1
     return k, float(curve[k - 1])
 
 
-def select_k_by_validation(
-    learn: Dataset, validate: Dataset, config: TrainConfig, k_max: int, clip_bound: Optional[float] = None
-):
-    """(k, holdout risk) of config trained on learn for k_max rounds.
-
-    k is the truncation with the lowest MSE on validate (see
-    _best_truncation); an empty model gives (0, mean(y^2)) of validate.
-    Only config's iteration budget is overridden.
-    """
-    check_clip_bound(clip_bound)
-    model, _ = train(learn, replace(config, max_iterations=k_max))
-    return _best_truncation(model, validate, clip_bound)
-
-
 def adaptive_select(
-    learn: Dataset, validate: Dataset, grid: Sequence[int], k_max: int, config: TrainConfig,
+    learn: Dataset, validate: Dataset, grid: Sequence[int], config: TrainConfig, *,
     clip_bound: Optional[float] = None,
 ) -> SelectionResult:
     """Pick (u, k) of the re-scaled booster by holdout risk over the grid.
 
-    config supplies the learner spec; each grid value runs
+    config supplies the learner spec and the budget; each grid value runs
     select_k_by_validation with algorithm "rboosting", that u and
-    clip_bound. Ties break toward smaller u, then smaller k; k = 0 means
-    the empty model won.
+    clip_bound, so a bad bound fails before the first fit. Ties break
+    toward smaller u, then smaller k; k = 0 means the empty model won.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("u grid is empty")
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    check_clip_bound(clip_bound)
     curve = []
     for u in grid:
         u_config = replace(config, algorithm="rboosting", u=u)  # TrainConfig rejects a u that is not an integer
-        k, risk = select_k_by_validation(learn, validate, u_config, k_max, clip_bound)
+        k, risk = select_k_by_validation(learn, validate, u_config, clip_bound=clip_bound)
         curve.append((int(u), k, risk))
     risk, u, k = min((risk, u, k) for u, k, risk in curve)
     return SelectionResult(u, k, risk, tuple(curve))

@@ -225,11 +225,11 @@ class TestRunComparison:
         curves = []
         for t in range(2):
             train_ds, test_ds = sample_dataset(spec, t)
-            oracle = adaptive_select(train_ds, test_ds, grid, k_max, config, clip_bound)
+            oracle = adaptive_select(train_ds, test_ds, grid, config, clip_bound=clip_bound)
             assert report.algorithms["rboosting"].rmse_per_trial[t] == np.sqrt(oracle.validation_risk)
             assert report.algorithms["rboosting"].selected[t] == {"u": oracle.chosen_u, "k": oracle.chosen_k}
             boost_config = TrainConfig("boosting", k_max, TreeLearnerSpec(2))
-            k, risk = select_k_by_validation(train_ds, test_ds, boost_config, k_max, clip_bound)
+            k, risk = select_k_by_validation(train_ds, test_ds, boost_config, clip_bound=clip_bound)
             assert report.algorithms["boosting"].rmse_per_trial[t] == np.sqrt(risk)
             assert report.algorithms["boosting"].selected[t] == {"k": k}
             curves.append([np.sqrt(r) for _, _, r in oracle.per_u_curve])
@@ -281,7 +281,7 @@ class TestRunAdaptiveEval:
         for t in range(2):
             train_ds, test = sample_dataset(spec, t)
             cfg = TrainConfig("rboosting", 8, TreeLearnerSpec(1), u=5)
-            _, expected = select_k_by_validation(train_ds, test, cfg, 8)
+            _, expected = select_k_by_validation(train_ds, test, cfg)
             assert adaptive.rmse_per_trial[t] == np.sqrt(expected)
             assert adaptive.selected[t]["u"] == 5
 

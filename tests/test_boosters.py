@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rboost import (
@@ -386,40 +386,33 @@ def test_training_risk_never_increases(seed, m, d, n_splits, k_max, algorithm, d
     k_max=st.integers(1, 15),
     algorithm=st.sampled_from(["boosting", "rboosting", "ddrboosting"]),
     decimals=st.sampled_from([None, 0, 1]),
-    exponents=st.tuples(st.integers(1, 40), st.integers(1, 40)),
-    below_one=st.booleans(),
+    exponents=st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
 )
+@example(seed=0, m=5, d=1, n_splits=2, k_max=2, algorithm="boosting", decimals=0, exponents=(1, 13))
 def test_power_of_two_target_scaling_scales_the_model_exactly(
-    seed, m, d, n_splits, k_max, algorithm, decimals, exponents, below_one
+    seed, m, d, n_splits, k_max, algorithm, decimals, exponents
 ):
-    # Scaling by 2**k is exact and every tolerance below rms(y) = 1 is
-    # relative, so both runs take the same decisions on values 2**k apart.
-    # The exponents keep rms(y) within 2**-40 .. 2**40: all values normal.
-    # At rms(y) >= 1 the degenerate floor is the absolute DEGENERATE_NORM,
-    # which keeps every decision on such targets as it was: a round-off
-    # tree (a residual already fit exactly) can fall below it at one scale
-    # and not at the other. So there the runs may part only by one of them
-    # stopping on "degenerate_learner", and every stage they share must
-    # still scale exactly.
+    # Scaling by 2**k is exact and every tolerance is relative to rms(y),
+    # so both runs take the same decisions on values 2**k apart, also when
+    # the two scales lie on opposite sides of rms(y) = 1. The exponents keep
+    # rms(y) within 2**-41 .. 2**40: all values normal. The example is a
+    # round-off tree that an absolute floor rejected at 2**1 and took as a
+    # stage at 2**13.
     rng = np.random.default_rng(seed)
     X = rng.uniform(-2, 2, (m, d))
     if decimals is not None:
         X = np.round(X, decimals)
     y = np.sin(2 * X[:, 0]) + 0.3 * rng.standard_normal(m)
     y = np.ldexp(y, -np.frexp(np.sqrt(np.mean(y * y)))[1])  # rms(y) in [0.5, 1)
-    a, b = (-e for e in exponents) if below_one else exponents  # rms(2**a * y) < 1, or >= 1, for both
+    a, b = exponents
     k = b - a
     config = TrainConfig(algorithm, k_max, TreeLearnerSpec(n_splits), u=3)
     model_a, trace_a = train(Dataset(X, np.ldexp(y, a)), config)
     model_b, trace_b = train(Dataset(X, np.ldexp(y, b)), config)
-    shared = min(len(model_a), len(model_b))
-    if below_one or len(model_a) == len(model_b):
-        assert len(model_b) == len(model_a)
-        assert trace_b.stop_reason == trace_a.stop_reason
-        assert model_b.predict(X).tobytes() == np.ldexp(model_a.predict(X), k).tobytes()
-    else:
-        assert (trace_a if len(model_a) < len(model_b) else trace_b).stop_reason == "degenerate_learner"
-    assert trace_b.alpha[:shared].tobytes() == trace_a.alpha[:shared].tobytes()
-    assert trace_b.beta[:shared].tobytes() == np.ldexp(trace_a.beta[:shared], k).tobytes()
+    assert len(model_b) == len(model_a)
+    assert trace_b.stop_reason == trace_a.stop_reason
+    assert model_b.predict(X).tobytes() == np.ldexp(model_a.predict(X), k).tobytes()
+    assert trace_b.alpha.tobytes() == trace_a.alpha.tobytes()
+    assert trace_b.beta.tobytes() == np.ldexp(trace_a.beta, k).tobytes()
     for stage_a, stage_b in zip(model_a.stages, model_b.stages):
         assert stage_b.learner.base.value.tobytes() == np.ldexp(stage_a.learner.base.value, k).tobytes()

@@ -96,7 +96,7 @@ class TestAdaptiveSelect:
         y = np.sign(X[:, 0]) + 0.2 * rng.standard_normal(60)
         data = Dataset(X, y)
         learn, validate = split_learn_validate(data)
-        result = adaptive_select(learn, validate, [7], 15, toy_config(15))
+        result = adaptive_select(learn, validate, [7], toy_config(15))
         assert result.chosen_u == 7
         assert len(result.per_u_curve) == 1
         # chosen_k is the argmin over truncations of the validation risk
@@ -112,7 +112,7 @@ class TestAdaptiveSelect:
         x = np.linspace(-1, 1, 16)
         y = np.where(x > 0, 1.0, -1.0)
         data = Dataset(np.concatenate([x, x]).reshape(-1, 1), np.concatenate([y, y]))
-        result = adaptive_select(*split_learn_validate(data), [1000000], 6, toy_config(6))
+        result = adaptive_select(*split_learn_validate(data), [1000000], toy_config(6))
         assert result.validation_risk == pytest.approx(0.0, abs=1e-20)
         assert result.chosen_k == 1  # a single stump already fits the step
 
@@ -122,7 +122,7 @@ class TestAdaptiveSelect:
         y = X[:, 0] ** 2 + 0.3 * rng.standard_normal(80)
         data = Dataset(X, y)
         grid = [1, 10, 1000]
-        result = adaptive_select(*split_learn_validate(data, shuffle_seed=3), grid, 12, toy_config(12))
+        result = adaptive_select(*split_learn_validate(data, shuffle_seed=3), grid, toy_config(12))
         assert [u for u, _, _ in result.per_u_curve] == grid
         assert result.validation_risk == min(r for _, _, r in result.per_u_curve)
         assert (result.chosen_u, result.chosen_k, result.validation_risk) in [
@@ -135,7 +135,7 @@ class TestAdaptiveSelect:
         y = X[:, 0] + 0.1 * rng.standard_normal(40)
         data = Dataset(X, y)
         learn, validate = split_learn_validate(data)
-        result = adaptive_select(learn, validate, [5], 8, toy_config(8))
+        result = adaptive_select(learn, validate, [5], toy_config(8))
         chosen = TrainConfig("rboosting", result.chosen_k, TreeLearnerSpec(1), u=result.chosen_u)
         retrained, _ = train(data, chosen)
         half_only, _ = train(learn, chosen)
@@ -154,13 +154,13 @@ class TestAdaptiveSelect:
         real = selection.select_k_by_validation
         configs = []
         monkeypatch.setattr(
-            selection, "select_k_by_validation", lambda *a: configs.append(a[2]) or real(*a)
+            selection, "select_k_by_validation", lambda *a, **kw: configs.append(a[2]) or real(*a, **kw)
         )
         grid = [1, 4, 40]
-        result = adaptive_select(learn, validate, grid, 5, TrainConfig("boosting", 2, TreeLearnerSpec(1)))
+        result = adaptive_select(learn, validate, grid, TrainConfig("boosting", 5, TreeLearnerSpec(1)))
         assert [(c.algorithm, c.u) for c in configs] == [("rboosting", u) for u in grid]
         assert list(result.per_u_curve) == [
-            (u, *real(learn, validate, TrainConfig("rboosting", 5, TreeLearnerSpec(1), u=u), 5)) for u in grid
+            (u, *real(learn, validate, TrainConfig("rboosting", 5, TreeLearnerSpec(1), u=u))) for u in grid
         ]
 
     def test_hands_the_clip_bound_to_every_fit(self, monkeypatch):
@@ -171,11 +171,14 @@ class TestAdaptiveSelect:
         learn, validate = split_learn_validate(Dataset(X, 2 * np.sin(X[:, 0])))
         real = selection.select_k_by_validation
         bounds = []
-        monkeypatch.setattr(selection, "select_k_by_validation", lambda *a: bounds.append(a[4]) or real(*a))
-        result = adaptive_select(learn, validate, [1, 40], 5, toy_config(5), clip_bound=0.5)
+        monkeypatch.setattr(
+            selection, "select_k_by_validation", lambda *a, **kw: bounds.append(kw["clip_bound"]) or real(*a, **kw)
+        )
+        result = adaptive_select(learn, validate, [1, 40], toy_config(5), clip_bound=0.5)
         assert bounds == [0.5, 0.5]
         assert list(result.per_u_curve) == [
-            (u, *real(learn, validate, TrainConfig("rboosting", 5, TreeLearnerSpec(1), u=u), 5, 0.5)) for u in [1, 40]
+            (u, *real(learn, validate, TrainConfig("rboosting", 5, TreeLearnerSpec(1), u=u), clip_bound=0.5))
+            for u in [1, 40]
         ]
 
     def test_rejects_a_bad_bound_before_training(self, monkeypatch):
@@ -185,16 +188,16 @@ class TestAdaptiveSelect:
         data = Dataset([[0.0], [1.0]], [0.0, 1.0])
         for bound in (0.0, float("nan")):
             with pytest.raises(ValueError, match="clip bound"):
-                adaptive_select(*split_learn_validate(data), [1], 5, toy_config(5), clip_bound=bound)
+                adaptive_select(*split_learn_validate(data), [1], toy_config(5), clip_bound=bound)
 
     def test_rejects_non_integer_grid_values(self):
         data = Dataset(np.arange(8.0).reshape(-1, 1), np.arange(8.0))
         with pytest.raises(ValueError, match="u must be a positive integer"):
-            adaptive_select(*split_learn_validate(data), [2.5, 7.9], 3, toy_config(3))
+            adaptive_select(*split_learn_validate(data), [2.5, 7.9], toy_config(3))
 
     def test_integral_grid_values_are_recorded_as_python_ints(self):
         data = Dataset(np.arange(8.0).reshape(-1, 1), np.arange(8.0))
-        result = adaptive_select(*split_learn_validate(data), [np.int64(2), 7.0], 3, toy_config(3))
+        result = adaptive_select(*split_learn_validate(data), [np.int64(2), 7.0], toy_config(3))
         assert [type(u) for u, _, _ in result.per_u_curve] == [int, int]
         assert [u for u, _, _ in result.per_u_curve] == [2, 7]
         assert type(result.chosen_u) is int
@@ -202,7 +205,7 @@ class TestAdaptiveSelect:
     def test_rejects_empty_grid(self):
         data = Dataset([[0.0], [1.0]], [0.0, 1.0])
         with pytest.raises(ValueError):
-            adaptive_select(*split_learn_validate(data), [], 5, toy_config(5))
+            adaptive_select(*split_learn_validate(data), [], toy_config(5))
 
 
 class TestSelectKByHoldout:
@@ -219,7 +222,7 @@ class TestSelectKByHoldout:
         model, _ = train_rboosting(learn, toy_config(12))
         Xh = rng.uniform(-2, 2, (40, 1))
         holdout = Dataset(Xh, np.sin(2 * Xh[:, 0]))
-        k, risk = select_k_by_validation(learn, holdout, toy_config(12), 12)
+        k, risk = select_k_by_validation(learn, holdout, toy_config(12))
         # oracle: evaluate every truncation independently
         rmses = [
             np.sqrt(np.mean((model.truncate(j).predict(Xh) - holdout.targets) ** 2))
@@ -238,7 +241,7 @@ class TestSelectKByHoldout:
         config = TrainConfig("rboosting", 10, TreeLearnerSpec(1), u=10**9)
         model, trace = train_rboosting(data, config)
         assert np.all(np.diff(trace.risk) < 0)
-        k, _ = select_k_by_validation(data, data, config, 10)
+        k, _ = select_k_by_validation(data, data, config)
         assert k == len(model)
 
     def test_risk_minimized_at_first_stage(self):
@@ -248,7 +251,7 @@ class TestSelectKByHoldout:
         model, _ = train_rboosting(learn, toy_config(6))
         Xh = rng.uniform(-2, 2, (30, 1))
         holdout = Dataset(Xh, model.truncate(1).predict(Xh))
-        k, risk = select_k_by_validation(learn, holdout, toy_config(6), 6)
+        k, risk = select_k_by_validation(learn, holdout, toy_config(6))
         assert k == 1
         assert np.sqrt(risk) == pytest.approx(0.0, abs=1e-15)
 
@@ -256,21 +259,21 @@ class TestSelectKByHoldout:
         from rboost.bench import rmse
 
         zeros = Dataset(np.arange(10.0).reshape(-1, 1), np.zeros(10))  # trains no stage
-        assert select_k_by_validation(zeros, Dataset([[0.0]], [0.0]), toy_config(5), 5) == (0, 0.0)
+        assert select_k_by_validation(zeros, Dataset([[0.0]], [0.0]), toy_config(5)) == (0, 0.0)
         holdout = Dataset(np.zeros((3, 1)), [1.0, -2.0, 0.5])
-        k, risk = select_k_by_validation(zeros, holdout, toy_config(5), 5, clip_bound=0.25)
+        k, risk = select_k_by_validation(zeros, holdout, toy_config(5), clip_bound=0.25)
         assert k == 0
         assert np.sqrt(risk) == rmse(np.zeros(3), holdout.targets)  # same bits as scoring the zero predictor
 
     def test_rejects_a_nan_bound(self):
         learn = self._learn(np.random.default_rng(60))
         with pytest.raises(ValueError, match="clip bound"):
-            select_k_by_validation(learn, Dataset([[0.0], [1.0]], [0.0, 1.0]), toy_config(3), 3, float("nan"))
+            select_k_by_validation(learn, Dataset([[0.0], [1.0]], [0.0, 1.0]), toy_config(3), clip_bound=float("nan"))
 
     def test_rejects_a_bad_bound_for_an_empty_model(self):
         zeros = Dataset(np.arange(10.0).reshape(-1, 1), np.zeros(10))
         with pytest.raises(ValueError, match="clip bound"):
-            select_k_by_validation(zeros, Dataset([[0.0]], [1.0]), toy_config(3), 3, 0.0)
+            select_k_by_validation(zeros, Dataset([[0.0]], [1.0]), toy_config(3), clip_bound=0.0)
 
     def test_clipped_risk_scores_the_clipped_predictions(self):
         rng = np.random.default_rng(61)
@@ -278,7 +281,7 @@ class TestSelectKByHoldout:
         model, _ = train_rboosting(learn, toy_config(8))
         Xh = rng.uniform(-2, 2, (30, 1))
         holdout = Dataset(Xh, np.sin(2 * Xh[:, 0]))
-        k, risk = select_k_by_validation(learn, holdout, toy_config(8), 8, clip_bound=0.5)
+        k, risk = select_k_by_validation(learn, holdout, toy_config(8), clip_bound=0.5)
         risks = [np.mean((model.truncate(j).predict(Xh, clip_bound=0.5) - holdout.targets) ** 2) for j in range(1, 9)]
         assert k == int(np.argmin(risks)) + 1
         assert risk == pytest.approx(min(risks), rel=1e-12)
@@ -291,13 +294,13 @@ class TestEmptyModelRule:
         data = Dataset(np.arange(10.0).reshape(-1, 1), np.zeros(10))
         for algorithm in ("boosting", "ddrboosting"):
             cfg = TrainConfig(algorithm, 5, TreeLearnerSpec(1))
-            assert select_k_by_validation(*split_learn_validate(data, shuffle_seed=1), cfg, 5) == (0, 0.0)
+            assert select_k_by_validation(*split_learn_validate(data, shuffle_seed=1), cfg) == (0, 0.0)
 
     def test_adaptive_select_keeps_the_empty_model(self):
         rng = np.random.default_rng(58)
         X = rng.uniform(-2, 2, (20, 1))
         y = np.concatenate([np.zeros(10), rng.standard_normal(10)])  # the learning half is all zeros
-        result = adaptive_select(*split_learn_validate(Dataset(X, y)), [1, 10], 6, toy_config(6))
+        result = adaptive_select(*split_learn_validate(Dataset(X, y)), [1, 10], toy_config(6))
         assert (result.chosen_k, result.validation_risk) == (0, float(np.mean(y[10:] ** 2)))
         assert [k for _, k, _ in result.per_u_curve] == [0, 0]
 
@@ -305,11 +308,11 @@ class TestEmptyModelRule:
 class TestStagedMse:
     def test_one_staged_pass_and_the_same_bits_as_the_explicit_curve(self, monkeypatch):
         from rboost.core import Ensemble, clip
-        from rboost.selection import _staged_mse
 
         rng = np.random.default_rng(57)
         X = rng.uniform(-2, 2, (40, 1))
-        model, _ = train_rboosting(Dataset(X, np.sin(2 * X[:, 0])), toy_config(9))
+        learn = Dataset(X, np.sin(2 * X[:, 0]))
+        model, _ = train_rboosting(learn, toy_config(9))
         Xh = rng.uniform(-2, 2, (30, 1))
         holdout = Dataset(Xh, 1.5 * np.sin(2 * Xh[:, 0]))
         calls = []
@@ -320,6 +323,34 @@ class TestStagedMse:
             if bound is not None:
                 preds = clip(preds, bound)
             err = preds - holdout.targets
-            assert _staged_mse(model, holdout, bound).tobytes() == np.mean(err * err, axis=1).tobytes()
+            curve = np.mean(err * err, axis=1)
+            k, risk = select_k_by_validation(learn, holdout, toy_config(9), clip_bound=bound)
+            assert k == int(np.argmin(curve)) + 1
+            assert np.float64(risk).tobytes() == curve[k - 1].tobytes()
         assert len(calls) == 2
-        assert _staged_mse(model.truncate(0), holdout).shape == (0,)
+        # an empty model is scored on mean(y^2) without a staged pass
+        zeros = Dataset(X, np.zeros(40))
+        y = holdout.targets
+        assert select_k_by_validation(zeros, holdout, toy_config(9)) == (0, float(np.mean(y * y)))
+        assert len(calls) == 2
+
+
+class TestSelectorSignatures:
+    """Both selectors take their budget from the config; the clip bound is keyword-only."""
+
+    def test_a_stale_positional_budget_raises(self):
+        rng = np.random.default_rng(63)
+        X = rng.uniform(-2, 2, (20, 1))
+        learn, validate = split_learn_validate(Dataset(X, np.sin(X[:, 0])))
+        with pytest.raises(TypeError):
+            select_k_by_validation(learn, validate, toy_config(12), 12)
+        with pytest.raises(TypeError):
+            adaptive_select(learn, validate, [1], 12, toy_config(12))
+
+    def test_a_positional_clip_bound_raises(self):
+        data = Dataset(np.arange(8.0).reshape(-1, 1), np.arange(8.0))
+        learn, validate = split_learn_validate(data)
+        with pytest.raises(TypeError):
+            select_k_by_validation(learn, validate, toy_config(3), 0.5)
+        with pytest.raises(TypeError):
+            adaptive_select(learn, validate, [1], toy_config(3), 0.5)

@@ -196,7 +196,7 @@ def test_fits_sharing_one_dataset_grow_the_oracle_trees(case):
     rows = np.arange(data.m)
     for r, n_splits in fits:
         with np.errstate(over="ignore", invalid="ignore"):  # gains overflow at the largest scales
-            got = learners._best_split(cache, r, cache.rows, data.column_order)
+            got = learners._best_split(cache, r, cache.rows, cache.order)
             want = _oracle_best_split(X, r, rows)
             tree = fit_tree(data, r, n_splits)
             want_tree = _oracle_fit_tree(data, r, n_splits)
@@ -239,25 +239,27 @@ def test_split_searches_per_tree(monkeypatch, n_splits):
 
 
 class TestColumnOrder:
+    """SplitCache.order: each column's row ids in stable ascending order, the root's block."""
+
     def test_stable_read_only_and_cached(self):
         X = np.array([[2.0, 1.0], [1.0, 1.0], [2.0, 0.0], [0.0, 1.0]])
         data = Dataset(X, np.zeros(4))
-        order = data.column_order
+        order = data.split_cache.order
         assert order.shape == (2, 4)
         assert order.tolist() == [[3, 1, 0, 2], [2, 0, 1, 3]]
         assert not order.flags.writeable
         with pytest.raises(ValueError):
             order[0, 0] = 1
-        assert data.column_order is order
+        assert data.split_cache.order is order
 
     def test_subset_gets_its_own(self):
         X = np.array([[2.0, 1.0], [1.0, 1.0], [2.0, 0.0], [0.0, 1.0]])
         data = Dataset(X, np.zeros(4))
-        parent = data.column_order
+        parent = data.split_cache.order
         sub = data.subset([2, 0, 3])
-        assert sub.column_order is not parent
-        assert sub.column_order.tolist() == np.argsort(X[[2, 0, 3]], axis=0, kind="stable").T.tolist()
-        assert data.column_order is parent
+        assert sub.split_cache.order is not parent
+        assert sub.split_cache.order.tolist() == np.argsort(X[[2, 0, 3]], axis=0, kind="stable").T.tolist()
+        assert data.split_cache.order is parent
 
 
 class TestSplitCache:
@@ -266,6 +268,7 @@ class TestSplitCache:
     def test_contents(self):
         cache = Dataset(self.X, np.zeros(4)).split_cache
         assert cache.xt.tolist() == self.X.T.tolist() and cache.xt.flags.c_contiguous
+        assert cache.order.tolist() == [[3, 1, 0, 2], [2, 0, 1, 3], [1, 0, 2, 3]] and cache.order.flags.c_contiguous
         assert cache.tied.tolist() == [0, 1]  # column 2 has no repeated value
         # sorted column 0 is 0, 1, 2, 2 (tie at boundary 2); column 1 is 0, 1, 1, 1 (boundaries 1 and 2)
         assert cache.root_ties.tolist() == [0 * 3 + 2, 1 * 3 + 1, 1 * 3 + 2]
@@ -299,7 +302,7 @@ class TestSplitCache:
         data = Dataset(X, y)
 
         def snapshot():
-            return [a.tobytes() for a in (data.features, data.targets, data.column_order, *data.split_cache)]
+            return [a.tobytes() for a in (data.features, data.targets, *data.split_cache)]
 
         before = snapshot()
         for n_splits in (1, 3, 8):
