@@ -7,8 +7,11 @@ takes on the order of ten minutes. They carry the `slow` marker, so
 `pytest -m "not slow"` skips them for a fast inner loop.
 """
 
+import hashlib
+import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,12 +35,33 @@ from rboost.cli import main as cli_main
 
 WORKERS = min(2, os.cpu_count() or 1)
 FULL_GRID = "20:1:1e6"
+GOLDEN_PATH = Path(__file__).with_name("golden.json")  # written by tools/make_golden.py
 
 
 def _grid20():
     from rboost import u_grid
 
     return u_grid(20, 1, 1e6)
+
+
+def golden(criterion):
+    """The stored output of one criterion: a report digest (C3-C7) or C8's files by case."""
+    return json.loads(GOLDEN_PATH.read_text())[criterion]
+
+
+def report_digest(report) -> str:
+    """sha256 over the repr of every per-trial RMSE, selection and u-curve point.
+
+    Methods are taken in the order they ran, and only their values are
+    hashed, not their names.
+    """
+    h = hashlib.sha256()
+    for result in report.algorithms.values():
+        for value in (*result.rmse_per_trial, *result.selected):
+            h.update(repr(value).encode() + b"\n")
+    for p in report.curve or ():
+        h.update(repr((p.u, p.mean_rmse, p.std_rmse)).encode() + b"\n")
+    return h.hexdigest()
 
 
 def _report(criterion, detail, t0):
@@ -165,11 +189,9 @@ def test_c2_stump_oracle_equivalence():
     _report("C2", "fit_tree(J=1) == exhaustive stump search on 100 random datasets", t0)
 
 
-@pytest.mark.slow
-def test_c3_table1_spot_check_m3():
-    t0 = time.perf_counter()
-    spec = SyntheticSpec(target_id=3, noise_sigma=0.0, trials=20, seed_base=0)
-    report = run_comparison(
+def _table_spot_check(target_id):
+    spec = SyntheticSpec(target_id=target_id, noise_sigma=0.0, trials=20, seed_base=0)
+    return run_comparison(
         spec,
         algorithms=("boosting", "rboosting"),
         k_max=200,
@@ -177,61 +199,75 @@ def test_c3_table1_spot_check_m3():
         learner_spec=TreeLearnerSpec(4),
         workers=WORKERS,
     )
+
+
+def c6_report():
+    spec = SyntheticSpec(target_id=4, noise_sigma=0.5, trials=10, seed_base=0)
+    return run_comparison(
+        spec, ("rboosting",), k_max=150, grid=_grid20(), learner_spec=TreeLearnerSpec(4), workers=WORKERS
+    )
+
+
+def c7_report():
+    spec = SyntheticSpec(target_id=4, noise_sigma=0.5, trials=20, seed_base=0)
+    return run_adaptive_eval(spec, grid=_grid20(), k_max=200, learner_spec=TreeLearnerSpec(4), workers=WORKERS)
+
+
+# The reports whose digests golden.json pins, by criterion.
+REPORTS = {
+    "C3": lambda: _table_spot_check(3),
+    "C4": lambda: _table_spot_check(7),
+    "C5": lambda: _table_spot_check(4),
+    "C6": c6_report,
+    "C7": c7_report,
+}
+
+
+@pytest.mark.slow
+def test_c3_table1_spot_check_m3():
+    t0 = time.perf_counter()
+    report = REPORTS["C3"]()
     rb = report.algorithms["rboosting"].rmse_mean
     bo = report.algorithms["boosting"].rmse_mean
     assert 0.005 <= rb <= 0.06, f"rboosting mean {rb:.4f} outside [0.005, 0.06]"
     assert rb <= bo, f"rboosting mean {rb:.4f} > boosting mean {bo:.4f}"
+    assert report_digest(report) == golden("C3")
     _report("C3", f"m3/sigma=0: rboosting {rb:.4f} in [0.005, 0.06], boosting {bo:.4f}", t0)
 
 
 @pytest.mark.slow
 def test_c4_table3_spot_check_m7():
     t0 = time.perf_counter()
-    spec = SyntheticSpec(target_id=7, noise_sigma=0.0, trials=20, seed_base=0)
-    report = run_comparison(
-        spec,
-        algorithms=("boosting", "rboosting"),
-        k_max=200,
-        grid=_grid20(),
-        learner_spec=TreeLearnerSpec(4),
-        workers=WORKERS,
-    )
+    report = REPORTS["C4"]()
     rb = report.algorithms["rboosting"].rmse_mean
     bo = report.algorithms["boosting"].rmse_mean
     ratio = rb / bo
     assert ratio <= 0.70, f"ratio {ratio:.3f} > 0.70 (rboost {rb:.4f}, boost {bo:.4f})"
+    assert report_digest(report) == golden("C4")
     _report("C4", f"m7/sigma=0: rboost/boost = {rb:.4f}/{bo:.4f} = {ratio:.3f} <= 0.70", t0)
 
 
 @pytest.mark.slow
 def test_c5_table2_spot_check_m4():
     t0 = time.perf_counter()
-    spec = SyntheticSpec(target_id=4, noise_sigma=0.0, trials=20, seed_base=0)
-    report = run_comparison(
-        spec,
-        algorithms=("boosting", "rboosting"),
-        k_max=200,
-        grid=_grid20(),
-        learner_spec=TreeLearnerSpec(4),
-        workers=WORKERS,
-    )
+    report = REPORTS["C5"]()
     rb = report.algorithms["rboosting"].rmse_mean
     bo = report.algorithms["boosting"].rmse_mean
     ratio = rb / bo
     assert ratio <= 0.60, f"ratio {ratio:.3f} > 0.60 (rboost {rb:.4f}, boost {bo:.4f})"
+    assert report_digest(report) == golden("C5")
     _report("C5", f"m4/sigma=0: rboost/boost = {rb:.4f}/{bo:.4f} = {ratio:.3f} <= 0.60", t0)
 
 
 @pytest.mark.slow
 def test_c6_ucurve_interior_minimum():
     t0 = time.perf_counter()
-    spec = SyntheticSpec(target_id=4, noise_sigma=0.5, trials=10, seed_base=0)
-    curve = run_comparison(
-        spec, ("rboosting",), k_max=150, grid=_grid20(), learner_spec=TreeLearnerSpec(4), workers=WORKERS
-    ).curve
+    report = REPORTS["C6"]()
+    curve = report.curve
     interior = min(p.mean_rmse for p in curve[:-1])
     endpoint = curve[-1].mean_rmse
     assert interior <= 0.95 * endpoint, f"interior {interior:.4f} not 5% below endpoint {endpoint:.4f}"
+    assert report_digest(report) == golden("C6")
     _report(
         "C6",
         f"m4/sigma=0.5 u-curve: interior min {interior:.4f} is {(1 - interior / endpoint) * 100:.0f}% below u=1e6 endpoint {endpoint:.4f}",
@@ -242,12 +278,12 @@ def test_c6_ucurve_interior_minimum():
 @pytest.mark.slow
 def test_c7_adaptive_selection_fidelity():
     t0 = time.perf_counter()
-    spec = SyntheticSpec(target_id=4, noise_sigma=0.5, trials=20, seed_base=0)
-    report = run_adaptive_eval(spec, grid=_grid20(), k_max=200, learner_spec=TreeLearnerSpec(4), workers=WORKERS)
+    report = REPORTS["C7"]()
     adaptive = report.algorithms["rboosting_adaptive"].rmse_mean
     ideal = report.algorithms["rboosting_ideal"].rmse_mean
     ratio = adaptive / ideal
     assert ratio <= 1.10, f"adaptive {adaptive:.4f} vs ideal {ideal:.4f}: ratio {ratio:.3f} > 1.10"
+    assert report_digest(report) == golden("C7")
     _report(
         "C7",
         f"m4/sigma=0.5: adaptive {adaptive:.4f} <= 1.10 x ideal {ideal:.4f} (ratio {ratio:.3f})",
@@ -255,44 +291,53 @@ def test_c7_adaptive_selection_fidelity():
     )
 
 
+_SIMULATE = [
+    "simulate", "--target", "3", "--sigma", "0.5", "--trials", "3", "--j", "2",
+    "--k-max", "8", "--grid", "3:1:1000", "--seed", "11", "--train-m", "60",
+    "--test-m", "40",
+]
+_ADAPTIVE = [
+    "adaptive", "--target", "3", "--sigma", "0.5", "--trials", "2", "--j", "1",
+    "--k-max", "6", "--grid", "2:1:100", "--seed", "5", "--train-m", "40",
+    "--test-m", "30",
+]
+
+# (name, arguments, files written). Target 3 ranges over [-3, 3], so both
+# --clip bounds cut some predictions and change the scored RMSEs.
+C8_CASES = [
+    ("simulate", _SIMULATE, ["results.csv", "manifest.json"]),
+    (
+        "ucurve",
+        [
+            "ucurve", "--target", "4", "--sigma", "0.5", "--trials", "2", "--j", "1",
+            "--k-max", "6", "--grid", "3:1:100", "--seed", "3", "--train-m", "50",
+            "--test-m", "30",
+        ],
+        ["ucurve.csv", "manifest.json"],
+    ),
+    ("adaptive", _ADAPTIVE, ["adaptive.csv", "manifest.json"]),
+    ("simulate_clip", [*_SIMULATE, "--clip", "2.5"], ["results.csv", "manifest.json"]),
+    ("adaptive_clip", [*_ADAPTIVE, "--clip", "1.5"], ["adaptive.csv", "manifest.json"]),
+]
+
+
+def c8_files(out: Path, args) -> dict:
+    """Run one C8 case into out: its files as text, with the echoed --out path in the manifest replaced."""
+    assert cli_main([*args, "--out", str(out)]) == 0
+    files = {p.name: p.read_bytes().decode() for p in out.iterdir()}
+    files["manifest.json"] = files["manifest.json"].replace(json.dumps(str(out)), json.dumps("<out>"))
+    return files
+
+
 def test_c8_benchmark_commands_are_byte_stable(tmp_path, capsys):
     t0 = time.perf_counter()
-    cases = [
-        (
-            "simulate",
-            [
-                "simulate", "--target", "3", "--sigma", "0.5", "--trials", "3", "--j", "2",
-                "--k-max", "8", "--grid", "3:1:1000", "--seed", "11", "--train-m", "60",
-                "--test-m", "40",
-            ],
-            ["results.csv", "manifest.json"],
-        ),
-        (
-            "ucurve",
-            [
-                "ucurve", "--target", "4", "--sigma", "0.5", "--trials", "2", "--j", "1",
-                "--k-max", "6", "--grid", "3:1:100", "--seed", "3", "--train-m", "50",
-                "--test-m", "30",
-            ],
-            ["ucurve.csv", "manifest.json"],
-        ),
-        (
-            "adaptive",
-            [
-                "adaptive", "--target", "3", "--sigma", "0.5", "--trials", "2", "--j", "1",
-                "--k-max", "6", "--grid", "2:1:100", "--seed", "5", "--train-m", "40",
-                "--test-m", "30",
-            ],
-            ["adaptive.csv", "manifest.json"],
-        ),
-    ]
-    for name, args, expected in cases:
+    stored = golden("C8")
+    for name, args, expected in C8_CASES:
         out = tmp_path / name
-        assert cli_main([*args, "--out", str(out)]) == 0
-        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        first = c8_files(out, args)
         assert set(first) == set(expected)
-        assert cli_main([*args, "--out", str(out)]) == 0
-        second = {p.name: p.read_bytes() for p in out.iterdir()}
+        second = c8_files(out, args)
         assert first == second, f"{name}: rerun changed bytes"
+        assert first == stored[name], f"{name}: files differ from golden.json"
     capsys.readouterr()
-    _report("C8", "simulate/ucurve/adaptive reruns with the same manifest are byte-identical", t0)
+    _report("C8", "simulate/ucurve/adaptive reruns are byte-identical and match golden.json", t0)
