@@ -3,18 +3,20 @@
 
 The adaptive strategy halves the training sample, trains once per
 candidate u on the learning half, scores every truncation on the
-validation half, and keeps the best pair. run_adaptive_eval then retrains
-the chosen u on the full sample and scores it on a noiseless test set next
-to the oracle-selected u, with truncation counts test-selected for both so
-the comparison isolates the cost of choosing u from data.
+validation half, and keeps the best pair. run_comparison's
+"rboosting_adaptive" row then retrains the chosen u on the full sample and
+scores it on a noiseless test set next to the "rboosting" row, whose u is
+the oracle's pick on that test set; truncation counts are test-selected
+for both, so the comparison isolates the cost of choosing u from data.
 """
 
-from rboost import SyntheticSpec, TreeLearnerSpec, run_adaptive_eval, u_grid
+from rboost import SyntheticSpec, TreeLearnerSpec, run_comparison, u_grid
 from rboost.bench import selected_u_stats
 from rboost.io import format_aligned
 
 spec = SyntheticSpec(target_id=4, noise_sigma=0.5, train_m=500, test_m=500, trials=3, seed_base=1)
-report = run_adaptive_eval(spec, grid=u_grid(10, 1, 1e6), k_max=100, learner_spec=TreeLearnerSpec(4))
+methods = ("rboosting_adaptive", "rboosting")
+report = run_comparison(spec, methods, k_max=100, grid=u_grid(10, 1, 1e6), learner_spec=TreeLearnerSpec(4))
 
 rows = []
 for name, summary in report.algorithms.items():

@@ -80,12 +80,6 @@ def target_values(target_id: int, X) -> np.ndarray:
     return _m2_profile(np.sum(X, axis=1))  # target 9
 
 
-def eval_target(target_id: int, x) -> float:
-    """Target value at a single point (scalar for d=1, length-d array otherwise)."""
-    point = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    return float(target_values(target_id, point.reshape(1, -1))[0])
-
-
 def rmse(pred, truth) -> float:
     """Root mean squared error, sqrt of the empirical risk."""
     return float(np.sqrt(empirical_risk(pred, truth)))
@@ -256,25 +250,6 @@ def run_comparison(
             for u, m, s in zip(grid, means, stds)
         )
     return TrialReport(spec=spec, algorithms=summaries, curve=curve)
-
-
-def run_adaptive_eval(
-    spec: SyntheticSpec,
-    grid: Optional[Sequence[int]] = None,
-    k_max: int = 500,
-    learner_spec=None,
-    clip_bound: Optional[float] = None,
-    workers: int = 1,
-) -> TrialReport:
-    """Adaptive u selection ("rboosting_adaptive") against the oracle sweep ("rboosting_ideal").
-
-    The comparison of the two re-scaled methods, with the oracle row
-    renamed; the validation-chosen iteration of the adaptive row is in its
-    selections as "k_valid".
-    """
-    report = run_comparison(spec, ("rboosting_adaptive", "rboosting"), k_max, grid, learner_spec, clip_bound, workers)
-    names = {"rboosting": "rboosting_ideal"}
-    return replace(report, algorithms={names.get(k, k): v for k, v in report.algorithms.items()})
 
 
 def selected_u_stats(result: AlgorithmResult):

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bench import SyntheticSpec, run_adaptive_eval, run_comparison, selected_u_stats
+from .bench import SyntheticSpec, run_comparison, selected_u_stats
 from .core import ALGORITHMS, TrainConfig
 from .boosters import train
 from .io import (
@@ -38,7 +38,7 @@ from .io import (
     save_model,
     write_manifest,
 )
-from .learners import RegressionTree, TreeLearnerSpec
+from .learners import TreeLearnerSpec
 from .realdata import realdata_experiment
 from .selection import u_grid
 
@@ -193,9 +193,11 @@ def _cmd_ucurve(args) -> int:
 
 
 def _cmd_adaptive(args) -> int:
-    report = run_adaptive_eval(_spec_for(args, args.target, args.sigma), **_bench_kwargs(args))
+    spec = _spec_for(args, args.target, args.sigma)
+    report = run_comparison(spec, algorithms=("rboosting_adaptive", "rboosting"), **_bench_kwargs(args))
     rows, table = [], []
-    for name, s in report.algorithms.items():
+    for method, s in report.algorithms.items():
+        name = "rboosting_ideal" if method == "rboosting" else method  # the oracle's u, beside the one from data
         rows += _trial_rows(args.target, args.sigma, name, s)
         u_mean, u_std = selected_u_stats(s)
         table.append([name, f"{s.rmse_mean:.4f}", f"{s.rmse_std:.4f}", f"{u_mean:.1f}", f"{u_std:.1f}"])
@@ -236,11 +238,8 @@ def _cmd_fit(args) -> int:
 
 
 def _model_dimension(model):
-    for st in model.stages:
-        tree = _tree_of(st.learner)
-        if isinstance(tree, RegressionTree):
-            return tree.n_features
-    return None
+    """Feature count of a loaded model's trees; None for a model without stages."""
+    return _tree_of(model.stages[0].learner).n_features if model.stages else None
 
 
 def _cmd_predict(args) -> int:

@@ -46,15 +46,6 @@ def empirical_norm(values) -> float:
     return float(np.sqrt(np.mean(v * v)))
 
 
-def empirical_inner(a, b) -> float:
-    """mean(a_i * b_i); the inner product matching :func:`empirical_norm`."""
-    av = _as_vector(a, "a")
-    bv = _as_vector(b, "b")
-    if av.shape != bv.shape:
-        raise ValueError(f"length mismatch: {av.size} vs {bv.size}")
-    return float(np.mean(av * bv))
-
-
 def empirical_risk(pred, targets) -> float:
     """Mean squared error mean((pred_i - y_i)^2)."""
     pv = _as_vector(pred, "pred")
@@ -208,8 +199,8 @@ class TrainConfig:
     algorithm: one of "boosting", "rboosting", "ddrboosting".
     max_iterations: stage budget; training may stop earlier on a
         degenerate step (zero residual or zero-norm learner).
-    learner_spec: weak-learner factory, e.g. TreeLearnerSpec(n_splits=4)
-        or DictionaryLearnerSpec(atoms).
+    learner_spec: weak-learner factory, e.g. TreeLearnerSpec(n_splits=4):
+        anything whose bind(data) gives a fitter with fit_step(residual).
     u: re-scale factor of the shrinkage schedule alpha_k = 2 / (k + u);
         only read by "rboosting".
 

@@ -1,19 +1,19 @@
-"""Weak learners: CART regression trees, decision stumps and explicit dictionaries.
+"""Weak learners: least-squares CART regression trees, with stumps at one split.
 
 The gradient-projection step of the training loops needs, per iteration, a
 unit-empirical-norm function aligned with the current residual. Trees get
 there by least-squares fitting to the residual followed by normalization
 (for unit-norm g, minimizing ||r - <r,g> g|| is the same as maximizing
 |<r,g>|, so the fit is the tractable stand-in for an argmax over an
-implicit tree dictionary). Explicit dictionaries do the argmax literally.
+implicit tree dictionary).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,10 +33,6 @@ _TINY = float(np.finfo(np.float64).tiny)
 
 # The largest tree whose node ids 0..n-1 fit int8 (and so do their differences).
 _INT8_NODES = 128
-
-
-class DegenerateLearnerError(Exception):
-    """Raised when every atom of a dictionary has ~zero norm on the fitting sample."""
 
 
 def _leaf(value: float) -> list:
@@ -258,12 +254,19 @@ def fit_tree(data: Dataset, residual, n_splits: int) -> RegressionTree:
     first fit and only read after that; they are the arrays each fit used
     to rebuild, so the trees are the same bit for bit.
 
+    The search reads r scaled by a power of two to a largest |r| in
+    [0.5, 1). The scaling is exact and keeps the gains from overflowing or
+    underflowing at extreme scales of r: r and 2^s * r are searched on the
+    same array. Leaf values are means of the unscaled r.
+
     n_splits must be an integer >= 1 (an integral float is used as an int).
     """
     n_splits = positive_int(n_splits, "n_splits")
     r = np.ascontiguousarray(residual, dtype=np.float64)
     if r.shape != (data.m,):
         raise ValueError(f"residual must have length m={data.m}, got shape {r.shape}")
+    peak = float(np.abs(r).max())
+    searched = np.ldexp(r, -math.frexp(peak)[1]) if peak > 0 else r
     cache = data.split_cache
     xt = cache.xt
     nodes = [_leaf(_routed_mean(r))]
@@ -271,7 +274,7 @@ def fit_tree(data: Dataset, residual, n_splits: int) -> RegressionTree:
     created = itertools.count()
 
     def push(node, rows, block):
-        cand = _best_split(cache, r, rows, block)
+        cand = _best_split(cache, searched, rows, block)
         if cand is not None:
             heapq.heappush(frontier, (-cand[0], next(created), node, rows, block, cand))
 
@@ -300,17 +303,6 @@ class NormalizedLearner:
 
     def predict(self, X) -> np.ndarray:
         return self.scale * self.base.predict(X)
-
-
-@dataclass(frozen=True)
-class DictionaryAtom:
-    """A fixed candidate function; fn maps an (n, d) feature matrix to (n,) values."""
-
-    atom_id: int
-    fn: Callable[[np.ndarray], np.ndarray]
-
-    def predict(self, X) -> np.ndarray:
-        return np.asarray(self.fn(as_feature_matrix(X)), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -345,47 +337,3 @@ class _TreeFitter:
         if nrm <= self._floor:
             return None
         return NormalizedLearner(tree, 1.0 / nrm), pred / nrm
-
-
-@dataclass(frozen=True)
-class DictionaryLearnerSpec:
-    """Weak-learner factory: argmax selection from a fixed set of atoms."""
-
-    atoms: tuple
-
-    def __post_init__(self):
-        if not self.atoms:
-            raise ValueError("dictionary is empty")
-
-    def bind(self, data: Dataset) -> "_DictionaryFitter":
-        return _DictionaryFitter(self.atoms, data)
-
-
-class _DictionaryFitter:
-    def __init__(self, atoms: Sequence[DictionaryAtom], data: Dataset):
-        learners = []
-        values = []
-        ids = []
-        for atom in atoms:
-            pred = atom.predict(data.features)
-            nrm = empirical_norm(pred)
-            if nrm <= DEGENERATE_NORM:
-                continue  # zero on this sample; can never carry signal
-            learners.append(NormalizedLearner(atom, 1.0 / nrm))
-            values.append(pred / nrm)
-            ids.append(atom.atom_id)
-        if not learners:
-            raise DegenerateLearnerError("every atom has ~zero norm on the sample")
-        self._learners = learners
-        self._values = np.asarray(values)
-        self._ids = ids
-        self._m = data.m
-
-    def fit_step(self, residual):
-        """Pick the unit-norm atom most aligned with the residual; None if all orthogonal."""
-        r = np.asarray(residual, dtype=np.float64)
-        inners = self._values @ r / self._m
-        best = min(range(len(self._learners)), key=lambda i: (-abs(inners[i]), self._ids[i]))
-        if inners[best] == 0.0:
-            return None
-        return self._learners[best], self._values[best]

@@ -1,77 +1,66 @@
 import numpy as np
 import pytest
 
-from rboost import (
-    DictionaryAtom,
-    DictionaryLearnerSpec,
-    SyntheticSpec,
-    TrainConfig,
-    TreeLearnerSpec,
-    empirical_risk,
-    eval_target,
-    rmse,
-    run_adaptive_eval,
-    run_comparison,
-    sample_dataset,
-    target_values,
-)
-from rboost.bench import selected_u_stats
+from dictionary_learner import DictionaryAtom, DictionaryLearnerSpec
+from rboost import SyntheticSpec, TrainConfig, TreeLearnerSpec, run_comparison
+from rboost.bench import rmse, sample_dataset, selected_u_stats, target_values
+from rboost.core import empirical_risk
 from rboost.selection import adaptive_select, select_k_by_validation
 
 
 class TestEvalTarget:
     def test_one_dimensional_values(self):
-        assert eval_target(1, 0.0) == 6.0
-        assert eval_target(1, -2.0) == 2.0  # clamp branch: max(1, -1)
-        assert eval_target(1, -0.1) == pytest.approx(5.6)
-        assert eval_target(3, 1.0) == pytest.approx(3.0)
-        assert eval_target(3, 0.0) == 0.0
-        assert eval_target(3, -1.0) == pytest.approx(-3.0)
+        assert target_values(1, [[0.0]])[0] == 6.0
+        assert target_values(1, [[-2.0]])[0] == 2.0  # clamp branch: max(1, -1)
+        assert target_values(1, [[-0.1]])[0] == pytest.approx(5.6)
+        assert target_values(3, [[1.0]])[0] == pytest.approx(3.0)
+        assert target_values(3, [[0.0]])[0] == 0.0
+        assert target_values(3, [[-1.0]])[0] == pytest.approx(-3.0)
 
     def test_m2_support_and_values(self):
-        assert eval_target(2, -0.25) == pytest.approx(0.0, abs=1e-14)  # sin(-2*pi)
-        assert eval_target(2, -1 / 16) == pytest.approx(-2.5, rel=1e-12)  # 10*0.25*sin(-pi/2)
-        assert eval_target(2, 0.0) == 0.0  # right boundary excluded
-        assert eval_target(2, 0.1) == 0.0
-        assert eval_target(2, -0.3) == 0.0
+        assert target_values(2, [[-0.25]])[0] == pytest.approx(0.0, abs=1e-14)  # sin(-2*pi)
+        assert target_values(2, [[-1 / 16]])[0] == pytest.approx(-2.5, rel=1e-12)  # 10*0.25*sin(-pi/2)
+        assert target_values(2, [[0.0]])[0] == 0.0  # right boundary excluded
+        assert target_values(2, [[0.1]])[0] == 0.0
+        assert target_values(2, [[-0.3]])[0] == 0.0
 
     def test_two_dimensional_values(self):
-        assert eval_target(4, [0.0, 0.0]) == 0.0
-        assert eval_target(4, [1.0, 1.0]) == 0.0
-        assert eval_target(4, [1.0, 0.0]) == pytest.approx(np.sin(1.0))
-        assert eval_target(5, [0.0, 0.0]) == 4.0
-        assert eval_target(5, [1.0, 1.0]) == pytest.approx(4 / 9)
-        assert eval_target(6, [0.0, 0.0]) == 6.0
-        assert eval_target(6, [1.0, 0.0]) == 0.0  # min saturates at 3
-        assert eval_target(6, [0.0, 0.5]) == 2.0
+        assert target_values(4, [[0.0, 0.0]])[0] == 0.0
+        assert target_values(4, [[1.0, 1.0]])[0] == 0.0
+        assert target_values(4, [[1.0, 0.0]])[0] == pytest.approx(np.sin(1.0))
+        assert target_values(5, [[0.0, 0.0]])[0] == 4.0
+        assert target_values(5, [[1.0, 1.0]])[0] == pytest.approx(4 / 9)
+        assert target_values(6, [[0.0, 0.0]])[0] == 6.0
+        assert target_values(6, [[1.0, 0.0]])[0] == 0.0  # min saturates at 3
+        assert target_values(6, [[0.0, 0.5]])[0] == 2.0
 
     def test_ten_dimensional_values(self):
         e1 = np.zeros(10)
         e1[0] = 1.0
-        assert eval_target(7, e1) == pytest.approx(np.sin(1.0))
+        assert target_values(7, [e1])[0] == pytest.approx(np.sin(1.0))
         e2 = np.zeros(10)
         e2[1] = 1.0
-        assert eval_target(7, e2) == pytest.approx(-np.sin(1.0))  # alternating signs
-        assert eval_target(7, np.full(10, 0.5)) == pytest.approx(0.0, abs=1e-15)
-        assert eval_target(8, np.zeros(10)) == 6.0  # m6(0, 0)
+        assert target_values(7, [e2])[0] == pytest.approx(-np.sin(1.0))  # alternating signs
+        assert target_values(7, [np.full(10, 0.5)])[0] == pytest.approx(0.0, abs=1e-15)
+        assert target_values(8, [np.zeros(10)])[0] == 6.0  # m6(0, 0)
         x = np.zeros(10)
         x[:5] = 0.2
-        assert eval_target(8, x) == pytest.approx(0.0, abs=1e-12)  # m6(1, 0)
+        assert target_values(8, [x])[0] == pytest.approx(0.0, abs=1e-12)  # m6(1, 0)
         x9 = np.zeros(10)
         x9[3] = -1 / 16
-        assert eval_target(9, x9) == pytest.approx(-2.5, rel=1e-12)  # m2 of the sum
+        assert target_values(9, [x9])[0] == pytest.approx(-2.5, rel=1e-12)  # m2 of the sum
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            eval_target(4, [1.0])
+            target_values(4, [[1.0]])
         with pytest.raises(ValueError):
-            eval_target(1, [1.0, 2.0])
+            target_values(1, [[1.0, 2.0]])
         with pytest.raises(ValueError):
             target_values(7, np.zeros((3, 2)))
 
     def test_unknown_target_rejected(self):
         with pytest.raises(ValueError):
-            eval_target(10, 0.0)
+            target_values(10, [[0.0]])
 
     def test_vectorized_matches_pointwise(self):
         rng = np.random.default_rng(61)
@@ -79,7 +68,7 @@ class TestEvalTarget:
             X = rng.uniform(-2, 2, (15, d))
             vec = target_values(tid, X)
             for i in range(15):
-                assert vec[i] == pytest.approx(eval_target(tid, X[i]), rel=1e-14, abs=1e-14)
+                assert vec[i] == pytest.approx(target_values(tid, [X[i]])[0], rel=1e-14, abs=1e-14)
 
 
 class TestRmse:
@@ -273,10 +262,13 @@ class TestRunUcurve:
         assert min(p.mean_rmse for p in curve[:-1]) < curve[-1].mean_rmse
 
 
+ADAPTIVE_VS_ORACLE = ("rboosting_adaptive", "rboosting")
+
+
 class TestRunAdaptiveEval:
     def test_singleton_grid_equals_retrained_rboosting(self):
         spec = SyntheticSpec(target_id=3, noise_sigma=0.5, train_m=60, test_m=40, trials=2)
-        report = run_adaptive_eval(spec, grid=[5], k_max=8, learner_spec=TreeLearnerSpec(1))
+        report = run_comparison(spec, ADAPTIVE_VS_ORACLE, k_max=8, grid=[5], learner_spec=TreeLearnerSpec(1))
         adaptive = report.algorithms["rboosting_adaptive"]
         for t in range(2):
             train_ds, test = sample_dataset(spec, t)
@@ -288,16 +280,16 @@ class TestRunAdaptiveEval:
     def test_ideal_never_worse_than_adaptive_u(self):
         # The oracle sweeps every u including the adaptive choice.
         spec = SyntheticSpec(target_id=4, noise_sigma=0.5, train_m=80, test_m=50, trials=2)
-        report = run_adaptive_eval(spec, grid=[1, 10, 100], k_max=10, learner_spec=TreeLearnerSpec(1))
+        report = run_comparison(spec, ADAPTIVE_VS_ORACLE, k_max=10, grid=[1, 10, 100], learner_spec=TreeLearnerSpec(1))
         for a, i in zip(
             report.algorithms["rboosting_adaptive"].rmse_per_trial,
-            report.algorithms["rboosting_ideal"].rmse_per_trial,
+            report.algorithms["rboosting"].rmse_per_trial,
         ):
             assert i <= a + 1e-12
 
     def test_selected_u_stats(self):
         spec = SyntheticSpec(target_id=3, noise_sigma=0.5, train_m=60, test_m=30, trials=2)
-        report = run_adaptive_eval(spec, grid=[2], k_max=5, learner_spec=TreeLearnerSpec(1))
+        report = run_comparison(spec, ADAPTIVE_VS_ORACLE, k_max=5, grid=[2], learner_spec=TreeLearnerSpec(1))
         mean_u, std_u = selected_u_stats(report.algorithms["rboosting_adaptive"])
         assert mean_u == 2.0
         assert std_u == 0.0

@@ -3,18 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rboost import (
-    Dataset,
-    DictionaryAtom,
-    DictionaryLearnerSpec,
-    TrainConfig,
-    TreeLearnerSpec,
-    empirical_risk,
-    shrinkage_alpha,
-    train,
-    two_dim_linear_search,
-)
-from rboost.boosters import train_boosting, train_ddrboosting, train_rboosting
+from dictionary_learner import DictionaryAtom, DictionaryLearnerSpec
+from rboost import Dataset, TrainConfig, TreeLearnerSpec, train
+from rboost.boosters import shrinkage_alpha, train_boosting, train_ddrboosting, train_rboosting, two_dim_linear_search
+from rboost.core import empirical_risk
 
 
 def random_data(rng, m=120, d=1, noise=0.3):

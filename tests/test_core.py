@@ -1,17 +1,9 @@
 import numpy as np
 import pytest
 
-from rboost import (
-    Dataset,
-    DictionaryAtom,
-    Ensemble,
-    Stage,
-    TrainConfig,
-    clip,
-    empirical_inner,
-    empirical_norm,
-    empirical_risk,
-)
+from dictionary_learner import DictionaryAtom
+from rboost import Dataset, Ensemble, TrainConfig
+from rboost.core import Stage, clip, empirical_norm, empirical_risk
 
 
 def constant_atom(value):
@@ -32,25 +24,6 @@ class TestEmpiricalGeometry:
     def test_norm_rejects_empty(self):
         with pytest.raises(ValueError):
             empirical_norm([])
-
-    def test_inner_orthogonal(self):
-        assert empirical_inner([1, 0], [0, 1]) == 0.0
-
-    def test_inner_constant(self):
-        assert empirical_inner([2, 2], [2, 2]) == 4.0
-
-    def test_inner_is_mean_against_ones(self):
-        assert empirical_inner([1, 2, 3], [1, 1, 1]) == pytest.approx(2.0)
-
-    def test_inner_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            empirical_inner([1, 2], [1, 2, 3])
-
-    def test_inner_matches_norm_squared(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            v = rng.standard_normal(int(rng.integers(1, 40)))
-            assert empirical_inner(v, v) == pytest.approx(empirical_norm(v) ** 2, rel=1e-12)
 
     def test_risk_perfect_fit(self):
         v = np.array([0.3, -1.2, 4.0])

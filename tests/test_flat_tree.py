@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rboost import Dataset, Ensemble, TrainConfig, TreeLearnerSpec, fit_tree, load_model, save_model, train
+from dictionary_learner import DictionaryAtom
+from rboost import Dataset, Ensemble, TrainConfig, TreeLearnerSpec, load_model, save_model, train
 from rboost.core import Stage, as_feature_matrix
-from rboost.learners import DictionaryAtom, NormalizedLearner, RegressionTree
+from rboost.learners import NormalizedLearner, RegressionTree, fit_tree
 
 
 class _Node:

@@ -3,15 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rboost import (
-    Dataset,
-    DegenerateLearnerError,
-    DictionaryAtom,
-    DictionaryLearnerSpec,
-    TreeLearnerSpec,
-    empirical_norm,
-    fit_tree,
-)
+from dictionary_learner import DegenerateLearnerError, DictionaryAtom, DictionaryLearnerSpec
+from rboost import Dataset, TreeLearnerSpec
+from rboost.core import empirical_norm
+from rboost.learners import fit_tree
 
 
 def stump_oracle(X, r):
@@ -118,7 +113,7 @@ class TestFitTree:
         X = rng.uniform(-2, 2, (50, 2))
         r = rng.standard_normal(50)
         tree = fit_tree(Dataset(X, np.zeros(50)), r, 3)
-        from rboost import RegressionTree
+        from rboost.learners import RegressionTree
 
         clone = RegressionTree.from_dict(tree.to_dict())
         assert np.array_equal(clone.predict(X), tree.predict(X))

@@ -6,6 +6,8 @@ column-block search must grow the same trees bit for bit: same features,
 thresholds, leaf values and split counts, so the same in-sample predictions.
 The oracle reads nothing from Dataset.split_cache, so it also checks that
 the cached per-sample constants stand in exactly for what they replace.
+Like fit_tree, the oracle tree searches the residual scaled by a power of
+two to a largest |r| in [0.5, 1) and takes its leaf means unscaled.
 """
 
 import heapq
@@ -17,8 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rboost.learners as learners
-from rboost import Dataset, TrainConfig, TreeLearnerSpec, fit_tree, train
-from rboost.learners import RegressionTree
+from rboost import Dataset, TrainConfig, TreeLearnerSpec, train
+from rboost.learners import RegressionTree, fit_tree
 
 _MIN_GAIN_REL = 1e-12
 
@@ -88,11 +90,13 @@ def _oracle_best_split(X, r, rows):
 
 def _oracle_fit_tree(data, residual, n_splits):
     r = np.asarray(residual, dtype=np.float64)
+    peak = np.max(np.abs(r))
+    searched = np.ldexp(r, -np.frexp(peak)[1]) if peak > 0 else r
     X = data.features
     root = _Node(_oracle_routed_mean(r))
     frontier = []
     counter = 0
-    cand = _oracle_best_split(X, r, np.arange(data.m))
+    cand = _oracle_best_split(X, searched, np.arange(data.m))
     if cand is not None:
         heapq.heappush(frontier, (-cand[0], counter, root, cand))
         counter += 1
@@ -105,7 +109,7 @@ def _oracle_fit_tree(data, residual, n_splits):
         node.right = _Node(_oracle_routed_mean(r[right_rows]))
         splits += 1
         for child, child_rows in ((node.left, left_rows), (node.right, right_rows)):
-            cand = _oracle_best_split(X, r, child_rows)
+            cand = _oracle_best_split(X, searched, child_rows)
             if cand is not None:
                 heapq.heappush(frontier, (-cand[0], counter, child, cand))
                 counter += 1
@@ -148,9 +152,8 @@ def split_cases(draw):
 
 def _assert_same_tree(X, r, n_splits):
     data = Dataset(X, np.zeros(X.shape[0]))
-    with np.errstate(over="ignore", invalid="ignore"):  # gains overflow at the largest scales
-        tree = fit_tree(data, r, n_splits)
-        want = _oracle_fit_tree(data, r, n_splits)
+    tree = fit_tree(data, r, n_splits)
+    want = _oracle_fit_tree(data, r, n_splits)
     assert json.dumps(tree.to_dict(), sort_keys=True) == json.dumps(want.to_dict(), sort_keys=True)
     assert tree.predict(X).tobytes() == want.predict(X).tobytes()
 
@@ -195,11 +198,11 @@ def test_fits_sharing_one_dataset_grow_the_oracle_trees(case):
     cache = data.split_cache
     rows = np.arange(data.m)
     for r, n_splits in fits:
-        with np.errstate(over="ignore", invalid="ignore"):  # gains overflow at the largest scales
+        with np.errstate(over="ignore", invalid="ignore"):  # unscaled gains overflow at the largest scales
             got = learners._best_split(cache, r, cache.rows, cache.order)
             want = _oracle_best_split(X, r, rows)
-            tree = fit_tree(data, r, n_splits)
-            want_tree = _oracle_fit_tree(data, r, n_splits)
+        tree = fit_tree(data, r, n_splits)
+        want_tree = _oracle_fit_tree(data, r, n_splits)
         assert (got is None) == (want is None)
         if got is not None:
             assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
@@ -217,6 +220,51 @@ def test_wide_continuous_data_grows_the_oracle_tree():
     r = np.sin(3 * X[:, 0]) + 0.1 * rng.standard_normal(300)
     for n_splits in (1, 4, 12):
         _assert_same_tree(X, r, n_splits)
+
+
+def test_residual_scales_whose_gains_overflow_or_underflow_still_split():
+    # Searched unscaled, these gains overflow to inf (1e160) or underflow
+    # to zero (1e-170), and the trees grew no split at all.
+    tree = fit_tree(Dataset(np.arange(4.0), np.zeros(4)), np.array([-1.0, -1.0, 1.0, 1.0]) * 1e160, 1)
+    assert (tree.n_splits, tree.threshold[0]) == (1, 1.5)
+    assert tree.value[tree.feature < 0].tolist() == [-1e160, 1e160]
+    tree = fit_tree(Dataset(np.arange(5.0), np.zeros(5)), np.array([1.0, -1.0, 2.0, -1.0, 0.0]) * 1e-170, 1)
+    assert (tree.n_splits, tree.threshold[0]) == (1, 2.5)
+    # A boosting run on targets of size 1e153 trains as it does at size 1.
+    X = np.random.default_rng(0).uniform(-2, 2, (200, 1))
+    y = np.sin(1.5 * X[:, 0])
+    config = TrainConfig("boosting", 20, TreeLearnerSpec(2))
+    model, _ = train(Dataset(X, y), config)
+    big, _ = train(Dataset(X, y * 1e153), config)
+    assert len(big) == len(model) == 20
+    rel_error = np.sqrt(np.mean((big.predict(X) / 1e153 - y) ** 2) / np.mean(y * y))
+    assert rel_error == pytest.approx(np.sqrt(np.mean((model.predict(X) - y) ** 2) / np.mean(y * y)), rel=1e-9)
+
+
+@st.composite
+def rescaled_cases(draw):
+    """(X, residual, n_splits, s): a tie-heavy case at unit scale and a power-of-two exponent s."""
+    m = draw(st.integers(2, 40))
+    kinds = draw(st.lists(st.sampled_from(["normal", "integer", "rounded", "constant", "duplicate"]), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for kind in kinds:
+        cols.append(_column(kind, m, rng, cols))
+    r = _residual(draw(st.sampled_from(["normal", "integer", "two_level"])), m, rng)
+    return np.column_stack(cols), r, draw(st.integers(1, 8)), draw(st.integers(-600, 600))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rescaled_cases())
+@example((np.arange(4.0)[:, None], np.array([-1.0, -1.0, 1.0, 1.0]), 1, 531))  # squares overflow
+def test_a_power_of_two_rescale_of_the_residual_rescales_only_the_leaves(case):
+    X, r, n_splits, s = case
+    data = Dataset(X, np.zeros(X.shape[0]))
+    tree = fit_tree(data, r, n_splits)
+    scaled = fit_tree(data, np.ldexp(r, s), n_splits)
+    for name in ("feature", "threshold", "left", "right"):
+        assert getattr(scaled, name).tobytes() == getattr(tree, name).tobytes()
+    assert scaled.value.tobytes() == np.ldexp(tree.value, s).tobytes()
 
 
 @pytest.mark.parametrize("n_splits", [1, 2, 4, 8])
