@@ -183,11 +183,14 @@ def _trial(spec, trial, methods, k_max, grid, learner_spec, clip_bound):
     learn/validate split of the training sample, recording the
     validation-chosen iteration as "k_valid", and trains that u on the
     full sample, so its row isolates the cost of choosing u from data.
+    With "rboosting" among the methods, that full-sample score is the
+    oracle's own for the chosen u, read from its per_u_curve: the oracle
+    runs first and has already made that very call.
     """
     train_ds, test_ds = sample_dataset(spec, trial)
     config = TrainConfig("rboosting", k_max, learner_spec)
     risks, curve = {}, None
-    for method in methods:
+    for method in sorted(methods, key=lambda name: name != "rboosting"):  # the oracle first
         if method == "rboosting":
             oracle = adaptive_select(train_ds, test_ds, grid, config, clip_bound=clip_bound)
             risks[method] = (oracle.validation_risk, {"u": oracle.chosen_u, "k": oracle.chosen_k})
@@ -195,7 +198,12 @@ def _trial(spec, trial, methods, k_max, grid, learner_spec, clip_bound):
         elif method == "rboosting_adaptive":
             learn, validate = split_learn_validate(train_ds, _split_seed(spec, trial))
             sel = adaptive_select(learn, validate, grid, config)
-            k, risk = select_k_by_validation(train_ds, test_ds, replace(config, u=sel.chosen_u), clip_bound=clip_bound)
+            if curve is None:
+                k, risk = select_k_by_validation(
+                    train_ds, test_ds, replace(config, u=sel.chosen_u), clip_bound=clip_bound
+                )
+            else:
+                k, risk = next((k, risk) for u, k, risk in curve if u == sel.chosen_u)
             risks[method] = (risk, {"u": sel.chosen_u, "k": k, "k_valid": sel.chosen_k})
         else:
             k, risk = select_k_by_validation(train_ds, test_ds, replace(config, algorithm=method), clip_bound=clip_bound)

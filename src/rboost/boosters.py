@@ -120,14 +120,15 @@ def train(data: Dataset, config: TrainConfig):
     algorithm = config.algorithm
 
     f = np.zeros(m)
+    r = y - f
+    risk = float((r * r).sum() / m)
     stages = []
     coeffs = np.empty(config.max_iterations)
     risks, alphas, betas, l1s, fallbacks = [], [], [], [], []
     stop_reason = None
 
     for k in range(1, config.max_iterations + 1):
-        r = y - f
-        if np.sqrt((r * r).sum() / m) <= tolerance:
+        if np.sqrt(risk) <= tolerance:
             stop_reason = "zero_residual"
             break
         step = fitter.fit_step(r)
@@ -147,8 +148,9 @@ def train(data: Dataset, config: TrainConfig):
         coeffs[:n] *= 1.0 - alpha
         coeffs[n] = beta
         stages.append(Stage(alpha, beta, learner))
-        resid = f - y
-        risks.append(float((resid * resid).sum() / m))
+        r = y - f  # the next round's residual; (y - f)^2 has the bits of (f - y)^2
+        risk = float((r * r).sum() / m)
+        risks.append(risk)
         alphas.append(alpha)
         betas.append(beta)
         l1s.append(float(np.sum(np.abs(coeffs[: n + 1]))))

@@ -373,3 +373,7 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"rboost: error: {exc}", file=sys.stderr)
         return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

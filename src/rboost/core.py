@@ -86,6 +86,50 @@ def clip(values, bound: float):
     return np.clip(np.asarray(values, dtype=np.float64), -bound, bound)
 
 
+class RootScan(NamedTuple):
+    """The root's untied boundaries, laid out for a scan that skips the tied ones.
+
+    Of the (d, m - 1) boundaries between neighbours in the column order,
+    the untied ones, column by column and in position order. at and
+    total_at are flat positions in a (d, m) C-contiguous cumsum: boundary p
+    of column j at j * m + p, its column's total at j * m + m - 1. nl and nr
+    are the boundary's left and right row counts as float64, the integers
+    p + 1 and m - p - 1. A live column holds at least one untied boundary:
+    live lists their ids, starts the first boundary of each, seg each
+    boundary's index into live and pos its position p.
+    """
+
+    at: np.ndarray
+    total_at: np.ndarray
+    nl: np.ndarray
+    nr: np.ndarray
+    starts: np.ndarray
+    seg: np.ndarray
+    pos: np.ndarray
+    live: np.ndarray
+
+
+# A root search scans only the untied boundaries when at least this share
+# of the root's boundaries are ties. Timed on 8- and 10-column samples of
+# 500 to 2,000 rows, the untied scan is 10-20% slower without ties and
+# breaks even at about 25-40% ties; from one half on it was 15-50% faster
+# in every sample.
+_ROOT_SCAN_TIED_SHARE = 0.5
+
+
+def _root_scan(tied: np.ndarray) -> RootScan:
+    """The RootScan of a (d, m - 1) mask of tied root boundaries."""
+    d, gaps = tied.shape
+    col, pos = np.nonzero(~tied)
+    live, starts, counts = np.unique(col, return_index=True, return_counts=True)
+    at = col * (gaps + 1) + pos
+    nl = (pos + 1).astype(np.float64)
+    return RootScan(
+        at, col * (gaps + 1) + gaps, nl, gaps - nl + 1.0, starts,
+        np.repeat(np.arange(live.size), counts), pos, live,
+    )
+
+
 class SplitCache(NamedTuple):
     """The constants of an exact split search that depend only on the features.
 
@@ -101,6 +145,9 @@ class SplitCache(NamedTuple):
     root's row ids, and steps is arange(1, m) as float64: a node of n rows
     has steps[:n - 1] rows left of its boundaries and steps[n - 2::-1]
     right of them, the same integers as arange(1, n) and n - arange(1, n).
+    root_scan is the RootScan of the untied root boundaries when at least
+    _ROOT_SCAN_TIED_SHARE of them are ties, a property of the features;
+    otherwise None, and the root scans every boundary.
     """
 
     xt: np.ndarray
@@ -109,6 +156,7 @@ class SplitCache(NamedTuple):
     root_ties: np.ndarray
     rows: np.ndarray
     steps: np.ndarray
+    root_scan: Optional[RootScan]
 
 
 class Dataset:
@@ -163,11 +211,13 @@ class Dataset:
             order = np.ascontiguousarray(np.argsort(self._features, axis=0, kind="stable").T)
             xs = np.take_along_axis(xt, order, axis=1)
             equal = xs[:, 1:] == xs[:, :-1]
+            root_ties = np.flatnonzero(equal)
+            scan = _root_scan(equal) if root_ties.size >= _ROOT_SCAN_TIED_SHARE * equal.size else None
             cache = SplitCache(
-                xt, order, np.flatnonzero(equal.any(axis=1)), np.flatnonzero(equal),
-                np.arange(self.m), np.arange(1, self.m, dtype=np.float64),
+                xt, order, np.flatnonzero(equal.any(axis=1)), root_ties,
+                np.arange(self.m), np.arange(1, self.m, dtype=np.float64), scan,
             )
-            for array in cache:
+            for array in (*cache[:-1], *(scan or ())):
                 array.setflags(write=False)
             self._split_cache = cache
         return self._split_cache

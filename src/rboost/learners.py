@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, SplitCache, as_feature_matrix, empirical_norm, positive_int
+from .core import Dataset, RootScan, SplitCache, as_feature_matrix, empirical_norm, positive_int
 
 # Below this empirical norm a fitted learner is useless as a direction.
 DEGENERATE_NORM = 1e-12
@@ -46,8 +46,8 @@ class RegressionTree:
     split when feature[i] >= 0: x goes to left[i] iff x[feature[i]] <=
     threshold[i], else to right[i]. Leaves have feature, left and right -1
     and hold the mean of the fitting targets routed to them in value; a
-    split's value is its own mean when grown by fit_tree and NaN when read
-    from a v1 dict, which does not store it. The achieved split count can
+    split's value is NaN, since nothing reads it: fit_tree takes means of
+    leaves only, and a v1 dict does not store it. The achieved split count can
     fall short of the budget when the data has no further SSE-reducing split.
     """
 
@@ -131,6 +131,33 @@ class RegressionTree:
         return RegressionTree(*zip(*nodes), n_features)
 
 
+def _untied_root_scan(scan: RootScan, csum: np.ndarray, n: int):
+    """Best gain and position of every column at the root from its untied boundaries only.
+
+    Each gain is built from the same cumsum entries with the same
+    operations in the same order as the dense scan, so it has the same
+    bits. A column's best is its segment's maximum, which is NaN when any
+    of its gains is, and its position the first boundary reaching it, the
+    smallest threshold: the dense argmax over gains whose ties are -inf.
+    A column without untied boundaries gets -inf.
+    """
+    flat = csum.ravel()
+    sl = flat.take(scan.at)
+    sr = flat.take(scan.total_at)
+    sr -= sl
+    gain = sl * sl
+    gain /= scan.nl
+    sr *= sr
+    sr /= scan.nr
+    gain += sr
+    seg_best = np.maximum.reduceat(gain, scan.starts)
+    best_gain = np.full(csum.shape[0], -np.inf)
+    best_gain[scan.live] = seg_best
+    best_pos = np.zeros(csum.shape[0], dtype=np.intp)
+    best_pos[scan.live] = np.minimum.reduceat(np.where(gain == seg_best[scan.seg], scan.pos, n), scan.starts)
+    return best_gain, best_pos
+
+
 def _best_split(cache: SplitCache, r: np.ndarray, rows: np.ndarray, block: np.ndarray):
     """Best SSE-reducing split of a node as (gain, feature, threshold, go_left), or None.
 
@@ -155,8 +182,11 @@ def _best_split(cache: SplitCache, r: np.ndarray, rows: np.ndarray, block: np.nd
     step vector, tied boundaries are masked from the root's cached
     positions or, below the root, only in the columns that hold ties at
     all, and a re-scored column reads just the two values around its
-    boundary. The gain is built in place with the same operations in the
-    same order as sl*sl/nl + sr*sr/(n - nl), so every bit is unchanged.
+    boundary. On a sample whose cache holds a root_scan the root builds
+    gains at its untied boundaries only (see _untied_root_scan), with the
+    same winner per column. The gain is built in place with the same
+    operations in the same order as sl*sl/nl + sr*sr/(n - nl), so every
+    bit is unchanged.
 
     Only columns whose prefix-sum gain lies within ``band`` of the best one
     are re-scored. With unit roundoff u = eps/2 and S = sum |r| over the
@@ -181,21 +211,24 @@ def _best_split(cache: SplitCache, r: np.ndarray, rows: np.ndarray, block: np.nd
     xt = cache.xt
     root = n == xt.shape[1]
     csum = r[block].cumsum(axis=1)
-    sl = csum[:, :-1]
-    sr = csum[:, -1:] - sl
-    gain = sl * sl  # node-constant offset omitted
-    gain /= cache.steps[: n - 1]
-    sr *= sr
-    sr /= cache.steps[n - 2 :: -1]
-    gain += sr
-    if root:
-        gain.ravel()[cache.root_ties] = -np.inf  # gain is a new C-contiguous array, so ravel is a view
-    elif cache.tied.size:
-        tied = cache.tied
-        xs = xt[tied[:, None], block[tied]]
-        gain[tied] = np.where(xs[:, 1:] == xs[:, :-1], -np.inf, gain[tied])
-    best_pos = np.argmax(gain, axis=1)  # first max in a column = smallest threshold
-    best_gain = gain.max(axis=1)
+    if root and cache.root_scan is not None:
+        best_gain, best_pos = _untied_root_scan(cache.root_scan, csum, n)
+    else:
+        sl = csum[:, :-1]
+        sr = csum[:, -1:] - sl
+        gain = sl * sl  # node-constant offset omitted
+        gain /= cache.steps[: n - 1]
+        sr *= sr
+        sr /= cache.steps[n - 2 :: -1]
+        gain += sr
+        if root:
+            gain.ravel()[cache.root_ties] = -np.inf  # gain is a new C-contiguous array, so ravel is a view
+        elif cache.tied.size:
+            tied = cache.tied
+            xs = xt[tied[:, None], block[tied]]
+            gain[tied] = np.where(xs[:, 1:] == xs[:, :-1], -np.inf, gain[tied])
+        best_pos = np.argmax(gain, axis=1)  # first max in a column = smallest threshold
+        best_gain = gain.max(axis=1)
     finite = np.isfinite(best_gain)
     if not finite.any():
         return None
@@ -236,7 +269,7 @@ def _routed_mean(values: np.ndarray) -> float:
     return float(ordered.sum() / ordered.size)
 
 
-def fit_tree(data: Dataset, residual, n_splits: int) -> RegressionTree:
+def fit_tree(data: Dataset, residual, n_splits: int, *, out=None) -> RegressionTree:
     """Grow a least-squares CART tree on the residual, best-first, up to n_splits.
 
     Growth order is by SSE reduction; frontier ties fall back to creation
@@ -257,7 +290,13 @@ def fit_tree(data: Dataset, residual, n_splits: int) -> RegressionTree:
     The search reads r scaled by a power of two to a largest |r| in
     [0.5, 1). The scaling is exact and keeps the gains from overflowing or
     underflowing at extreme scales of r: r and 2^s * r are searched on the
-    same array. Leaf values are means of the unscaled r.
+    same array. Leaf values are means of the unscaled r, taken once the
+    tree is grown and for leaves only; a split's value is NaN.
+
+    With out, a float64 array of length m, each leaf's value is also
+    written into the rows of its leaf: the in-sample prediction, the same
+    values in the same rows as tree.predict(data.features), since both
+    route a row by the same comparisons of the same feature values.
 
     n_splits must be an integer >= 1 (an integral float is used as an int).
     """
@@ -269,7 +308,8 @@ def fit_tree(data: Dataset, residual, n_splits: int) -> RegressionTree:
     searched = np.ldexp(r, -math.frexp(peak)[1]) if peak > 0 else r
     cache = data.split_cache
     xt = cache.xt
-    nodes = [_leaf(_routed_mean(r))]
+    nodes = [_leaf(np.nan)]
+    node_rows = [cache.rows]  # a leaf's rows; None once it splits
     frontier = []
     created = itertools.count()
 
@@ -285,12 +325,19 @@ def fit_tree(data: Dataset, residual, n_splits: int) -> RegressionTree:
         right_rows = rows[~go_left]
         left_id = len(nodes)
         nodes[node][:4] = feat, threshold, left_id, left_id + 1
-        nodes += [_leaf(_routed_mean(r[left_rows])), _leaf(_routed_mean(r[right_rows]))]
+        nodes += [_leaf(np.nan), _leaf(np.nan)]
+        node_rows[node] = None
+        node_rows += [left_rows, right_rows]
         if len(nodes) == 2 * n_splits + 1:
             break  # budget spent; the frontier is discarded, so the children need no search
         to_left = xt[feat][block] <= threshold
         push(left_id, left_rows, block[to_left].reshape(block.shape[0], left_rows.size))
         push(left_id + 1, right_rows, block[~to_left].reshape(block.shape[0], right_rows.size))
+    for node, rows in enumerate(node_rows):
+        if rows is not None:
+            value = nodes[node][4] = _routed_mean(r[rows])
+            if out is not None:
+                out[rows] = value
     return RegressionTree(*zip(*nodes), data.d)
 
 
@@ -331,8 +378,8 @@ class _TreeFitter:
         A tree is degenerate when its empirical norm is at most
         DEGENERATE_NORM * rms(y) of the bound sample's targets.
         """
-        tree = fit_tree(self._data, residual, self._n_splits)
-        pred = tree.predict(self._data.features)
+        pred = np.empty(self._data.m)
+        tree = fit_tree(self._data, residual, self._n_splits, out=pred)
         nrm = float(np.sqrt((pred * pred).sum() / self._data.m))  # empirical_norm's bits, without its checks
         if nrm <= self._floor:
             return None

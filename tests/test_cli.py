@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,17 @@ def write_constant_csv(path, rows=24, value=5.0):
 
 
 class TestDispatch:
+    @pytest.mark.parametrize("args, status, stream, text", [
+        (["--help"], 0, "stdout", "usage: rboost"),
+        (["frobnicate"], 2, "stderr", "invalid choice"),
+    ])
+    def test_module_form_runs_the_cli(self, args, status, stream, text):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "rboost.cli", *args], capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == status
+        assert text in getattr(done, stream)
+
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run_cli(["frobnicate"]) == 2
         assert "usage" in capsys.readouterr().err.lower()

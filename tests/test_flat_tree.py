@@ -151,8 +151,8 @@ def test_arrays_are_flat_and_children_follow_parents():
     assert np.all(tree.left[split] > np.flatnonzero(split))
     assert np.all(tree.right[split] == tree.left[split] + 1)
     assert np.all(tree.left[~split] == -1) and np.all(tree.right[~split] == -1)
-    # a split's value is the mean over its node when grown, and unknown when read back
-    assert tree.value[0] == float(np.mean(np.sort(r)))
+    # only leaf means are computed: a split's value is unknown when grown, as when read back
+    assert np.all(np.isnan(tree.value[split]))
     clone = RegressionTree.from_dict(tree.to_dict())
     assert np.all(np.isnan(clone.value[clone.feature >= 0]))
     assert _tree_json(clone) == _tree_json(tree)

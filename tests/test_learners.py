@@ -292,3 +292,29 @@ def test_fit_tree_is_invariant_to_row_permutations(seed, m, d, n_splits, integer
     tree_p = fit_tree(Dataset(X[perm], np.zeros(m)), r[perm], n_splits)
     for name in ("feature", "threshold", "left", "right", "value"):
         assert getattr(tree, name).tobytes() == getattr(tree_p, name).tobytes(), name
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 60),
+    d=st.integers(1, 4),
+    n_splits=st.integers(1, 8),
+    tied=st.booleans(),
+)
+def test_fit_step_values_are_the_learners_in_sample_predictions(seed, m, d, n_splits, tied):
+    # fit_step takes its values from the tree's partition, not from a
+    # descent. They must be the descent's in-sample predictions divided by
+    # their empirical norm, bit for bit. (The learner multiplies by 1 / norm
+    # instead, which can differ in the last bit.)
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-2, 3, (m, d)).astype(np.float64) if tied else rng.uniform(-2, 2, (m, d))
+    data = Dataset(X, rng.standard_normal(m))
+    step = TreeLearnerSpec(n_splits).bind(data).fit_step(rng.standard_normal(m))
+    assert step is not None
+    learner, values = step
+    pred = learner.base.predict(data.features)
+    nrm = float(np.sqrt((pred * pred).sum() / m))
+    assert learner.scale == 1.0 / nrm
+    assert values.tobytes() == (pred / nrm).tobytes()
+    np.testing.assert_allclose(values, learner.predict(data.features), rtol=1e-15, atol=0)

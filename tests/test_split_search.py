@@ -213,6 +213,123 @@ def test_fits_sharing_one_dataset_grow_the_oracle_trees(case):
     assert data.split_cache is cache
 
 
+def _tied_share(X):
+    xs = np.sort(X, axis=0)
+    return np.count_nonzero(xs[1:] == xs[:-1]) / max(xs[1:].size, 1)
+
+
+@st.composite
+def tie_heavy_cases(draw):
+    """A feature matrix at least half of whose root boundaries are ties, and fits on it.
+
+    Categorical, rounded, binary and constant columns, at most one of them
+    continuous; constant columns are added until the share reaches one half.
+    """
+    m = draw(st.integers(2, 40))
+    kinds = draw(st.lists(st.sampled_from(["integer", "rounded", "constant", "duplicate", "binary"]), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        kinds.insert(draw(st.integers(0, len(kinds))), "normal")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for kind in kinds:
+        cols.append(rng.integers(0, 2, m).astype(np.float64) if kind == "binary" else _column(kind, m, rng, cols))
+    while _tied_share(np.column_stack(cols)) < 0.5:
+        cols.insert(draw(st.integers(0, len(cols))), np.full(m, -1.25))
+    fits = []
+    for _ in range(draw(st.integers(2, 5))):
+        r = _residual(draw(st.sampled_from(["normal", "integer", "two_level"])), m, rng)
+        fits.append((r * 10.0 ** draw(st.integers(-150, 300)), draw(st.integers(1, 8))))
+    return np.column_stack(cols), fits
+
+
+def _assert_root_search_is_the_oracles(data, r):
+    """The root search, untied scan or dense, against the oracle and each other, gain bits included."""
+    cache = data.split_cache
+    with np.errstate(over="ignore", invalid="ignore"):  # unscaled gains overflow at the largest scales
+        got = learners._best_split(cache, r, cache.rows, cache.order)
+        dense = learners._best_split(cache._replace(root_scan=None), r, cache.rows, cache.order)
+        want = _oracle_best_split(data.features, r, np.arange(data.m))
+    assert (got is None) == (dense is None) == (want is None)
+    if got is not None:
+        assert np.float64(got[0]).tobytes() == np.float64(dense[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert got[1:3] == dense[1:3] == want[1:3]
+        assert got[3].tobytes() == dense[3].tobytes()
+        assert np.flatnonzero(got[3]).tolist() == want[3].tolist()
+
+
+def _assert_tie_heavy_fits_grow_the_oracle_trees(X, fits):
+    data = Dataset(X, np.zeros(X.shape[0]))
+    assert data.split_cache.root_scan is not None
+    for r, n_splits in fits:
+        _assert_root_search_is_the_oracles(data, r)
+        tree = fit_tree(data, r, n_splits)
+        want_tree = _oracle_fit_tree(data, r, n_splits)
+        assert json.dumps(tree.to_dict(), sort_keys=True) == json.dumps(want_tree.to_dict(), sort_keys=True)
+        assert tree.predict(X).tobytes() == want_tree.predict(X).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_cases())
+# equal gains at boundaries 0 and 2 of column 0: the first, the smaller threshold, wins
+@example((np.column_stack([np.arange(4.0), np.full(4, 7.0)]), [(np.array([1.0, -1.0, -1.0, 1.0]), 1)]))
+def test_tie_heavy_samples_grow_the_oracle_trees(case):
+    # The root scans only its untied boundaries on these samples.
+    _assert_tie_heavy_fits_grow_the_oracle_trees(*case)
+
+
+_EDGE_SAMPLES = {
+    # 4 of 8 boundaries tied, exactly the threshold; only column 1 is live
+    "half_one_live_column": np.column_stack([np.zeros(5), [0.3, -1.0, 2.0, 0.5, 1.5]]),
+    # 4 of 8 tied, both columns live
+    "half_two_live_columns": np.column_stack([[0.0, 1.0, 0.0, 2.0, 1.0], [1.0, 1.0, 3.0, 0.0, 0.0]]),
+    "every_column_constant": np.column_stack([np.full(6, 2.0), np.full(6, -1.0)]),
+    "m2": np.array([[0.0, 5.0], [1.0, 5.0]]),
+    "m2_constant": np.array([[5.0], [5.0]]),
+    "m3": np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 2.0]]),
+    "m3_one_live_column": np.array([[0.0, 4.0], [0.0, 4.0], [1.0, 4.0]]),
+    "categorical_and_rounded": np.column_stack([
+        np.tile([0.0, 1.0, 2.0], 10), np.round(np.linspace(-2, 2, 30)) / 2, np.random.default_rng(4).normal(size=30),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_SAMPLES))
+def test_edge_tie_heavy_samples_grow_the_oracle_trees(name):
+    X = _EDGE_SAMPLES[name]
+    rng = np.random.default_rng(len(name))
+    fits = [(kind(X.shape[0]), n_splits) for kind in (rng.standard_normal, lambda m: rng.integers(-3, 4, m) * 1.0)
+            for n_splits in (1, 2, 4, 8)]
+    fits.append((np.zeros(X.shape[0]), 1))
+    _assert_tie_heavy_fits_grow_the_oracle_trees(X, fits)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 3, 7])
+def test_non_finite_residuals_end_as_the_dense_scan_ends(bad, where):
+    # A column whose gains include a NaN has a NaN best and is skipped, by
+    # either scan; so is one whose best is inf. The trees are the same too.
+    X = _EDGE_SAMPLES["categorical_and_rounded"]
+    r = np.random.default_rng(where).standard_normal(30)
+    r[where] = bad
+    if where and np.isinf(bad):
+        r[where + 11] = -bad  # inf - inf: NaN sums beside the infinite ones
+    tied = Dataset(X, np.zeros(30))
+    dense = Dataset(X, np.zeros(30))
+    dense._split_cache = dense.split_cache._replace(root_scan=None)
+    assert tied.split_cache.root_scan is not None
+    cache = tied.split_cache
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = learners._best_split(cache, r, cache.rows, cache.order)
+        want = learners._best_split(dense.split_cache, r, cache.rows, cache.order)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes() and got[1:3] == want[1:3]
+        for n_splits in (1, 3):
+            tree, dense_tree = fit_tree(tied, r, n_splits), fit_tree(dense, r, n_splits)
+            for name in ("feature", "threshold", "left", "right", "value"):
+                assert getattr(tree, name).tobytes() == getattr(dense_tree, name).tobytes()
+
+
 def test_wide_continuous_data_grows_the_oracle_tree():
     # distinct values in 10 columns: the band leaves most columns unscored
     rng = np.random.default_rng(7)
@@ -310,8 +427,15 @@ class TestColumnOrder:
         assert data.split_cache.order is parent
 
 
+def _cache_arrays(cache):
+    """Every array of a SplitCache, the RootScan's included."""
+    return [*cache[:-1], *(cache.root_scan or ())]
+
+
 class TestSplitCache:
     X = np.array([[2.0, 1.0, 0.5], [1.0, 1.0, 0.25], [2.0, 0.0, 0.75], [0.0, 1.0, 1.0]])
+    # 3 of the 9 root boundaries above are ties; 5 of the 9 here, so the root scans only the 4 untied ones
+    TIED = np.array([[2.0, 1.0, 0.5], [1.0, 1.0, 0.5], [2.0, 0.0, 0.5], [0.0, 1.0, 1.0]])
 
     def test_contents(self):
         cache = Dataset(self.X, np.zeros(4)).split_cache
@@ -322,15 +446,44 @@ class TestSplitCache:
         assert cache.root_ties.tolist() == [0 * 3 + 2, 1 * 3 + 1, 1 * 3 + 2]
         assert cache.rows.tolist() == [0, 1, 2, 3]
         assert cache.steps.dtype == np.float64 and cache.steps.tolist() == [1.0, 2.0, 3.0]
+        assert cache.root_scan is None  # a third of the boundaries are ties: the dense scan
+
+    def test_root_scan_contents(self):
+        cache = Dataset(self.TIED, np.zeros(4)).split_cache
+        # sorted: column 0 is 0, 1, 2, 2 (boundaries 0 and 1 untied), column 1 is 0, 1, 1, 1
+        # (boundary 0), column 2 is 0.5, 0.5, 0.5, 1 (boundary 2)
+        assert cache.root_ties.size == 5
+        scan = cache.root_scan
+        assert scan.at.tolist() == [0 * 4 + 0, 0 * 4 + 1, 1 * 4 + 0, 2 * 4 + 2]
+        assert scan.total_at.tolist() == [3, 3, 7, 11]
+        assert scan.nl.dtype == scan.nr.dtype == np.float64
+        assert scan.nl.tolist() == [1.0, 2.0, 1.0, 3.0] and scan.nr.tolist() == [3.0, 2.0, 3.0, 1.0]
+        assert scan.live.tolist() == [0, 1, 2] and scan.starts.tolist() == [0, 2, 3]
+        assert scan.seg.tolist() == [0, 0, 1, 2] and scan.pos.tolist() == [0, 1, 0, 2]
+
+    @pytest.mark.parametrize("m, d, ties", [(9, 2, 8), (9, 2, 7), (2, 3, 3), (3, 1, 2), (5, 3, 12)])
+    def test_root_scan_from_half_the_boundaries_tied(self, m, d, ties):
+        # column j holds ties at its first boundaries until `ties` are placed
+        X = np.tile(np.arange(m, dtype=np.float64)[:, None], (1, d))
+        left = ties
+        for j in range(d):
+            k = min(left, m - 1)
+            X[: k + 1, j] = 0.0
+            left -= k
+        cache = Dataset(X, np.zeros(m)).split_cache
+        assert cache.root_ties.size == ties
+        assert (cache.root_scan is not None) == (2 * ties >= d * (m - 1))
 
     def test_read_only_and_cached(self):
-        data = Dataset(self.X, np.zeros(4))
-        cache = data.split_cache
-        for array in cache:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array.flat[0] = 0
-        assert data.split_cache is cache
+        for X in (self.X, self.TIED):
+            data = Dataset(X, np.zeros(4))
+            cache = data.split_cache
+            for array in _cache_arrays(cache):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array.flat[0] = 0
+            assert data.split_cache is cache
+        assert cache.root_scan is not None
 
     def test_subset_gets_its_own(self):
         data = Dataset(self.X, np.zeros(4))
@@ -347,13 +500,15 @@ class TestSplitCache:
         rng = np.random.default_rng(3)
         X = np.column_stack([rng.normal(size=60), rng.integers(-2, 3, 60), np.round(rng.normal(size=60), 1)])
         y = rng.normal(size=60)
-        data = Dataset(X, y)
+        # the dense root scan, then the untied one: a binary column takes the ties past one half
+        for data in (Dataset(X, y), Dataset(np.column_stack([X, rng.integers(0, 2, 60)]), y)):
 
-        def snapshot():
-            return [a.tobytes() for a in (data.features, data.targets, *data.split_cache)]
+            def snapshot():
+                return [a.tobytes() for a in (data.features, data.targets, *_cache_arrays(data.split_cache))]
 
-        before = snapshot()
-        for n_splits in (1, 3, 8):
-            fit_tree(data, rng.normal(size=60), n_splits)
-        train(data, TrainConfig("ddrboosting", 10, TreeLearnerSpec(4)))
-        assert snapshot() == before
+            before = snapshot()
+            for n_splits in (1, 3, 8):
+                fit_tree(data, rng.normal(size=60), n_splits)
+            train(data, TrainConfig("ddrboosting", 10, TreeLearnerSpec(4)))
+            assert snapshot() == before
+        assert data.split_cache.root_scan is not None
