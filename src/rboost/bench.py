@@ -25,7 +25,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import ALGORITHMS, Dataset, TrainConfig, check_clip_bound, empirical_risk
+from .core import ALGORITHMS, Dataset, TrainConfig, as_feature_matrix, check_clip_bound, empirical_risk
 from .learners import TreeLearnerSpec
 from .selection import adaptive_select, select_k_by_validation, split_learn_validate, u_grid
 
@@ -50,9 +50,7 @@ def target_values(target_id: int, X) -> np.ndarray:
     """Vectorized target evaluation over the rows of an (n, d) matrix."""
     if target_id not in TARGET_DIMENSIONS:
         raise ValueError(f"target_id must be in 1..9, got {target_id}")
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
+    X = as_feature_matrix(X)
     if X.shape[1] != TARGET_DIMENSIONS[target_id]:
         raise ValueError(
             f"target {target_id} expects d={TARGET_DIMENSIONS[target_id]}, got d={X.shape[1]}"
@@ -160,7 +158,6 @@ class TrialReport:
     test RMSE per grid value, one UCurvePoint each.
     """
 
-    spec: SyntheticSpec
     algorithms: Mapping[str, AlgorithmResult]
     curve: Optional[tuple] = None
 
@@ -223,7 +220,7 @@ def run_comparison(
     algorithms: Sequence[str] = ALGORITHMS,
     k_max: int = 500,
     grid: Optional[Sequence[int]] = None,
-    learner_spec=None,
+    learner_spec=TreeLearnerSpec(4),
     clip_bound: Optional[float] = None,
     workers: int = 1,
 ) -> TrialReport:
@@ -239,7 +236,6 @@ def run_comparison(
     u: the u-curve.
     """
     check_clip_bound(clip_bound)
-    learner_spec = learner_spec or TreeLearnerSpec(4)
     grid = tuple(grid) if grid is not None else tuple(u_grid(20, 1, 1e6))
     args = [(spec, t, tuple(algorithms), k_max, grid, learner_spec, clip_bound) for t in range(spec.trials)]
     trials = _map_trials(_trial, args, workers)
@@ -257,7 +253,7 @@ def run_comparison(
             UCurvePoint(int(u), float(m), float(s))
             for u, m, s in zip(grid, means, stds)
         )
-    return TrialReport(spec=spec, algorithms=summaries, curve=curve)
+    return TrialReport(algorithms=summaries, curve=curve)
 
 
 def selected_u_stats(result: AlgorithmResult):

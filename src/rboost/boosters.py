@@ -51,8 +51,11 @@ def two_dim_linear_search(f_prev, g, y) -> TwoDimResult:
     Solves the 2x2 normal equations of projecting y onto span{f_prev, g}
     in the empirical inner product; the search is over all of R^2, so
     alpha may be negative (or exceed 1). When f_prev and g are near
-    linearly dependent the system is ill-posed and we fall back to the
-    plain one-dimensional step: alpha = 0, beta = <y - f_prev, g> / ||g||^2.
+    linearly dependent the system is ill-posed and the step is the plain
+    one-dimensional one: alpha = 0, beta = <y - f_prev, g> / ||g||^2. With
+    f_prev = 0 (the first step) span{f_prev, g} is span{g}, so that step is
+    the exact optimum and gram_fallback is False; with f_prev != 0 it is a
+    fallback and gram_fallback is True.
     """
     f = np.asarray(f_prev, dtype=np.float64)
     gv = np.asarray(g, dtype=np.float64)
@@ -68,7 +71,7 @@ def two_dim_linear_search(f_prev, g, y) -> TwoDimResult:
     yg = float(np.mean(yv * gv))
     det = ff * gg - fg * fg
     if det <= _GRAM_TOL * ff * gg:
-        return TwoDimResult(0.0, (yg - fg) / gg, True)
+        return TwoDimResult(0.0, (yg - fg) / gg, ff > 0.0)
     a = (yf * gg - yg * fg) / det
     beta = (ff * yg - fg * yf) / det
     return TwoDimResult(1.0 - a, beta, False)
@@ -124,7 +127,7 @@ def train(data: Dataset, config: TrainConfig):
     risk = float((r * r).sum() / m)
     stages = []
     coeffs = np.empty(config.max_iterations)
-    risks, alphas, betas, l1s, fallbacks = [], [], [], [], []
+    risks, l1s, fallbacks = [], [], []
     stop_reason = None
 
     for k in range(1, config.max_iterations + 1):
@@ -144,22 +147,19 @@ def train(data: Dataset, config: TrainConfig):
             beta = float(((y - (1.0 - alpha) * f) * g).sum() / m)
         f = (1.0 - alpha) * f + beta * g
 
-        n = len(stages)
-        coeffs[:n] *= 1.0 - alpha
-        coeffs[n] = beta
+        coeffs[: k - 1] *= 1.0 - alpha
+        coeffs[k - 1] = beta
         stages.append(Stage(alpha, beta, learner))
         r = y - f  # the next round's residual; (y - f)^2 has the bits of (f - y)^2
         risk = float((r * r).sum() / m)
         risks.append(risk)
-        alphas.append(alpha)
-        betas.append(beta)
-        l1s.append(float(np.sum(np.abs(coeffs[: n + 1]))))
+        l1s.append(float(np.sum(np.abs(coeffs[:k]))))
         fallbacks.append(fallback)
 
     trace = TrainingTrace(
         risk=np.asarray(risks),
-        alpha=np.asarray(alphas),
-        beta=np.asarray(betas),
+        alpha=np.array([st.alpha for st in stages]),
+        beta=np.array([st.beta for st in stages]),
         l1_norm=np.asarray(l1s),
         gram_fallback=np.asarray(fallbacks, dtype=bool),
         stop_reason=stop_reason,

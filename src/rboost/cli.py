@@ -67,11 +67,10 @@ def _parse_grid(text: str):
 
 
 def _parse_target_column(text):
-    if text is None:
-        return None
+    """A 0-based column index when text is an integer, else text itself: a header name or None."""
     try:
         return int(text)
-    except ValueError:
+    except (TypeError, ValueError):  # int(None) raises TypeError
         return text
 
 
@@ -102,28 +101,22 @@ def _add_schema_flags(p):
     p.add_argument("--delimiter", default=",", help="field delimiter (default comma)")
 
 
-def _add_bench_flags(p, j_default=4):
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--j", type=int, default=j_default, help="tree splits per weak learner")
+def _add_run_flags(p):
+    """The flags of every run that selects over a u grid: the bench commands and realdata."""
+    p.add_argument("--j", type=int, default=4, help="tree splits per weak learner")
     p.add_argument("--k-max", type=int, default=500, help="iteration budget per training run")
     p.add_argument("--grid", default="20:1:1e6", help="u grid as COUNT:LO:HI (log-spaced)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--clip", type=_clip_bound, default=None, metavar="M", help="clip predictions to [-M, M]")
-    p.add_argument("--train-m", type=int, default=500)
-    p.add_argument("--test-m", type=int, default=1000)
-    p.add_argument("--workers", type=int, default=1, help="parallel trial workers")
     p.add_argument("--out", default=None, metavar="DIR", help="write result rows and manifest here")
 
 
-def _spec_for(args, target: int, sigma: float) -> SyntheticSpec:
-    return SyntheticSpec(
-        target_id=target,
-        noise_sigma=sigma,
-        train_m=args.train_m,
-        test_m=args.test_m,
-        trials=args.trials,
-        seed_base=args.seed,
-    )
+def _add_bench_flags(p):
+    p.add_argument("--trials", type=int, default=20)
+    _add_run_flags(p)
+    p.add_argument("--train-m", type=int, default=500)
+    p.add_argument("--test-m", type=int, default=1000)
+    p.add_argument("--workers", type=int, default=1, help="parallel trial workers")
 
 
 def _bench_config(args, **extra) -> dict:
@@ -141,13 +134,15 @@ def _bench_config(args, **extra) -> dict:
     return cfg
 
 
-def _bench_kwargs(args) -> dict:
-    return dict(
-        k_max=args.k_max,
-        grid=_parse_grid(args.grid),
-        learner_spec=TreeLearnerSpec(args.j),
-        clip_bound=args.clip,
-        workers=args.workers,
+def _compare(args, target: int, sigma: float, algorithms):
+    """run_comparison of the methods on one synthetic target, set up by the bench flags."""
+    spec = SyntheticSpec(
+        target_id=target, noise_sigma=sigma, train_m=args.train_m, test_m=args.test_m, trials=args.trials,
+        seed_base=args.seed,
+    )
+    return run_comparison(
+        spec, algorithms, k_max=args.k_max, grid=_parse_grid(args.grid), learner_spec=TreeLearnerSpec(args.j),
+        clip_bound=args.clip, workers=args.workers,
     )
 
 
@@ -164,11 +159,10 @@ def _trial_rows(target, sigma, name, summary) -> list:
 
 def _cmd_simulate(args) -> int:
     algorithms = ALGORITHMS if args.algo == "all" else (_ALGO_ALIASES[args.algo],)
-    kwargs = _bench_kwargs(args)
     rows, table = [], []
     for target in args.target:
         for sigma in args.sigma:
-            report = run_comparison(_spec_for(args, target, sigma), algorithms=algorithms, **kwargs)
+            report = _compare(args, target, sigma, algorithms)
             for algo in algorithms:
                 s = report.algorithms[algo]
                 rows += _trial_rows(target, sigma, algo, s)
@@ -181,8 +175,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_ucurve(args) -> int:
-    spec = _spec_for(args, args.target, args.sigma)
-    curve = run_comparison(spec, algorithms=("rboosting",), **_bench_kwargs(args)).curve
+    curve = _compare(args, args.target, args.sigma, ("rboosting",)).curve
     rows = [[p.u, p.mean_rmse, p.std_rmse] for p in curve]
     table = [[p.u, f"{p.mean_rmse:.4f}", f"{p.std_rmse:.4f}"] for p in curve]
     print(format_aligned(["u", "mean_rmse", "std_rmse"], table), end="")
@@ -193,8 +186,7 @@ def _cmd_ucurve(args) -> int:
 
 
 def _cmd_adaptive(args) -> int:
-    spec = _spec_for(args, args.target, args.sigma)
-    report = run_comparison(spec, algorithms=("rboosting_adaptive", "rboosting"), **_bench_kwargs(args))
+    report = _compare(args, args.target, args.sigma, ("rboosting_adaptive", "rboosting"))
     rows, table = [], []
     for method, s in report.algorithms.items():
         name = "rboosting_ideal" if method == "rboosting" else method  # the oracle's u, beside the one from data
@@ -310,17 +302,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_bench_flags(p)
     p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("ucurve", help="test RMSE across the u grid")
-    p.add_argument("--target", type=int, default=4, choices=range(1, 10))
-    p.add_argument("--sigma", type=float, default=0.5)
-    _add_bench_flags(p)
-    p.set_defaults(handler=_cmd_ucurve)
-
-    p = sub.add_parser("adaptive", help="validation-based u selection vs the oracle")
-    p.add_argument("--target", type=int, default=4, choices=range(1, 10))
-    p.add_argument("--sigma", type=float, default=0.5)
-    _add_bench_flags(p)
-    p.set_defaults(handler=_cmd_adaptive)
+    for name, handler, text in (
+        ("ucurve", _cmd_ucurve, "test RMSE across the u grid"),
+        ("adaptive", _cmd_adaptive, "validation-based u selection vs the oracle"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--target", type=int, default=4, choices=range(1, 10))
+        p.add_argument("--sigma", type=float, default=0.5)
+        _add_bench_flags(p)
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("fit", help="train on a CSV file and persist the model")
     p.add_argument("data")
@@ -328,11 +318,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=int, default=1)
     p.add_argument("--j", type=int, default=4)
     p.add_argument("--k-max", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--clip", type=_clip_bound, default=None, metavar="M")
     p.add_argument("--out", default=".", metavar="DIR")
     _add_schema_flags(p)
-    p.set_defaults(handler=_cmd_fit)
+    p.set_defaults(handler=_cmd_fit, seed=0)  # training draws nothing at random
 
     p = sub.add_parser("predict", help="emit predictions for a CSV file")
     p.add_argument("model")
@@ -345,14 +334,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("realdata", help="half/half protocol on a tabular dataset")
     p.add_argument("data", nargs="?", default=None)
     p.add_argument("--pre-split", nargs=2, metavar=("TRAIN", "TEST"), default=None)
-    p.add_argument("--j", type=int, default=1)
-    p.add_argument("--k-max", type=int, default=500)
-    p.add_argument("--grid", default="20:1:1e6")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--clip", type=_clip_bound, default=None, metavar="M")
-    p.add_argument("--out", default=None, metavar="DIR")
+    _add_run_flags(p)
     _add_schema_flags(p)
-    p.set_defaults(handler=_cmd_realdata)
+    p.set_defaults(handler=_cmd_realdata, j=1)  # stumps
 
     p = sub.add_parser("report", help="render stored result rows as aligned tables")
     p.add_argument("rows", nargs="+")

@@ -339,14 +339,10 @@ class Ensemble:
 
     def effective_coefficients(self) -> np.ndarray:
         """Net weight of each stage's learner after all later (1 - alpha) discounts."""
-        k = len(self._stages)
-        if k == 0:
-            return np.empty(0, dtype=np.float64)
         alphas = np.array([st.alpha for st in self._stages])
         betas = np.array([st.beta for st in self._stages])
-        tail = np.ones(k)
-        if k > 1:
-            tail[:-1] = np.cumprod((1.0 - alphas)[:0:-1])[::-1]
+        tail = np.ones(alphas.size)
+        tail[:-1] = np.cumprod((1.0 - alphas)[:0:-1])[::-1]
         return betas * tail
 
     def expanded_predict(self, X) -> np.ndarray:
@@ -359,8 +355,7 @@ class Ensemble:
 
     def l1_norm(self) -> float:
         """Sum of |effective coefficient| over stages."""
-        c = self.effective_coefficients()
-        return float(np.sum(np.abs(c))) if c.size else 0.0
+        return float(np.sum(np.abs(self.effective_coefficients())))
 
     def truncate(self, k: int) -> "Ensemble":
         """The model made of the first k stages, as the trainer had it at iteration k."""

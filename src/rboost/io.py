@@ -183,13 +183,9 @@ def load_feature_matrix(path, schema: CsvSchema = CsvSchema(), n_features: Optio
 
 
 def fmt(value) -> str:
-    """Render a cell: floats via repr for exact decimal round-trip."""
+    """Render a cell: floats via repr for exact decimal round-trip, anything else via str."""
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return str(value)
 
 

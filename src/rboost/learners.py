@@ -177,16 +177,15 @@ def _best_split(cache: SplitCache, r: np.ndarray, rows: np.ndarray, block: np.nd
     bit-equal across features, so ties genuinely break toward the lower
     feature index (and, within a column, the smaller threshold).
 
-    The scan reads the per-sample constants from the cache instead of
-    re-deriving them: the boundary counts nl and n - nl are slices of one
-    step vector, tied boundaries are masked from the root's cached
-    positions or, below the root, only in the columns that hold ties at
-    all, and a re-scored column reads just the two values around its
-    boundary. On a sample whose cache holds a root_scan the root builds
-    gains at its untied boundaries only (see _untied_root_scan), with the
-    same winner per column. The gain is built in place with the same
-    operations in the same order as sl*sl/nl + sr*sr/(n - nl), so every
-    bit is unchanged.
+    The scan reads the per-sample constants from the cache: the boundary
+    counts nl and n - nl are slices of one step vector, tied boundaries
+    are masked from the root's cached positions or, below the root, only
+    in the columns that hold ties at all, and a re-scored column reads
+    just the two values around its boundary. On a sample whose cache
+    holds a root_scan the root builds gains at its untied boundaries only
+    (see _untied_root_scan), with the same winner per column. The gain is
+    built in place with the same operations in the same order as
+    sl*sl/nl + sr*sr/(n - nl), so it has that expression's bits.
 
     Only columns whose prefix-sum gain lies within ``band`` of the best one
     are re-scored. With unit roundoff u = eps/2 and S = sum |r| over the
@@ -284,8 +283,7 @@ def fit_tree(data: Dataset, residual, n_splits: int, *, out=None) -> RegressionT
     the budget are not searched, so a tree costs at most 2 * n_splits - 1
     searches. The transposed features, tie positions and index vectors
     every search reads come from the same cache, built by the sample's
-    first fit and only read after that; they are the arrays each fit used
-    to rebuild, so the trees are the same bit for bit.
+    first fit and only read after that.
 
     The search reads r scaled by a power of two to a largest |r| in
     [0.5, 1). The scaling is exact and keeps the gains from overflowing or

@@ -50,9 +50,12 @@ def realdata_experiment(
     Pass either data (shuffled and halved here) or pre_split=(train, test)
     for datasets that come already divided. Weak learners default to
     decision stumps (n_splits=1), matching an additive main-effects model.
+    seed, an integer >= 0, seeds the halving of data and the selection split.
     """
     if (data is None) == (pre_split is None):
         raise ValueError("pass exactly one of data or pre_split")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     check_clip_bound(clip_bound)
     if pre_split is not None:
         train_ds, test_ds = pre_split
@@ -61,7 +64,7 @@ def realdata_experiment(
             raise ValueError(f"need m >= 4 to split, got {data.m}")
         train_ds, test_ds = split_learn_validate(data, seed)
     grid = list(grid) if grid is not None else u_grid(20, 1, 1e6)
-    select_seed = int(np.random.SeedSequence([abs(int(seed)), _SELECT_SALT]).generate_state(1)[0])
+    select_seed = int(np.random.SeedSequence([int(seed), _SELECT_SALT]).generate_state(1)[0])
     learn, validate = split_learn_validate(train_ds, select_seed)
     base = TrainConfig(algorithm="boosting", max_iterations=k_max, learner_spec=TreeLearnerSpec(n_splits))
 

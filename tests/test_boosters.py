@@ -76,7 +76,7 @@ class TestTwoDimLinearSearch:
         g = rng.standard_normal(20)
         y = rng.standard_normal(20)
         res = two_dim_linear_search(np.zeros(20), g, y)
-        assert res.gram_fallback
+        assert not res.gram_fallback  # span{0, g} is span{g}: the 1-d step is the exact optimum
         assert res.alpha == 0.0
         assert res.beta == pytest.approx(np.mean(y * g) / np.mean(g * g), rel=1e-12)
 
@@ -127,6 +127,8 @@ class TestTrainBoosting:
         model, trace = train_boosting(data, stump_config("boosting", 5))
         assert len(model) == 0
         assert trace.stop_reason == "zero_residual"
+        for steps in (trace.alpha, trace.beta):
+            assert steps.dtype == np.float64 and steps.shape == (0,)
 
     def test_projection_onto_constant_dictionary(self):
         data = Dataset([[0.0], [1.0], [2.0]], [3.0, 3.0, 3.0])
@@ -296,7 +298,7 @@ class TestTrainDDRBoosting:
         data = random_data(rng, m=40)
         model, trace = train_ddrboosting(data, stump_config("ddrboosting", 1))
         assert trace.alpha[0] == 0.0
-        assert bool(trace.gram_fallback[0]) is True  # f_0 = 0 makes the Gram singular
+        assert bool(trace.gram_fallback[0]) is False  # f_0 = 0: the 1-d step is exact, not a fallback
         g = model.stages[0].learner.predict(data.features)
         assert trace.beta[0] == pytest.approx(np.mean(data.targets * g), rel=1e-12)
 
@@ -332,7 +334,7 @@ class TestTrainDDRBoosting:
         data = random_data(rng, m=60)
         _, trace = train_ddrboosting(data, stump_config("ddrboosting", 10))
         assert trace.gram_fallback.dtype == bool
-        assert bool(trace.gram_fallback[0]) is True
+        assert bool(trace.gram_fallback[0]) is False
         assert not trace.gram_fallback[1:].any()  # later states are independent of g
 
 

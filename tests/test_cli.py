@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import rboost.io as rio
-from rboost.cli import main
+from rboost.cli import _build_parser, main
 from rboost.io import read_delimited
 
 
@@ -23,6 +23,27 @@ def write_constant_csv(path, rows=24, value=5.0):
         a, b = rng.uniform(-1, 1, 2)
         lines.append(f"{float(a)!r},{float(b)!r},{float(value)!r}")
     path.write_text("\n".join(lines) + "\n")
+
+
+_BENCH_DEFAULTS = {
+    "trials": 20, "j": 4, "k_max": 500, "grid": "20:1:1e6", "seed": 0, "clip": None, "train_m": 500,
+    "test_m": 1000, "workers": 1, "out": None,
+}
+_SCHEMA_DEFAULTS = {"target_column": None, "no_header": False, "delimiter": ","}
+
+# Each subcommand with only its required positionals, and what it parses to.
+_PARSED_DEFAULTS = [
+    (["simulate"], {"target": [3], "sigma": [0.0], "algo": "all", **_BENCH_DEFAULTS}),
+    (["ucurve"], {"target": 4, "sigma": 0.5, **_BENCH_DEFAULTS}),
+    (["adaptive"], {"target": 4, "sigma": 0.5, **_BENCH_DEFAULTS}),
+    (["fit", "d.csv"], {"data": "d.csv", "algo": "rboost", "u": 1, "j": 4, "k_max": 500, "seed": 0,
+                        "clip": None, "out": ".", **_SCHEMA_DEFAULTS}),
+    (["predict", "m.json", "d.csv"], {"model": "m.json", "data": "d.csv", "clip": None, "out": None, "seed": 0,
+                                      **_SCHEMA_DEFAULTS}),
+    (["realdata"], {"data": None, "pre_split": None, "j": 1, "k_max": 500, "grid": "20:1:1e6", "seed": 0,
+                    "clip": None, "out": None, **_SCHEMA_DEFAULTS}),
+    (["report", "r.csv"], {"rows": ["r.csv"]}),
+]
 
 
 class TestDispatch:
@@ -51,6 +72,12 @@ class TestDispatch:
     def test_version_exits_0(self, capsys):
         assert run_cli(["--version"]) == 0
         assert "rboost" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, defaults", _PARSED_DEFAULTS, ids=[argv[0] for argv, _ in _PARSED_DEFAULTS])
+    def test_each_subcommand_parses_to_its_defaults(self, argv, defaults):
+        args = vars(_build_parser().parse_args(argv))
+        del args["handler"]
+        assert args == {"subcommand": argv[0], **defaults}
 
 
 class TestSimulate:
@@ -237,8 +264,16 @@ class TestFitPredict:
         assert run_cli(["fit", str(data), "--j", "1", "--k-max", "2", "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == ["model.json"]
+        assert manifest["seed"] == 0 and manifest["config"]["seed"] == 0
         model_doc = json.loads((out / "model.json").read_text())
         assert model_doc["meta"]["algorithm"] == "rboosting"
+
+    def test_fit_takes_no_seed(self, tmp_path, capsys):
+        data = tmp_path / "train.csv"
+        write_constant_csv(data)
+        assert run_cli(["fit", str(data), "--seed", "3", "--out", str(tmp_path / "model")]) == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert not (tmp_path / "model").exists()
 
 
 _TINY_BENCH = ["--trials", "1", "--k-max", "1", "--grid", "2:1:10", "--train-m", "6", "--test-m", "4"]
@@ -311,6 +346,16 @@ class TestRealdataCommand:
 
     def test_requires_some_input(self, capsys):
         assert run_cli(["realdata", "--k-max", "5"]) == 1
+
+    @pytest.mark.parametrize("pre_split", [False, True], ids=["data", "pre_split"])
+    def test_rejects_a_negative_seed(self, tmp_path, capsys, pre_split):
+        data = tmp_path / "d.csv"
+        self._write_tabular(data, m=20)
+        inputs = ["--pre-split", str(data), str(data)] if pre_split else [str(data)]
+        out = tmp_path / "run"
+        assert run_cli(["realdata", *inputs, "--k-max", "2", "--grid", "2:1:10", "--seed", "-3", "--out", str(out)]) == 1
+        assert "seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rejects_both_inputs(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

@@ -159,6 +159,8 @@ class TestEnsemble:
         model = Ensemble()
         assert np.array_equal(model.predict(np.zeros((4, 3))), np.zeros(4))
         assert model.l1_norm() == 0.0
+        coefficients = model.effective_coefficients()
+        assert coefficients.dtype == np.float64 and coefficients.shape == (0,)
 
     def test_single_stage(self):
         model = Ensemble([Stage(0.0, 0.5, constant_atom(1.0))])
@@ -177,6 +179,7 @@ class TestEnsemble:
     def test_l1_single_stage_is_abs_beta(self):
         model = Ensemble([Stage(0.7, -3.0, constant_atom(1.0))])
         assert model.l1_norm() == pytest.approx(3.0)
+        assert model.effective_coefficients().tolist() == [-3.0]  # no later stage discounts it
 
     def test_staged_predict_rows_match_truncations(self):
         rng = np.random.default_rng(3)

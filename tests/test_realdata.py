@@ -102,6 +102,22 @@ class TestRealDataExperiment:
         with pytest.raises(ValueError, match="clip bound"):
             realdata_experiment(data=data, k_max=3, grid=[1], clip_bound=bound)
 
+    @pytest.mark.parametrize("mode", ["data", "pre_split"])
+    def test_rejects_a_negative_seed_before_training(self, monkeypatch, mode):
+        # Both input modes reject it before any fit, naming the field.
+        import rboost.realdata
+        import rboost.selection
+
+        def no_training(*args):
+            raise AssertionError("train was called")
+
+        for module in (rboost.realdata, rboost.selection):
+            monkeypatch.setattr(module, "train", no_training)
+        data = make_tabular(np.random.default_rng(89), m=20)
+        inputs = {"data": data} if mode == "data" else {"pre_split": (data, data)}
+        with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+            realdata_experiment(**inputs, k_max=3, grid=[1], seed=-3)
+
     def test_stumps_by_default(self):
         data = make_tabular(np.random.default_rng(86))
         report = realdata_experiment(data=data, k_max=10, grid=[1], seed=1)

@@ -219,6 +219,7 @@ cell_values = st.one_of(
     st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
     st.integers(),
     st.booleans(),
+    st.booleans().map(np.bool_),
     st.floats().map(np.float64),
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
     st.floats(),
