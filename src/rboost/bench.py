@@ -25,7 +25,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import ALGORITHMS, Dataset, TrainConfig, as_feature_matrix, check_clip_bound, empirical_risk
+from .core import ALGORITHMS, Dataset, TrainConfig, as_feature_matrix, check_clip_bound, empirical_risk, positive_int
 from .learners import TreeLearnerSpec
 from .selection import adaptive_select, select_k_by_validation, split_learn_validate, u_grid
 
@@ -233,9 +233,11 @@ def run_comparison(
     Mean/std are over trials. Selection on the test set reproduces the
     comparison-table protocol and is labeled as the oracle it is. With
     "rboosting" among the methods, curve holds the test RMSE of every grid
-    u: the u-curve.
+    u: the u-curve. workers must be a positive integer; at 1 the trials run
+    in this process, else in a pool of that many processes.
     """
     check_clip_bound(clip_bound)
+    workers = positive_int(workers, "workers")
     grid = tuple(grid) if grid is not None else tuple(u_grid(20, 1, 1e6))
     args = [(spec, t, tuple(algorithms), k_max, grid, learner_spec, clip_bound) for t in range(spec.trials)]
     trials = _map_trials(_trial, args, workers)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .bench import SyntheticSpec, run_comparison, selected_u_stats
-from .core import ALGORITHMS, TrainConfig
+from .core import ALGORITHMS, TrainConfig, positive_int
 from .boosters import train
 from .io import (
     CsvSchema,
@@ -202,6 +202,7 @@ def _cmd_adaptive(args) -> int:
 
 def _cmd_fit(args) -> int:
     algorithm = _ALGO_ALIASES[args.algo]
+    positive_int(args.u, "u")  # every algorithm records u in the model meta, so every one checks it
     data = load_csv(args.data, _schema_from_args(args))
     config = TrainConfig(
         algorithm=algorithm,

@@ -139,12 +139,15 @@ class SplitCache(NamedTuple):
     fitting filters instead of sorting every node. tied holds the ids of
     the columns with some value twice; a node's rows are a subset of the
     sample's, so a column without ties has none at any node. root_ties
-    holds the flat positions j * (m - 1) + p of the (d, m - 1) boundaries
-    between neighbours in order where column j's p-th and (p+1)-th smallest
-    values are equal: the root may not split there. rows is arange(m), the
-    root's row ids, and steps is arange(1, m) as float64: a node of n rows
-    has steps[:n - 1] rows left of its boundaries and steps[n - 2::-1]
-    right of them, the same integers as arange(1, n) and n - arange(1, n).
+    holds the flat positions j * m + p, in the (d, m) layout of the root's
+    prefix sums, where the root may not split: the boundaries between
+    neighbours in order where column j's p-th and (p+1)-th smallest values
+    are equal, and every column's end p = m - 1, which is no boundary.
+    rows is arange(m), the root's row ids. counts is the float64 vector
+    [m - 1, ..., 1, 1, 2, ..., m]: a node of n rows has counts[m - 1:m - 1 + n],
+    the integers 1..n, rows left of its prefix positions and
+    counts[m - n:m], the integers n - 1..1 and a placeholder 1, right of
+    them; both are contiguous slices.
     root_scan is the RootScan of the untied root boundaries when at least
     _ROOT_SCAN_TIED_SHARE of them are ties, a property of the features;
     otherwise None, and the root scans every boundary.
@@ -155,7 +158,7 @@ class SplitCache(NamedTuple):
     tied: np.ndarray
     root_ties: np.ndarray
     rows: np.ndarray
-    steps: np.ndarray
+    counts: np.ndarray
     root_scan: Optional[RootScan]
 
 
@@ -211,11 +214,12 @@ class Dataset:
             order = np.ascontiguousarray(np.argsort(self._features, axis=0, kind="stable").T)
             xs = np.take_along_axis(xt, order, axis=1)
             equal = xs[:, 1:] == xs[:, :-1]
-            root_ties = np.flatnonzero(equal)
-            scan = _root_scan(equal) if root_ties.size >= _ROOT_SCAN_TIED_SHARE * equal.size else None
+            scan = _root_scan(equal) if np.count_nonzero(equal) >= _ROOT_SCAN_TIED_SHARE * equal.size else None
+            masked = np.ones((self.d, self.m), dtype=bool)  # the end column too
+            masked[:, :-1] = equal
             cache = SplitCache(
-                xt, order, np.flatnonzero(equal.any(axis=1)), root_ties,
-                np.arange(self.m), np.arange(1, self.m, dtype=np.float64), scan,
+                xt, order, np.flatnonzero(equal.any(axis=1)), np.flatnonzero(masked), np.arange(self.m),
+                np.concatenate([np.arange(self.m - 1, 0, -1), np.arange(1, self.m + 1)]).astype(np.float64), scan,
             )
             for array in (*cache[:-1], *(scan or ())):
                 array.setflags(write=False)

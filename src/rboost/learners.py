@@ -177,15 +177,18 @@ def _best_split(cache: SplitCache, r: np.ndarray, rows: np.ndarray, block: np.nd
     bit-equal across features, so ties genuinely break toward the lower
     feature index (and, within a column, the smaller threshold).
 
-    The scan reads the per-sample constants from the cache: the boundary
-    counts nl and n - nl are slices of one step vector, tied boundaries
-    are masked from the root's cached positions or, below the root, only
-    in the columns that hold ties at all, and a re-scored column reads
-    just the two values around its boundary. On a sample whose cache
+    The scan builds gains on the whole contiguous (d, n) prefix-sum array,
+    in place and with the same operations in the same order as
+    sl*sl/nl + sr*sr/(n - nl), so every boundary has that expression's
+    bits. The last column is each column's end, no boundary: its counts,
+    n and 1, are placeholders, and its gain is set to -inf before the
+    argmax. Both count rows are contiguous slices of the cache's count
+    vector. The ends and the tied boundaries are masked from the root's
+    cached positions or, below the root, the ends by one column write and
+    the ties only in the columns that hold ties at all; a re-scored column
+    reads just the two values around its boundary. On a sample whose cache
     holds a root_scan the root builds gains at its untied boundaries only
-    (see _untied_root_scan), with the same winner per column. The gain is
-    built in place with the same operations in the same order as
-    sl*sl/nl + sr*sr/(n - nl), so it has that expression's bits.
+    (see _untied_root_scan), with the same winner per column.
 
     Only columns whose prefix-sum gain lies within ``band`` of the best one
     are re-scored. With unit roundoff u = eps/2 and S = sum |r| over the
@@ -213,21 +216,23 @@ def _best_split(cache: SplitCache, r: np.ndarray, rows: np.ndarray, block: np.nd
     if root and cache.root_scan is not None:
         best_gain, best_pos = _untied_root_scan(cache.root_scan, csum, n)
     else:
-        sl = csum[:, :-1]
-        sr = csum[:, -1:] - sl
-        gain = sl * sl  # node-constant offset omitted
-        gain /= cache.steps[: n - 1]
+        m = xt.shape[1]
+        sr = csum[:, -1:] - csum
+        gain = csum * csum  # node-constant offset omitted
+        gain /= cache.counts[m - 1 : m - 1 + n]
         sr *= sr
-        sr /= cache.steps[n - 2 :: -1]
+        sr /= cache.counts[m - n : m]
         gain += sr
         if root:
-            gain.ravel()[cache.root_ties] = -np.inf  # gain is a new C-contiguous array, so ravel is a view
-        elif cache.tied.size:
-            tied = cache.tied
-            xs = xt[tied[:, None], block[tied]]
-            gain[tied] = np.where(xs[:, 1:] == xs[:, :-1], -np.inf, gain[tied])
-        best_pos = np.argmax(gain, axis=1)  # first max in a column = smallest threshold
-        best_gain = gain.max(axis=1)
+            gain.ravel()[cache.root_ties] = -np.inf  # ties and ends; gain is C-contiguous, so ravel is a view
+        else:
+            gain[:, -1] = -np.inf  # the end column is no boundary
+            if cache.tied.size:
+                tied = cache.tied
+                xs = xt[tied[:, None], block[tied]]
+                gain[tied, :-1] = np.where(xs[:, 1:] == xs[:, :-1], -np.inf, gain[tied, :-1])
+        best_pos = gain.argmax(axis=1)  # first max in a column = smallest threshold
+        best_gain = gain[np.arange(gain.shape[0]), best_pos]
     finite = np.isfinite(best_gain)
     if not finite.any():
         return None
@@ -261,6 +266,20 @@ def _best_split(cache: SplitCache, r: np.ndarray, rows: np.ndarray, block: np.nd
     return best
 
 
+def _partition(block: np.ndarray, go_left: np.ndarray):
+    """The column blocks of a split node's children, left then right.
+
+    go_left is a bool mask over the sample's row ids, the split column's m
+    values compared once; gathered over the (d, n) block it is one byte a
+    position, and each child keeps block's positions where it is True
+    (left) or False (right), so every row stays in sorted order. Blocks are
+    C-contiguous, so both ravels are views.
+    """
+    to_left = go_left[block].ravel()
+    flat = block.ravel()
+    return flat.compress(to_left).reshape(block.shape[0], -1), flat.compress(~to_left).reshape(block.shape[0], -1)
+
+
 def _routed_mean(values: np.ndarray) -> float:
     # Summing in sorted order makes leaf values independent of row order.
     # Same bits as np.mean (one pairwise sum, one division) without its overhead.
@@ -278,18 +297,22 @@ def fit_tree(data: Dataset, residual, n_splits: int, *, out=None) -> RegressionT
 
     Split search runs on column blocks: the stable column order in
     data.split_cache is the root's block, and a split filters its node's
-    block with the winning row mask, which keeps each column sorted
-    without sorting again (see _best_split). Children of the last split in
-    the budget are not searched, so a tree costs at most 2 * n_splits - 1
-    searches. The transposed features, tie positions and index vectors
-    every search reads come from the same cache, built by the sample's
-    first fit and only read after that.
+    block through a one-byte mask, the split column's m values compared
+    once and gathered over the block (see _partition); that keeps each
+    column sorted without sorting again (see _best_split). Children of
+    the last split in the budget are not searched, so a tree costs at most
+    2 * n_splits - 1 searches. The transposed features, tie positions and
+    count vectors every search reads come from the same cache, built by
+    the sample's first fit and only read after that.
 
     The search reads r scaled by a power of two to a largest |r| in
     [0.5, 1). The scaling is exact and keeps the gains from overflowing or
     underflowing at extreme scales of r: r and 2^s * r are searched on the
     same array. Leaf values are means of the unscaled r, taken once the
-    tree is grown and for leaves only; a split's value is NaN.
+    tree is grown and for leaves only; a split's value is NaN. A residual
+    holding a NaN or an infinity has no finite gain at any boundary, since
+    every boundary has the value on one side, so its tree is one leaf and
+    is grown without a search.
 
     With out, a float64 array of length m, each leaf's value is also
     written into the rows of its leaf: the in-sample prediction, the same
@@ -316,11 +339,12 @@ def fit_tree(data: Dataset, residual, n_splits: int, *, out=None) -> RegressionT
         if cand is not None:
             heapq.heappush(frontier, (-cand[0], next(created), node, rows, block, cand))
 
-    push(0, cache.rows, cache.order)
+    if math.isfinite(peak):  # else every boundary has a non-finite sum on one side: no finite gain
+        push(0, cache.rows, cache.order)
     while frontier:
         _, _, node, rows, block, (_, feat, threshold, go_left) = heapq.heappop(frontier)
-        left_rows = rows[go_left]
-        right_rows = rows[~go_left]
+        left_rows = rows.compress(go_left)
+        right_rows = rows.compress(~go_left)
         left_id = len(nodes)
         nodes[node][:4] = feat, threshold, left_id, left_id + 1
         nodes += [_leaf(np.nan), _leaf(np.nan)]
@@ -328,9 +352,9 @@ def fit_tree(data: Dataset, residual, n_splits: int, *, out=None) -> RegressionT
         node_rows += [left_rows, right_rows]
         if len(nodes) == 2 * n_splits + 1:
             break  # budget spent; the frontier is discarded, so the children need no search
-        to_left = xt[feat][block] <= threshold
-        push(left_id, left_rows, block[to_left].reshape(block.shape[0], left_rows.size))
-        push(left_id + 1, right_rows, block[~to_left].reshape(block.shape[0], right_rows.size))
+        left_block, right_block = _partition(block, xt[feat] <= threshold)
+        push(left_id, left_rows, left_block)
+        push(left_id + 1, right_rows, right_block)
     for node, rows in enumerate(node_rows):
         if rows is not None:
             value = nodes[node][4] = _routed_mean(r[rows])

@@ -203,6 +203,18 @@ class TestRunComparison:
         with pytest.raises(ValueError, match="clip bound"):
             run_comparison(spec, k_max=3, grid=[1, 10], learner_spec=TreeLearnerSpec(1), clip_bound=bound)
 
+    @pytest.mark.parametrize("workers", [0, -3, 1.5, None])
+    def test_a_workers_value_that_is_not_a_positive_integer_fails_before_training(self, monkeypatch, workers):
+        import rboost.selection
+
+        def no_training(*args):
+            raise AssertionError("train was called")
+
+        monkeypatch.setattr(rboost.selection, "train", no_training)
+        spec = SyntheticSpec(target_id=1, train_m=20, test_m=10, trials=1)
+        with pytest.raises(ValueError, match=f"workers must be a positive integer, got {workers}"):
+            run_comparison(spec, k_max=3, grid=[1, 10], learner_spec=TreeLearnerSpec(1), workers=workers)
+
     @pytest.mark.parametrize("clip_bound", [None, 1.5])
     def test_oracle_rows_are_the_selectors_handed_the_test_set(self, clip_bound):
         spec = SyntheticSpec(target_id=4, noise_sigma=0.5, train_m=50, test_m=30, trials=2)

@@ -268,6 +268,15 @@ class TestFitPredict:
         model_doc = json.loads((out / "model.json").read_text())
         assert model_doc["meta"]["algorithm"] == "rboosting"
 
+    @pytest.mark.parametrize("algo", ["boost", "rboost", "ddr"])
+    @pytest.mark.parametrize("u", ["0", "-2"])
+    def test_fit_rejects_a_u_that_is_not_a_positive_integer_under_every_algorithm(self, tmp_path, capsys, algo, u):
+        # Every algorithm records u in the model meta, so every one checks it, before reading the data.
+        out = tmp_path / "model"
+        assert run_cli(["fit", str(tmp_path / "missing.csv"), "--algo", algo, "--u", u, "--out", str(out)]) == 1
+        assert f"u must be a positive integer, got {u}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fit_takes_no_seed(self, tmp_path, capsys):
         data = tmp_path / "train.csv"
         write_constant_csv(data)
@@ -277,6 +286,15 @@ class TestFitPredict:
 
 
 _TINY_BENCH = ["--trials", "1", "--k-max", "1", "--grid", "2:1:10", "--train-m", "6", "--test-m", "4"]
+
+
+class TestWorkersFlag:
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_ucurve_rejects_a_workers_count_below_one(self, tmp_path, capsys, workers):
+        out = tmp_path / "run"
+        assert run_cli(["ucurve", *_TINY_BENCH, "--target", "1", "--workers", workers, "--out", str(out)]) == 1
+        assert f"workers must be a positive integer, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestClipFlag:

@@ -11,6 +11,7 @@ two to a largest |r| in [0.5, 1) and takes its leaf means unscaled.
 """
 
 import heapq
+import itertools
 import json
 
 import numpy as np
@@ -330,6 +331,18 @@ def test_non_finite_residuals_end_as_the_dense_scan_ends(bad, where):
                 assert getattr(tree, name).tobytes() == getattr(dense_tree, name).tobytes()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_a_non_finite_residual_grows_one_leaf_without_a_warning(bad, where):
+    # Every boundary has the bad value on one side, so no gain is finite.
+    # Outside np.errstate: pytest turns a floating-point warning into an error.
+    r = np.arange(5.0)
+    r[where] = bad
+    tree = fit_tree(Dataset(np.arange(5.0)[:, None], np.zeros(5)), r, 3)
+    assert tree.n_splits == 0 and tree.feature.tolist() == [-1]
+    assert tree.value.tobytes() == np.float64(_oracle_routed_mean(r)).tobytes()
+
+
 def test_wide_continuous_data_grows_the_oracle_tree():
     # distinct values in 10 columns: the band leaves most columns unscored
     rng = np.random.default_rng(7)
@@ -403,6 +416,65 @@ def test_split_searches_per_tree(monkeypatch, n_splits):
         assert len(calls) == 1
 
 
+@st.composite
+def partition_cases(draw):
+    """(block, go_left): a node's (d, n) column block, each row its rows in some order, and a mask over row ids."""
+    m = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.flatnonzero(rng.random(m) < draw(st.floats(0.0, 1.0)))
+    block = np.array([rng.permutation(rows) for _ in range(d)], dtype=np.intp).reshape(d, rows.size)
+    return block, rng.random(m) < draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(partition_cases())
+def test_the_byte_mask_partition_is_the_boolean_index(case):
+    block, go_left = case
+    mask = go_left[block]
+    left, right = learners._partition(block, go_left)
+    assert left.dtype == right.dtype == block.dtype
+    assert left.shape == (block.shape[0], np.count_nonzero(mask[0]))
+    assert left.tolist() == block[mask].reshape(block.shape[0], -1).tolist()
+    assert right.tolist() == block[~mask].reshape(block.shape[0], -1).tolist()
+
+
+_SMALL_NODE_SAMPLE = np.column_stack([
+    [0.5, -1.0, 2.0, 0.25, 1.5, -0.75, 3.0, 1.0],  # distinct
+    [1.0, 0.0, 1.0, 2.0, 0.0, 1.0, 2.0, 0.0],  # tied
+    [4.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0],  # constant
+])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_nodes_of_two_and_three_rows_are_searched_as_the_oracle_searches(n):
+    # Below the root the end column, a placeholder, is a third to a half of each gain row.
+    data = Dataset(_SMALL_NODE_SAMPLE, np.zeros(8))
+    cache = data.split_cache
+    rng = np.random.default_rng(n)
+    for rows in itertools.combinations(range(8), n):
+        rows = np.array(rows)
+        keep = np.isin(cache.order, rows)
+        block = cache.order[keep].reshape(3, n)
+        for r in (rng.standard_normal(8), rng.integers(-1, 2, 8) * 1.0):
+            got = learners._best_split(cache, r, rows, block)
+            want = _oracle_best_split(data.features, r, rows)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+                assert got[1:3] == want[1:3]
+                assert rows[got[3]].tolist() == want[3].tolist()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_trees_grown_down_to_nodes_of_two_and_three_rows_are_the_oracles(m):
+    rng = np.random.default_rng(m)
+    X = _SMALL_NODE_SAMPLE[:m]
+    for r in (rng.standard_normal(m), rng.integers(-2, 3, m) * 1.0, np.arange(m) * 1.0):
+        for n_splits in (1, 2, 3, 5, 8):
+            _assert_same_tree(X, r, n_splits)
+
+
 class TestColumnOrder:
     """SplitCache.order: each column's row ids in stable ascending order, the root's block."""
 
@@ -428,8 +500,10 @@ class TestColumnOrder:
 
 
 def _cache_arrays(cache):
-    """Every array of a SplitCache, the RootScan's included."""
-    return [*cache[:-1], *(cache.root_scan or ())]
+    """Every array of a SplitCache, the RootScan's included, by field name."""
+    arrays = [getattr(cache, name) for name in cache._fields if name != "root_scan"]
+    scan = cache.root_scan
+    return arrays + ([getattr(scan, name) for name in scan._fields] if scan is not None else [])
 
 
 class TestSplitCache:
@@ -442,18 +516,24 @@ class TestSplitCache:
         assert cache.xt.tolist() == self.X.T.tolist() and cache.xt.flags.c_contiguous
         assert cache.order.tolist() == [[3, 1, 0, 2], [2, 0, 1, 3], [1, 0, 2, 3]] and cache.order.flags.c_contiguous
         assert cache.tied.tolist() == [0, 1]  # column 2 has no repeated value
-        # sorted column 0 is 0, 1, 2, 2 (tie at boundary 2); column 1 is 0, 1, 1, 1 (boundaries 1 and 2)
-        assert cache.root_ties.tolist() == [0 * 3 + 2, 1 * 3 + 1, 1 * 3 + 2]
+        # sorted column 0 is 0, 1, 2, 2 (tie at boundary 2); column 1 is 0, 1, 1, 1 (boundaries 1 and 2);
+        # every column's end, position 3, is masked too
+        assert cache.root_ties.tolist() == [0 * 4 + 2, 0 * 4 + 3, 1 * 4 + 1, 1 * 4 + 2, 1 * 4 + 3, 2 * 4 + 3]
         assert cache.rows.tolist() == [0, 1, 2, 3]
-        assert cache.steps.dtype == np.float64 and cache.steps.tolist() == [1.0, 2.0, 3.0]
+        assert cache.counts.dtype == np.float64 and cache.counts.tolist() == [3.0, 2.0, 1.0, 1.0, 2.0, 3.0, 4.0]
+        for n in (2, 3, 4):  # left counts 1..n, right counts n - 1..1 and the end column's placeholder 1
+            assert cache.counts[4 - 1 : 4 - 1 + n].tolist() == list(range(1, n + 1))
+            assert cache.counts[4 - n : 4].tolist() == [*range(n - 1, 0, -1), 1]
         assert cache.root_scan is None  # a third of the boundaries are ties: the dense scan
 
     def test_root_scan_contents(self):
         cache = Dataset(self.TIED, np.zeros(4)).split_cache
         # sorted: column 0 is 0, 1, 2, 2 (boundaries 0 and 1 untied), column 1 is 0, 1, 1, 1
         # (boundary 0), column 2 is 0.5, 0.5, 0.5, 1 (boundary 2)
-        assert cache.root_ties.size == 5
+        assert cache.root_ties.size == 5 + 3  # the ties and the three ends
+        assert cache.root_ties.tolist() == [0 * 4 + 2, 0 * 4 + 3, 1 * 4 + 1, 1 * 4 + 2, 1 * 4 + 3, 2 * 4 + 0, 2 * 4 + 1, 2 * 4 + 3]
         scan = cache.root_scan
+        assert sorted([*scan.at.tolist(), *cache.root_ties.tolist()]) == list(range(3 * 4))  # untied or masked
         assert scan.at.tolist() == [0 * 4 + 0, 0 * 4 + 1, 1 * 4 + 0, 2 * 4 + 2]
         assert scan.total_at.tolist() == [3, 3, 7, 11]
         assert scan.nl.dtype == scan.nr.dtype == np.float64
@@ -471,7 +551,7 @@ class TestSplitCache:
             X[: k + 1, j] = 0.0
             left -= k
         cache = Dataset(X, np.zeros(m)).split_cache
-        assert cache.root_ties.size == ties
+        assert cache.root_ties.size == ties + d  # the ties and every column's end
         assert (cache.root_scan is not None) == (2 * ties >= d * (m - 1))
 
     def test_read_only_and_cached(self):
@@ -492,7 +572,7 @@ class TestSplitCache:
         assert sub.split_cache is not parent
         assert sub.split_cache.xt.tolist() == self.X[[1, 2, 3]].T.tolist()
         assert sub.split_cache.tied.tolist() == [1]
-        assert sub.split_cache.root_ties.tolist() == [1 * 2 + 1]
+        assert sub.split_cache.root_ties.tolist() == [0 * 3 + 2, 1 * 3 + 1, 1 * 3 + 2, 2 * 3 + 2]
         assert data.split_cache is parent
         assert parent.tied.tolist() == [0, 1]
 

@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""Time the split-search layers on their own: one _best_split call, one fit_tree tree.
+
+    python3 tools/bench_layers.py [--repeats N] [--out PATH]
+
+Imports rboost from the src directory of the checkout it sits in.
+learners._best_split is timed per call at d=10 on nodes of n = 32, 125,
+500 and 2000 rows of one 2,000-row sample: n = 2000 is the root, the
+smaller nodes are seeded random row subsets whose blocks are filtered
+from the column order, as fit_tree filters them. learners.fit_tree is
+timed per tree at J = 1 and 4 splits on 500- and 2,000-row samples of 10
+columns. Features are seeded uniform draws (no ties, so the root takes the
+dense scan) and residuals standard normal, so every run times the same
+inputs. Every call is made once untimed (the first fit builds the
+sample's split cache); then N rounds time each call once, and each figure
+is the median of its N times, in microseconds: per call for _best_split,
+per tree for fit_tree. Writes PATH (default BENCH_layers.json at the
+checkout's root) with the git SHA, whether the tree had uncommitted
+changes, and the Python and numpy versions.
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from rboost import Dataset  # noqa: E402
+from rboost.learners import _best_split, fit_tree  # noqa: E402
+
+D = 10
+SEARCH_M = 2000
+SEARCH_NODES = (32, 125, 500, 2000)
+TREE_SAMPLES = (500, 2000)
+TREE_SPLITS = (1, 4)
+
+
+def _sample(m: int, seed: int):
+    rng = np.random.default_rng(seed)
+    return Dataset(rng.uniform(-1.0, 1.0, (m, D)), np.zeros(m)), rng.standard_normal(m)
+
+
+def _cases() -> list:
+    """(layer, record, call) of every figure, each call bound to its seeded inputs."""
+    data, r = _sample(SEARCH_M, 0)
+    cache = data.split_cache
+    rng = np.random.default_rng(1)
+    cases = []
+    for n in SEARCH_NODES:
+        rows = np.sort(rng.choice(SEARCH_M, n, replace=False)) if n < SEARCH_M else cache.rows
+        inside = np.zeros(SEARCH_M, dtype=bool)
+        inside[rows] = True
+        block = cache.order[inside[cache.order]].reshape(D, n)
+        call = functools.partial(_best_split, cache, r, rows, block)
+        cases.append(("learners._best_split", {"d": D, "n": n, "root": n == SEARCH_M}, call))
+    for m in TREE_SAMPLES:
+        data, r = _sample(m, m)
+        for n_splits in TREE_SPLITS:
+            call = functools.partial(fit_tree, data, r, n_splits)
+            cases.append(("learners.fit_tree", {"m": m, "d": D, "n_splits": n_splits}, call))
+    return cases
+
+
+def time_layers(repeats: int) -> dict:
+    """{layer: [record with its median_us]}: every call once untimed, then repeats rounds over all calls.
+
+    Rounds visit every figure in turn, so a slow spell of the machine
+    falls on all of them alike.
+    """
+    cases = _cases()
+    times = [[] for _ in cases]
+    for _, _, call in cases:
+        call()
+    for _ in range(repeats):
+        for spent, (_, _, call) in zip(times, cases):
+            start = time.perf_counter()
+            call()
+            spent.append(time.perf_counter() - start)
+    layers = {}
+    for spent, (layer, record, _) in zip(times, cases):
+        layers.setdefault(layer, []).append({**record, "median_us": statistics.median(spent) * 1e6})
+    return layers
+
+
+def _git(*args):
+    try:
+        done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, timeout=30)
+    except OSError:
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def measure(repeats: int) -> dict:
+    status = _git("status", "--porcelain")
+    return {
+        "git_sha": _git("rev-parse", "HEAD"),
+        "git_dirty": None if status is None else bool(status),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "repeats": repeats,
+        "layers": time_layers(repeats),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=301, help="timed calls per figure (default 301)")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_layers.json")
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error(f"--repeats must be >= 1, got {args.repeats}")
+    result = measure(args.repeats)
+    args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    for layer, rows in result["layers"].items():
+        for row in rows:
+            shape = ", ".join(f"{k}={v}" for k, v in row.items() if k != "median_us")
+            print(f"{layer:22s} {shape:34s} {row['median_us']:10.1f} us")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
