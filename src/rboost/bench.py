@@ -25,7 +25,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import ALGORITHMS, Dataset, TrainConfig, as_feature_matrix, check_clip_bound, empirical_risk, positive_int
+from .core import ALGORITHMS, Dataset, TrainConfig, as_feature_matrix, check_clip_bound, empirical_risk, integer, positive_int
 from .learners import TreeLearnerSpec
 from .selection import adaptive_select, select_k_by_validation, split_learn_validate, u_grid
 
@@ -85,7 +85,12 @@ def rmse(pred, truth) -> float:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """One benchmark configuration: which target, how noisy, how many trials."""
+    """One benchmark configuration: which target, how noisy, how many trials.
+
+    noise_sigma must be a finite number >= 0; train_m, test_m and trials
+    must be integers >= 1 and seed_base an integer >= 0, each stored as an
+    int (an integral float such as 500.0 is stored as 500).
+    """
 
     target_id: int
     noise_sigma: float = 0.0
@@ -97,12 +102,11 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.target_id not in TARGET_DIMENSIONS:
             raise ValueError(f"target_id must be in 1..9, got {self.target_id}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.train_m < 1 or self.test_m < 1 or self.trials < 1:
-            raise ValueError("train_m, test_m and trials must all be >= 1")
-        if self.seed_base < 0:
-            raise ValueError(f"seed_base must be >= 0, got {self.seed_base}")
+        if not 0 <= self.noise_sigma < np.inf:  # NaN fails too
+            raise ValueError(f"noise_sigma must be a finite number >= 0, got {self.noise_sigma}")
+        for name in ("train_m", "test_m", "trials"):
+            object.__setattr__(self, name, positive_int(getattr(self, name), name))
+        object.__setattr__(self, "seed_base", integer(self.seed_base, "seed_base", 0))
 
     @property
     def dimension(self) -> int:

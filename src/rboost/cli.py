@@ -63,7 +63,7 @@ def _parse_grid(text: str):
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be COUNT:LO:HI, got {text!r}")
-    return u_grid(int(parts[0]), float(parts[1]), float(parts[2]))
+    return u_grid(float(parts[0]), float(parts[1]), float(parts[2]))  # u_grid rejects a fractional count by name
 
 
 def _parse_target_column(text):

@@ -56,16 +56,26 @@ def empirical_risk(pred, targets) -> float:
     return float(np.mean(d * d))
 
 
-def positive_int(value, name: str) -> int:
-    """value as an int when it is an integer >= 1 (3, 3.0 and np.int64(3) all
-    give 3); otherwise a ValueError naming the field."""
+def integer(value, name: str, minimum: int) -> int:
+    """value as an int when it is an integer >= minimum (3, 3.0 and np.int64(3)
+    all give 3); otherwise a ValueError naming the field."""
     try:
         integral = int(value)
     except (TypeError, ValueError, OverflowError):
         integral = None
-    if integral is None or integral != value or integral < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if integral is None or integral != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if integral < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
     return integral
+
+
+def positive_int(value, name: str) -> int:
+    """integer(value, name, 1), under one message for either fault."""
+    try:
+        return integer(value, name, 1)
+    except ValueError:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}") from None
 
 
 def check_clip_bound(bound: Optional[float]):
@@ -138,12 +148,9 @@ class SplitCache(NamedTuple):
     column in stable ascending order, (d, m): the root's block, which tree
     fitting filters instead of sorting every node. tied holds the ids of
     the columns with some value twice; a node's rows are a subset of the
-    sample's, so a column without ties has none at any node. root_ties
-    holds the flat positions j * m + p, in the (d, m) layout of the root's
-    prefix sums, where the root may not split: the boundaries between
-    neighbours in order where column j's p-th and (p+1)-th smallest values
-    are equal, and every column's end p = m - 1, which is no boundary.
-    rows is arange(m), the root's row ids. counts is the float64 vector
+    sample's, so a column without ties has none at any node, and every
+    node, the root included, masks ties only in these columns. rows is
+    arange(m), the root's row ids. counts is the float64 vector
     [m - 1, ..., 1, 1, 2, ..., m]: a node of n rows has counts[m - 1:m - 1 + n],
     the integers 1..n, rows left of its prefix positions and
     counts[m - n:m], the integers n - 1..1 and a placeholder 1, right of
@@ -156,7 +163,6 @@ class SplitCache(NamedTuple):
     xt: np.ndarray
     order: np.ndarray
     tied: np.ndarray
-    root_ties: np.ndarray
     rows: np.ndarray
     counts: np.ndarray
     root_scan: Optional[RootScan]
@@ -215,10 +221,8 @@ class Dataset:
             xs = np.take_along_axis(xt, order, axis=1)
             equal = xs[:, 1:] == xs[:, :-1]
             scan = _root_scan(equal) if np.count_nonzero(equal) >= _ROOT_SCAN_TIED_SHARE * equal.size else None
-            masked = np.ones((self.d, self.m), dtype=bool)  # the end column too
-            masked[:, :-1] = equal
             cache = SplitCache(
-                xt, order, np.flatnonzero(equal.any(axis=1)), np.flatnonzero(masked), np.arange(self.m),
+                xt, order, np.flatnonzero(equal.any(axis=1)), np.arange(self.m),
                 np.concatenate([np.arange(self.m - 1, 0, -1), np.arange(1, self.m + 1)]).astype(np.float64), scan,
             )
             for array in (*cache[:-1], *(scan or ())):

@@ -183,12 +183,13 @@ def _best_split(cache: SplitCache, r: np.ndarray, rows: np.ndarray, block: np.nd
     bits. The last column is each column's end, no boundary: its counts,
     n and 1, are placeholders, and its gain is set to -inf before the
     argmax. Both count rows are contiguous slices of the cache's count
-    vector. The ends and the tied boundaries are masked from the root's
-    cached positions or, below the root, the ends by one column write and
-    the ties only in the columns that hold ties at all; a re-scored column
-    reads just the two values around its boundary. On a sample whose cache
-    holds a root_scan the root builds gains at its untied boundaries only
-    (see _untied_root_scan), with the same winner per column.
+    vector. Every node, the root included, masks its boundaries by one
+    rule: the end column by one column write, then, in each column that
+    holds a tie at all, the boundaries between equal neighbouring values
+    of its block; a re-scored column reads just the two values around its
+    boundary. On a sample whose cache holds a root_scan the root builds
+    gains at its untied boundaries only (see _untied_root_scan), with the
+    same winner per column.
 
     Only columns whose prefix-sum gain lies within ``band`` of the best one
     are re-scored. With unit roundoff u = eps/2 and S = sum |r| over the
@@ -223,14 +224,10 @@ def _best_split(cache: SplitCache, r: np.ndarray, rows: np.ndarray, block: np.nd
         sr *= sr
         sr /= cache.counts[m - n : m]
         gain += sr
-        if root:
-            gain.ravel()[cache.root_ties] = -np.inf  # ties and ends; gain is C-contiguous, so ravel is a view
-        else:
-            gain[:, -1] = -np.inf  # the end column is no boundary
-            if cache.tied.size:
-                tied = cache.tied
-                xs = xt[tied[:, None], block[tied]]
-                gain[tied, :-1] = np.where(xs[:, 1:] == xs[:, :-1], -np.inf, gain[tied, :-1])
+        gain[:, -1] = -np.inf  # the end column is no boundary
+        for j in cache.tied.tolist():
+            values = xt[j].take(block[j])
+            gain[j, :-1][values[1:] == values[:-1]] = -np.inf  # a basic-slice view, so this writes gain
         best_pos = gain.argmax(axis=1)  # first max in a column = smallest threshold
         best_gain = gain[np.arange(gain.shape[0]), best_pos]
     finite = np.isfinite(best_gain)
@@ -301,7 +298,7 @@ def fit_tree(data: Dataset, residual, n_splits: int, *, out=None) -> RegressionT
     once and gathered over the block (see _partition); that keeps each
     column sorted without sorting again (see _best_split). Children of
     the last split in the budget are not searched, so a tree costs at most
-    2 * n_splits - 1 searches. The transposed features, tie positions and
+    2 * n_splits - 1 searches. The transposed features, tied column ids and
     count vectors every search reads come from the same cache, built by
     the sample's first fit and only read after that.
 

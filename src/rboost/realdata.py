@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .bench import rmse
-from .core import ALGORITHMS, Dataset, Ensemble, TrainConfig, check_clip_bound
+from .core import ALGORITHMS, Dataset, Ensemble, TrainConfig, check_clip_bound, integer
 from .boosters import train
 from .learners import TreeLearnerSpec
 from .selection import adaptive_select, select_k_by_validation, split_learn_validate, u_grid
@@ -54,8 +54,7 @@ def realdata_experiment(
     """
     if (data is None) == (pre_split is None):
         raise ValueError("pass exactly one of data or pre_split")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed = integer(seed, "seed", 0)
     check_clip_bound(clip_bound)
     if pre_split is not None:
         train_ds, test_ds = pre_split
@@ -64,7 +63,7 @@ def realdata_experiment(
             raise ValueError(f"need m >= 4 to split, got {data.m}")
         train_ds, test_ds = split_learn_validate(data, seed)
     grid = list(grid) if grid is not None else u_grid(20, 1, 1e6)
-    select_seed = int(np.random.SeedSequence([int(seed), _SELECT_SALT]).generate_state(1)[0])
+    select_seed = int(np.random.SeedSequence([seed, _SELECT_SALT]).generate_state(1)[0])
     learn, validate = split_learn_validate(train_ds, select_seed)
     base = TrainConfig(algorithm="boosting", max_iterations=k_max, learner_spec=TreeLearnerSpec(n_splits))
 

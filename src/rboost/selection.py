@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .boosters import train
-from .core import Dataset, TrainConfig, check_clip_bound, clip
+from .core import Dataset, TrainConfig, check_clip_bound, clip, integer
 
 
 def u_grid(count: int, lo: float = 1.0, hi: float = 1e6) -> list:
@@ -29,12 +29,13 @@ def u_grid(count: int, lo: float = 1.0, hi: float = 1e6) -> list:
     Each raw value 10**(log10(lo) + i*(log10(hi)-log10(lo))/(count-1)) is
     rounded half-up to the nearest integer and floored at 1; duplicates
     (which rounding produces at the low end of tight grids) are dropped
-    preserving order.
+    preserving order. count must be an integer >= 2 and hi finite.
     """
-    if count < 2:
-        raise ValueError(f"count must be >= 2, got {count}")
+    count = integer(count, "count", 2)
     if not 1 <= lo < hi:
         raise ValueError(f"need 1 <= lo < hi, got lo={lo}, hi={hi}")
+    if hi == np.inf:
+        raise ValueError(f"hi must be finite, got {hi}")
     exponents = np.linspace(np.log10(lo), np.log10(hi), count)
     grid = []
     for e in exponents:

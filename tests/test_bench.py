@@ -136,6 +136,28 @@ class TestSampleDataset:
         with pytest.raises(ValueError):
             SyntheticSpec(target_id=1, seed_base=-1)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, -0.1])
+    def test_a_noise_sigma_that_is_not_a_finite_number_at_least_zero_is_named(self, sigma):
+        with pytest.raises(ValueError, match=r"noise_sigma must be a finite number >= 0, got"):
+            SyntheticSpec(target_id=1, noise_sigma=sigma)
+
+    @pytest.mark.parametrize("field, value", [
+        ("train_m", 0), ("train_m", 2.5), ("test_m", -1), ("test_m", "7"), ("trials", 2.5), ("trials", np.nan),
+    ])
+    def test_a_size_that_is_not_a_positive_integer_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a positive integer, got"):
+            SyntheticSpec(target_id=1, **{field: value})
+
+    @pytest.mark.parametrize("seed_base", [1.5, np.nan, "3"])
+    def test_a_seed_base_that_is_not_an_integer_is_named(self, seed_base):
+        with pytest.raises(ValueError, match="seed_base must be an integer, got"):
+            SyntheticSpec(target_id=1, seed_base=seed_base)
+
+    def test_integral_sizes_and_seed_base_are_stored_as_ints(self):
+        spec = SyntheticSpec(target_id=1, train_m=50.0, test_m=np.int64(30), trials=2.0, seed_base=3.0)
+        values = (spec.train_m, spec.test_m, spec.trials, spec.seed_base)
+        assert values == (50, 30, 2, 3) and all(type(v) is int for v in values)
+
     def test_dimensions_follow_target(self):
         assert SyntheticSpec(target_id=2).dimension == 1
         assert SyntheticSpec(target_id=5).dimension == 2

@@ -22,13 +22,22 @@ def test_writes_every_layer_figure_with_its_provenance(tmp_path):
     layers = result["layers"]
     assert set(layers) == {"learners._best_split", "learners.fit_tree"}
     search = layers["learners._best_split"]
-    assert [(row["d"], row["n"], row["root"]) for row in search] == [
-        (10, 32, False), (10, 125, False), (10, 500, False), (10, 2000, True),
+    regimes = ["none", "light", "heavy"]
+    assert [(row["ties"], row["d"], row["n"], row["root"]) for row in search] == [
+        (ties, 10, n, n == 2000) for ties in regimes for n in (32, 125, 500, 2000)
     ]
     trees = layers["learners.fit_tree"]
-    assert [(row["m"], row["d"], row["n_splits"]) for row in trees] == [(500, 10, 1), (500, 10, 4), (2000, 10, 1), (2000, 10, 4)]
+    assert [(row["ties"], row["m"], row["d"], row["n_splits"]) for row in trees] == [
+        (ties, m, 10, n_splits) for ties in regimes for m in (500, 2000) for n_splits in (1, 4)
+    ]
     for row in search + trees:
+        assert set(row) == {"ties", "tied_share", "median_us", *(("d", "n", "root") if "n" in row else ("m", "d", "n_splits"))}
         assert isinstance(row["median_us"], float) and row["median_us"] > 0
+        assert isinstance(row["tied_share"], float) and 0.0 <= row["tied_share"] < 1.0
+    share = {(row["ties"], row["n"]): row["tied_share"] for row in search}
+    # one 2,000-row sample per regime: none tied, a few ties, and most root boundaries tied (the untied root scan)
+    assert share["none", 2000] == 0.0 < share["light", 2000] < 0.01 and share["heavy", 2000] >= 0.5
+    assert len({row["tied_share"] for row in search if row["ties"] == "heavy"}) == 1
     assert f"wrote {out}" in done.stdout
 
 

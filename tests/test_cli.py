@@ -128,6 +128,22 @@ class TestSimulate:
         assert first == second
 
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_a_sigma_that_is_not_a_finite_number_fails_before_any_output(self, tmp_path, capsys, sigma):
+        out = tmp_path / "run"
+        assert run_cli(["simulate", "--target", "3", "--sigma", sigma, *_TINY_BENCH, "--out", str(out)]) == 1
+        assert f"noise_sigma must be a finite number >= 0, got {sigma}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid, message", [
+        ("3:1:inf", "hi must be finite, got inf"), ("2.5:1:10", "count must be an integer, got 2.5"),
+    ])
+    def test_a_fractional_grid_count_or_an_infinite_grid_end_fails_by_name(self, tmp_path, capsys, grid, message):
+        out = tmp_path / "run"
+        assert run_cli(["simulate", "--target", "3", *_TINY_BENCH, "--grid", grid, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 class TestUcurve:
     def test_emits_one_row_per_grid_point(self, tmp_path):
         out = tmp_path / "run"

@@ -118,6 +118,20 @@ class TestRealDataExperiment:
         with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
             realdata_experiment(**inputs, k_max=3, grid=[1], seed=-3)
 
+    @pytest.mark.parametrize("seed", [1.5, np.nan])
+    def test_rejects_a_seed_that_is_not_an_integer_before_training(self, monkeypatch, seed):
+        import rboost.realdata
+        import rboost.selection
+
+        def no_training(*args):
+            raise AssertionError("train was called")
+
+        for module in (rboost.realdata, rboost.selection):
+            monkeypatch.setattr(module, "train", no_training)
+        data = make_tabular(np.random.default_rng(89), m=20)
+        with pytest.raises(ValueError, match="seed must be an integer, got"):
+            realdata_experiment(data=data, k_max=3, grid=[1], seed=seed)
+
     def test_stumps_by_default(self):
         data = make_tabular(np.random.default_rng(86))
         report = realdata_experiment(data=data, k_max=10, grid=[1], seed=1)

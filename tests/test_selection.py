@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,19 @@ class TestUGrid:
         with pytest.raises(ValueError):
             u_grid(5, 10, 10)
 
+
+    def test_a_count_that_is_not_an_integer_is_named(self):
+        with pytest.raises(ValueError, match="count must be an integer, got 2.5"):
+            u_grid(2.5, 1, 10)
+
+    def test_an_infinite_end_is_named_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="hi must be finite, got inf"):
+                u_grid(3, 1, np.inf)
+
+    def test_an_integral_float_count_is_used_as_an_int(self):
+        assert u_grid(3.0, 1, 100) == u_grid(3, 1, 100) == [1, 10, 100]
 
 class TestSplitLearnValidate:
     def test_even_split_sizes(self):

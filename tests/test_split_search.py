@@ -475,6 +475,44 @@ def test_trees_grown_down_to_nodes_of_two_and_three_rows_are_the_oracles(m):
             _assert_same_tree(X, r, n_splits)
 
 
+def _largest_prefix_gain_is_tied(X, r, rows):
+    """Whether the node's largest prefix-sum gain, its ties unmasked, lies on a tied boundary."""
+    sub = X[rows]
+    order = np.argsort(sub, axis=0, kind="stable")
+    xs = np.take_along_axis(sub, order, axis=0)
+    csum = np.cumsum(r[rows][order], axis=0)
+    nl = np.arange(1, rows.size, dtype=np.float64)[:, None]
+    gain = csum[:-1] ** 2 / nl + (csum[-1] - csum[:-1]) ** 2 / (rows.size - nl)
+    pos, feat = np.unravel_index(np.argmax(gain), gain.shape)
+    return bool(xs[pos, feat] == xs[pos + 1, feat])
+
+
+def test_the_dense_root_and_its_child_mask_the_tied_boundary_with_the_largest_prefix_gain():
+    # Column 0 holds the ties 2, 2 and 5, 5, too few for the untied root scan; column 1 is distinct.
+    # At the root the largest prefix gain falls between the two 5s, and in the root's right child
+    # (rows 3, 7, 8, 9) between them again. Splitting there would put one 5 on each side, so the
+    # search must take each node's best untied boundary: column 0 at 4.5, then column 1 between 0.1 and 0.2.
+    X = np.column_stack([
+        [3.0, 0.0, 2.0, 5.0, 2.0, 1.0, 4.0, 5.0, 6.0, 7.0],
+        [0.4, -0.3, 0.9, 0.1, -0.8, 0.6, -0.5, 0.2, 0.7, -0.1],
+    ])
+    r = np.array([0.0, -1.0, -1.0, -1.0, -2.0, 0.0, 0.0, 4.0, 2.0, 2.0])
+    data = Dataset(X, np.zeros(10))
+    cache = data.split_cache
+    assert cache.root_scan is None and cache.tied.tolist() == [0]
+    rows, block = cache.rows, cache.order
+    for want_rows, want_split in ((list(range(10)), (0, 4.5)), ([3, 7, 8, 9], (1, 0.5 * (0.1 + 0.2)))):
+        assert rows.tolist() == want_rows
+        assert _largest_prefix_gain_is_tied(X, r, rows)
+        got = learners._best_split(cache, r, rows, block)
+        want = _oracle_best_split(X, r, rows)
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert got[1:3] == want[1:3] == want_split
+        assert rows[got[3]].tolist() == want[3].tolist()
+        rows = want[4]  # the right child
+        block = learners._partition(block, X[:, got[1]] <= got[2])[1]
+
+
 class TestColumnOrder:
     """SplitCache.order: each column's row ids in stable ascending order, the root's block."""
 
@@ -499,6 +537,13 @@ class TestColumnOrder:
         assert data.split_cache.order is parent
 
 
+def _tie_positions(X):
+    """Flat positions j * m + p of the tied root boundaries, worked out from the sorted columns."""
+    xs = np.sort(X, axis=0)
+    col, pos = np.nonzero((xs[1:] == xs[:-1]).T)
+    return (col * X.shape[0] + pos).tolist()
+
+
 def _cache_arrays(cache):
     """Every array of a SplitCache, the RootScan's included, by field name."""
     arrays = [getattr(cache, name) for name in cache._fields if name != "root_scan"]
@@ -516,9 +561,10 @@ class TestSplitCache:
         assert cache.xt.tolist() == self.X.T.tolist() and cache.xt.flags.c_contiguous
         assert cache.order.tolist() == [[3, 1, 0, 2], [2, 0, 1, 3], [1, 0, 2, 3]] and cache.order.flags.c_contiguous
         assert cache.tied.tolist() == [0, 1]  # column 2 has no repeated value
-        # sorted column 0 is 0, 1, 2, 2 (tie at boundary 2); column 1 is 0, 1, 1, 1 (boundaries 1 and 2);
-        # every column's end, position 3, is masked too
-        assert cache.root_ties.tolist() == [0 * 4 + 2, 0 * 4 + 3, 1 * 4 + 1, 1 * 4 + 2, 1 * 4 + 3, 2 * 4 + 3]
+        # sorted column 0 is 0, 1, 2, 2 (tie at boundary 2); column 1 is 0, 1, 1, 1 (boundaries 1 and 2):
+        # the root masks these in the tied columns alone, and every column's end, position 3
+        assert _tie_positions(self.X) == [0 * 4 + 2, 1 * 4 + 1, 1 * 4 + 2]
+        assert sorted({p // 4 for p in _tie_positions(self.X)}) == cache.tied.tolist()
         assert cache.rows.tolist() == [0, 1, 2, 3]
         assert cache.counts.dtype == np.float64 and cache.counts.tolist() == [3.0, 2.0, 1.0, 1.0, 2.0, 3.0, 4.0]
         for n in (2, 3, 4):  # left counts 1..n, right counts n - 1..1 and the end column's placeholder 1
@@ -530,10 +576,13 @@ class TestSplitCache:
         cache = Dataset(self.TIED, np.zeros(4)).split_cache
         # sorted: column 0 is 0, 1, 2, 2 (boundaries 0 and 1 untied), column 1 is 0, 1, 1, 1
         # (boundary 0), column 2 is 0.5, 0.5, 0.5, 1 (boundary 2)
-        assert cache.root_ties.size == 5 + 3  # the ties and the three ends
-        assert cache.root_ties.tolist() == [0 * 4 + 2, 0 * 4 + 3, 1 * 4 + 1, 1 * 4 + 2, 1 * 4 + 3, 2 * 4 + 0, 2 * 4 + 1, 2 * 4 + 3]
+        ties = _tie_positions(self.TIED)
+        assert len(ties) == 5
+        assert ties == [0 * 4 + 2, 1 * 4 + 1, 1 * 4 + 2, 2 * 4 + 0, 2 * 4 + 1]
+        assert cache.tied.tolist() == [0, 1, 2]
         scan = cache.root_scan
-        assert sorted([*scan.at.tolist(), *cache.root_ties.tolist()]) == list(range(3 * 4))  # untied or masked
+        ends = [0 * 4 + 3, 1 * 4 + 3, 2 * 4 + 3]
+        assert sorted([*scan.at.tolist(), *ties, *ends]) == list(range(3 * 4))  # untied, tied or an end, once
         assert scan.at.tolist() == [0 * 4 + 0, 0 * 4 + 1, 1 * 4 + 0, 2 * 4 + 2]
         assert scan.total_at.tolist() == [3, 3, 7, 11]
         assert scan.nl.dtype == scan.nr.dtype == np.float64
@@ -551,7 +600,8 @@ class TestSplitCache:
             X[: k + 1, j] = 0.0
             left -= k
         cache = Dataset(X, np.zeros(m)).split_cache
-        assert cache.root_ties.size == ties + d  # the ties and every column's end
+        assert len(_tie_positions(X)) == ties
+        assert cache.tied.tolist() == sorted({p // m for p in _tie_positions(X)})
         assert (cache.root_scan is not None) == (2 * ties >= d * (m - 1))
 
     def test_read_only_and_cached(self):
@@ -572,7 +622,7 @@ class TestSplitCache:
         assert sub.split_cache is not parent
         assert sub.split_cache.xt.tolist() == self.X[[1, 2, 3]].T.tolist()
         assert sub.split_cache.tied.tolist() == [1]
-        assert sub.split_cache.root_ties.tolist() == [0 * 3 + 2, 1 * 3 + 1, 1 * 3 + 2, 2 * 3 + 2]
+        assert _tie_positions(self.X[[1, 2, 3]]) == [1 * 3 + 1]
         assert data.split_cache is parent
         assert parent.tied.tolist() == [0, 1]
 

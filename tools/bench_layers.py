@@ -9,9 +9,16 @@ learners._best_split is timed per call at d=10 on nodes of n = 32, 125,
 smaller nodes are seeded random row subsets whose blocks are filtered
 from the column order, as fit_tree filters them. learners.fit_tree is
 timed per tree at J = 1 and 4 splits on 500- and 2,000-row samples of 10
-columns. Features are seeded uniform draws (no ties, so the root takes the
-dense scan) and residuals standard normal, so every run times the same
-inputs. Every call is made once untimed (the first fit builds the
+columns. Each figure is taken in three tie regimes of the features, all
+seeded uniform draws: "none", on [-1, 1] with no value twice, so the
+root takes the dense scan; "light", on [-2, 2] rounded to 6 decimals as
+the serve_100k sample is, where at 2,000 rows a few columns hold a tie;
+and "heavy", the same draws rounded to 2 decimals, where at 2,000 rows
+most root boundaries are ties and the root scans only the untied ones
+(core.RootScan), while at 500 rows fewer than half are and the root
+takes the dense scan. Residuals are standard normal, so every run times
+the same inputs. Each record holds its regime (ties) and the sample's
+share of tied root boundaries (tied_share). Every call is made once untimed (the first fit builds the
 sample's split cache); then N rounds time each call once, and each figure
 is the median of its N times, in microseconds: per call for _best_split,
 per tree for fit_tree. Writes PATH (default BENCH_layers.json at the
@@ -46,29 +53,42 @@ TREE_SAMPLES = (500, 2000)
 TREE_SPLITS = (1, 4)
 
 
-def _sample(m: int, seed: int):
+# The features of each tie regime, drawn from a seeded generator.
+TIES = {
+    "none": lambda rng, m: rng.uniform(-1.0, 1.0, (m, D)),
+    "light": lambda rng, m: np.round(rng.uniform(-2.0, 2.0, (m, D)), 6),
+    "heavy": lambda rng, m: np.round(rng.uniform(-2.0, 2.0, (m, D)), 2),
+}
+
+
+def _sample(m: int, seed: int, ties: str):
+    """A sample of m rows in the ties regime, its record keys and a residual."""
     rng = np.random.default_rng(seed)
-    return Dataset(rng.uniform(-1.0, 1.0, (m, D)), np.zeros(m)), rng.standard_normal(m)
+    X = TIES[ties](rng, m)
+    xs = np.sort(X, axis=0)
+    share = float(np.count_nonzero(xs[1:] == xs[:-1]) / xs[1:].size)
+    return Dataset(X, np.zeros(m)), {"ties": ties, "tied_share": share}, rng.standard_normal(m)
 
 
 def _cases() -> list:
     """(layer, record, call) of every figure, each call bound to its seeded inputs."""
-    data, r = _sample(SEARCH_M, 0)
-    cache = data.split_cache
-    rng = np.random.default_rng(1)
     cases = []
-    for n in SEARCH_NODES:
-        rows = np.sort(rng.choice(SEARCH_M, n, replace=False)) if n < SEARCH_M else cache.rows
-        inside = np.zeros(SEARCH_M, dtype=bool)
-        inside[rows] = True
-        block = cache.order[inside[cache.order]].reshape(D, n)
-        call = functools.partial(_best_split, cache, r, rows, block)
-        cases.append(("learners._best_split", {"d": D, "n": n, "root": n == SEARCH_M}, call))
-    for m in TREE_SAMPLES:
-        data, r = _sample(m, m)
-        for n_splits in TREE_SPLITS:
-            call = functools.partial(fit_tree, data, r, n_splits)
-            cases.append(("learners.fit_tree", {"m": m, "d": D, "n_splits": n_splits}, call))
+    for ties in TIES:
+        data, regime, r = _sample(SEARCH_M, 0, ties)
+        cache = data.split_cache
+        rng = np.random.default_rng(1)
+        for n in SEARCH_NODES:
+            rows = np.sort(rng.choice(SEARCH_M, n, replace=False)) if n < SEARCH_M else cache.rows
+            inside = np.zeros(SEARCH_M, dtype=bool)
+            inside[rows] = True
+            block = cache.order[inside[cache.order]].reshape(D, n)
+            call = functools.partial(_best_split, cache, r, rows, block)
+            cases.append(("learners._best_split", {**regime, "d": D, "n": n, "root": n == SEARCH_M}, call))
+        for m in TREE_SAMPLES:
+            data, regime, r = _sample(m, m, ties)
+            for n_splits in TREE_SPLITS:
+                call = functools.partial(fit_tree, data, r, n_splits)
+                cases.append(("learners.fit_tree", {**regime, "m": m, "d": D, "n_splits": n_splits}, call))
     return cases
 
 
@@ -124,8 +144,8 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     for layer, rows in result["layers"].items():
         for row in rows:
-            shape = ", ".join(f"{k}={v}" for k, v in row.items() if k != "median_us")
-            print(f"{layer:22s} {shape:34s} {row['median_us']:10.1f} us")
+            shape = ", ".join(f"{k}={v:.3g}" if k == "tied_share" else f"{k}={v}" for k, v in row.items() if k != "median_us")
+            print(f"{layer:22s} {shape:64s} {row['median_us']:10.1f} us")
     print(f"wrote {args.out}")
     return 0
 
