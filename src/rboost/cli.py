@@ -29,13 +29,13 @@ from .io import (
     CsvSchema,
     _tree_of,
     emit_delimited,
-    fmt,
     format_aligned,
     load_csv,
     load_feature_matrix,
     load_model,
     read_delimited,
     save_model,
+    write_columns,
     write_manifest,
 )
 from .learners import TreeLearnerSpec
@@ -87,12 +87,11 @@ def _write_manifest(args, config: dict, outputs):
     write_manifest(os.path.join(args.out, "manifest.json"), args.command_echo, config, args.seed, sorted(outputs))
 
 
-def _write_outputs(args, config: dict, files: dict):
-    """Write result files plus the manifest into --out; files maps name -> (columns, rows)."""
+def _write_outputs(args, config: dict, name: str, names, columns):
+    """Write one result file, given by column, plus the manifest into --out."""
     os.makedirs(args.out, exist_ok=True)
-    for name, (columns, rows) in files.items():
-        emit_delimited(os.path.join(args.out, name), columns, rows, manifest_name="manifest.json")
-    _write_manifest(args, config, files)
+    emit_delimited(os.path.join(args.out, name), names, columns, manifest_name="manifest.json")
+    _write_manifest(args, config, [name])
 
 
 def _add_schema_flags(p):
@@ -170,7 +169,7 @@ def _cmd_simulate(args) -> int:
     print(format_aligned(["target", "sigma", "algorithm", "mean_rmse", "std_rmse"], table), end="")
     if args.out:
         config = _bench_config(args, targets=list(args.target), sigmas=list(args.sigma), algo=args.algo)
-        _write_outputs(args, config, {"results.csv": (_TRIAL_COLUMNS, rows)})
+        _write_outputs(args, config, "results.csv", _TRIAL_COLUMNS, list(zip(*rows)))
     return 0
 
 
@@ -181,7 +180,7 @@ def _cmd_ucurve(args) -> int:
     print(format_aligned(["u", "mean_rmse", "std_rmse"], table), end="")
     if args.out:
         config = _bench_config(args, target=args.target, sigma=args.sigma)
-        _write_outputs(args, config, {"ucurve.csv": (["u", "mean_rmse", "std_rmse"], rows)})
+        _write_outputs(args, config, "ucurve.csv", ["u", "mean_rmse", "std_rmse"], list(zip(*rows)))
     return 0
 
 
@@ -196,7 +195,7 @@ def _cmd_adaptive(args) -> int:
     print(format_aligned(["algorithm", "mean_rmse", "std_rmse", "mean_u", "std_u"], table), end="")
     if args.out:
         config = _bench_config(args, target=args.target, sigma=args.sigma)
-        _write_outputs(args, config, {"adaptive.csv": (_TRIAL_COLUMNS, rows)})
+        _write_outputs(args, config, "adaptive.csv", _TRIAL_COLUMNS, list(zip(*rows)))
     return 0
 
 
@@ -246,9 +245,9 @@ def _cmd_predict(args) -> int:
     preds = model.predict(matrix, clip_bound=clip_bound)
     if args.out:
         config = {"model": os.path.basename(args.model), "data": os.path.basename(args.data)}
-        _write_outputs(args, config, {"predictions.csv": (["prediction"], [[p] for p in preds.tolist()])})
+        _write_outputs(args, config, "predictions.csv", ["prediction"], [preds])
     else:
-        sys.stdout.writelines(fmt(p) + "\n" for p in preds.tolist())
+        write_columns(sys.stdout, [preds])
     return 0
 
 
@@ -280,7 +279,7 @@ def _cmd_realdata(args) -> int:
             "data": os.path.basename(args.data) if args.data else None,
             "pre_split": [os.path.basename(p) for p in args.pre_split] if args.pre_split else None,
         }
-        _write_outputs(args, config, {"realdata.csv": (cols, rows)})
+        _write_outputs(args, config, "realdata.csv", cols, list(zip(*rows)))
     return 0
 
 

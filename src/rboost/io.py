@@ -25,6 +25,7 @@ from .learners import NormalizedLearner, RegressionTree
 MODEL_FORMAT = "rboost-model"
 MANIFEST_FORMAT = "rboost-manifest"
 FORMAT_VERSION = 1
+_BLOCK_ROWS = 8192  # rows rendered per write by write_columns
 
 
 @dataclass(frozen=True)
@@ -195,11 +196,9 @@ def write_csv(data: Dataset, path, feature_names: Optional[Sequence[str]] = None
         feature_names = [f"x{j}" for j in range(data.d)]
     if len(feature_names) != data.d:
         raise ValueError(f"need {data.d} feature names, got {len(feature_names)}")
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(",".join([*feature_names, target_name]) + "\n")
-        for i in range(data.m):
-            cells = [fmt(v) for v in data.features[i]] + [fmt(data.targets[i])]
-            fh.write(",".join(cells) + "\n")
+        write_columns(fh, [*data.features.T, data.targets])
 
 
 def _tree_of(learner):
@@ -245,7 +244,7 @@ def save_model(model: Ensemble, path, meta: Optional[dict] = None):
     except RecursionError:
         depth = max(_tree_of(st.learner).depth() for st in model.stages)
         raise ValueError(f"a tree of depth {depth} nests too deep for the v1 JSON model format") from None
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 
@@ -271,7 +270,7 @@ def load_model(path):
     and a meta.clip_bound that is neither null nor a JSON number that
     core.check_clip_bound accepts.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         text = fh.read()
     try:
         doc = json.loads(text)
@@ -317,10 +316,7 @@ def load_model(path):
 def format_aligned(columns: Sequence[str], rows: Sequence[Sequence]) -> str:
     """Fixed-width text table with a header rule; cells render via fmt()."""
     cells = [[fmt(v) for v in row] for row in rows]
-    widths = [len(c) for c in columns]
-    for row in cells:
-        for j, cell in enumerate(row):
-            widths[j] = max(widths[j], len(cell))
+    widths = [max(map(len, col)) for col in itertools.zip_longest(columns, *cells, fillvalue="")]
     lines = [
         "  ".join(name.ljust(widths[j]) for j, name in enumerate(columns)).rstrip(),
         "  ".join("-" * widths[j] for j in range(len(columns))),
@@ -330,31 +326,44 @@ def format_aligned(columns: Sequence[str], rows: Sequence[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_delimited(path, columns: Sequence[str], rows: Sequence[Sequence], manifest_name: Optional[str] = None):
-    """Write comma-delimited rows with a commented column header.
+def write_columns(fh, columns: Sequence[Sequence]):
+    """Write columns of one length to fh as comma-delimited lines, cells rendered by fmt.
+
+    The one renderer of delimited output. It works a block of rows at a
+    time: one map(fmt) per column (a numpy column is first turned into
+    Python scalars with tolist), one join of the block's lines and one
+    write, so memory stays bounded by the block whatever the row count.
+    """
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        blocks = (col[start : start + _BLOCK_ROWS] for col in columns)
+        cells = [map(fmt, b.tolist() if isinstance(b, np.ndarray) else b) for b in blocks]
+        fh.write("\n".join(cells[0] if len(cells) == 1 else map(",".join, zip(*cells))) + "\n")
+
+
+def emit_delimited(path, names: Sequence[str], columns: Sequence[Sequence], manifest_name: Optional[str] = None):
+    """Write a table, given as one sequence of cells per named column, under a commented header.
 
     The first comment line points at the run manifest so every result file
-    is traceable to the exact configuration that produced it. Rows are
-    streamed: each is rendered and handed to the file's buffer in turn, so
-    no list of lines or joined copy of the file is built.
+    is traceable to the exact configuration that produced it. The rows are
+    rendered by write_columns, a block at a time.
     """
-    if not rows:
-        raise ValueError("no rows to emit")
-    with open(path, "w", newline="\n") as fh:
+    lengths = {len(col) for col in columns}
+    if len(columns) != len(names) or len(lengths) != 1 or 0 in lengths:
+        raise ValueError(f"need one column per name in {list(names)}, all of one length > 0")
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
         if manifest_name:
             fh.write(f"# manifest: {manifest_name}\n")
-        fh.write(f"# columns: {','.join(columns)}\n{','.join(columns)}\n")
-        fh.writelines(",".join(map(fmt, row)) + "\n" for row in rows)
+        fh.write(f"# columns: {','.join(names)}\n{','.join(names)}\n")
+        write_columns(fh, columns)
 
 
 def read_delimited(path):
     """Read a file written by emit_delimited; returns (columns, list-of-string-rows)."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh if not line.startswith("#")]
     if not lines:
         raise ValueError(f"{path}: no rows")
-    reader = csv.reader(lines)
-    parsed = list(reader)
+    parsed = list(csv.reader(lines))
     return parsed[0], parsed[1:]
 
 
@@ -369,6 +378,6 @@ def write_manifest(path, command: Sequence[str], config: dict, seed: int, output
         "library_version": __version__,
         "outputs": list(outputs),
     }
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

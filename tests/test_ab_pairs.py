@@ -43,6 +43,28 @@ def test_medians_quartiles_and_the_iqr_gap():
     assert not rows[1]["beyond_iqr"]  # medians 99.5 vs 100.0 inside the parent's spread
 
 
+def test_paired_ratio_is_the_median_of_each_pairs_change_over_parent():
+    rows, _ = ab_pairs.summarize(METRICS, PARENT, CHANGE)
+    # predict_s ratios 0.6667, 1.0625, 0.6429, 0.6452: the median of the middle two
+    assert rows[0]["paired"] == pytest.approx((1.0 / 1.55 + 1.0 / 1.5) / 2)
+    assert rows[1]["paired"] == pytest.approx((1.0 + 104.0 / 103.0) / 2)  # 1.0, 1.0097 in the middle
+
+
+def test_paired_ratio_differs_from_the_ratio_of_the_side_medians():
+    parent = [_line(1.0, 100.0), _line(2.0, 100.0), _line(3.0, 100.0)]
+    change = [_line(2.0, 100.0), _line(3.0, 100.0), _line(1.0, 100.0)]
+    rows, ops = ab_pairs.summarize(METRICS, parent, change)
+    assert rows[0]["parent"][1] == rows[0]["change"][1] == 2.0
+    assert rows[0]["paired"] == 1.5  # pair ratios 2.0, 1.5 and 1/3
+    assert ab_pairs.report(rows, ops).splitlines()[1].split()[-4:-2] == ["+0.0%", "+50.0%"]
+
+
+def test_paired_ratio_is_undefined_when_a_parent_value_is_zero():
+    rows, _ = ab_pairs.summarize(METRICS, [_line(0.0, 100.0), *PARENT[1:]], CHANGE)
+    assert rows[0]["paired"] is None and rows[1]["paired"] is not None
+    assert "    n/a" in ab_pairs.report(rows, {}).splitlines()[1]
+
+
 def test_failed_and_attempted_ops_per_side():
     _, ops = ab_pairs.summarize(METRICS, PARENT, CHANGE)
     assert ops == {"parent": (1, 20), "change": (0, 21)}
@@ -52,7 +74,10 @@ def test_report_prints_one_row_per_metric_and_the_ops():
     text = ab_pairs.report(*ab_pairs.summarize(METRICS, PARENT, CHANGE))
     lines = text.splitlines()
     assert len(lines) == 1 + len(METRICS) + 2
-    assert lines[1].startswith("predict_s") and "-34.4%" in lines[1] and " 3/4 " in lines[1] and lines[1].endswith("yes")
+    assert lines[1].startswith("predict_s") and " 3/4 " in lines[1] and lines[1].endswith("yes")
+    assert lines[0].split()[-4:] == ["change", "paired", "wins", "gap>IQR"]
+    assert lines[1].split()[-4:-2] == ["-34.4%", "-34.4%"]  # the side medians' change, then the paired one
+    assert lines[2].split()[-4:-2] == ["+0.5%", "+0.5%"]
     assert lines[-2:] == ["parent ops: 1 failed / 20 attempted", "change ops: 0 failed / 21 attempted"]
 
 

@@ -20,7 +20,9 @@ def test_writes_every_layer_figure_with_its_provenance(tmp_path):
     assert result["numpy"] == np.__version__ and result["repeats"] == 1
     assert result["git_sha"] is None or len(result["git_sha"]) == 40
     layers = result["layers"]
-    assert set(layers) == {"learners._best_split", "learners.fit_tree"}
+    assert set(layers) == {
+        "learners._best_split", "learners.fit_tree", "io.emit_delimited", "io._read_table", "core.Ensemble.predict",
+    }
     search = layers["learners._best_split"]
     regimes = ["none", "light", "heavy"]
     assert [(row["ties"], row["d"], row["n"], row["root"]) for row in search] == [
@@ -38,6 +40,14 @@ def test_writes_every_layer_figure_with_its_provenance(tmp_path):
     # one 2,000-row sample per regime: none tied, a few ties, and most root boundaries tied (the untied root scan)
     assert share["none", 2000] == 0.0 < share["light", 2000] < 0.01 and share["heavy", 2000] >= 0.5
     assert len({row["tied_share"] for row in search if row["ties"] == "heavy"}) == 1
+    # the serve layers: one figure each, on the 100k rows of serve_100k's predict
+    serve = [row for name in ("io.emit_delimited", "io._read_table", "core.Ensemble.predict") for row in layers[name]]
+    assert [{k: v for k, v in row.items() if k != "median_us"} for row in serve] == [
+        {"rows": 100_000, "cols": 1},
+        {"rows": 100_000, "cols": 11},
+        {"rows": 100_000, "d": 10, "n_splits": 4, "stages": 500},
+    ]
+    assert all(isinstance(row["median_us"], float) and row["median_us"] > 0 for row in serve)
     assert f"wrote {out}" in done.stdout
 
 

@@ -242,6 +242,21 @@ class TestFitPredict:
         preds = rio.load_model(model / "model.json")[0].predict(X)
         assert capsys.readouterr().out == "".join(rio.fmt(p) + "\n" for p in preds.tolist())
 
+    def test_predict_stdout_lines_are_the_data_lines_of_the_predictions_file(self, tmp_path, capsys):
+        rng = np.random.default_rng(9)
+        X = rng.uniform(-1, 1, (50, 2))
+        train = tmp_path / "train.csv"
+        train.write_text("x0,x1,y\n" + "".join(f"{a!r},{b!r},{a - b * b!r}\n" for a, b in X.tolist()))
+        model = tmp_path / "model"
+        assert run_cli(["fit", str(train), "--j", "2", "--k-max", "6", "--out", str(model)]) == 0
+        capsys.readouterr()
+        assert run_cli(["predict", str(model / "model.json"), str(train)]) == 0
+        stdout = capsys.readouterr().out
+        assert run_cli(["predict", str(model / "model.json"), str(train), "--out", str(tmp_path / "preds")]) == 0
+        lines = (tmp_path / "preds" / "predictions.csv").read_text().splitlines(keepends=True)
+        assert lines[:3] == ["# manifest: manifest.json\n", "# columns: prediction\n", "prediction\n"]
+        assert stdout == "".join(lines[3:]) and len(lines[3:]) == 50
+
     @pytest.mark.parametrize("bound", ['"abc"', "[1]", "true"])
     def test_predict_rejects_a_hand_edited_clip_bound(self, tmp_path, capsys, bound):
         data = tmp_path / "train.csv"

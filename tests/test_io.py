@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 from functools import lru_cache
 from pathlib import Path
 
@@ -383,7 +387,7 @@ def test_a_value_of_another_json_type_loads_or_raises_value_error(data):
 class TestResultEmission:
     def test_delimited_round_trip(self, tmp_path):
         path = tmp_path / "rows.csv"
-        emit_delimited(path, ["u", "rmse"], [[1, 0.5], [10, 0.25]], manifest_name="manifest.json")
+        emit_delimited(path, ["u", "rmse"], [[1, 10], [0.5, 0.25]], manifest_name="manifest.json")
         text = path.read_text()
         assert text.startswith("# manifest: manifest.json\n# columns: u,rmse\n")
         columns, rows = read_delimited(path)
@@ -393,13 +397,50 @@ class TestResultEmission:
     def test_rejects_empty(self, tmp_path):
         with pytest.raises(ValueError):
             emit_delimited(tmp_path / "rows.csv", ["a"], [])
+        with pytest.raises(ValueError):
+            emit_delimited(tmp_path / "rows.csv", ["a"], [[]])
+
+    @pytest.mark.parametrize("columns", [[[1, 2], [3]], [[1, 2]], [[1], [2], [3]]])
+    def test_rejects_columns_that_do_not_match_the_names_or_each_other(self, tmp_path, columns):
+        path = tmp_path / "rows.csv"
+        with pytest.raises(ValueError, match="one column per name"):
+            emit_delimited(path, ["a", "b"], columns)
+        assert not path.exists()
 
     def test_full_precision_cells(self, tmp_path):
         value = 0.1 + 0.2  # 0.30000000000000004
         path = tmp_path / "rows.csv"
-        emit_delimited(path, ["v"], [[value]])
+        emit_delimited(path, ["v"], [np.array([value])])
         _, rows = read_delimited(path)
         assert float(rows[0][0]) == value
+
+    def test_files_are_written_and_read_as_utf8_whatever_the_locale(self, tmp_path):
+        script = tmp_path / "round_trip.py"  # a source file is read as UTF-8; a C-locale argv would not be
+        script.write_text(textwrap.dedent("""\
+            import json, locale, sys
+            from rboost import CsvSchema, Dataset, load_csv, load_model, save_model, write_csv
+            from rboost.core import Ensemble
+            from rboost.io import emit_delimited, read_delimited
+            assert sys.flags.utf8_mode == 0
+            print(locale.getpreferredencoding(False))
+            write_csv(Dataset([[1.5], [-0.25]], [2.0, 3.0]), "data.csv", feature_names=["débit"], target_name="qualité")
+            back = load_csv("data.csv", CsvSchema(target_column="qualité"))
+            assert back.features.tolist() == [[1.5], [-0.25]] and back.targets.tolist() == [2.0, 3.0]
+            emit_delimited("rows.csv", ["débit"], [["été", "x"]], manifest_name="manifest.json")
+            assert read_delimited("rows.csv") == (["débit"], [["été"], ["x"]])
+            save_model(Ensemble([]), "model.json")
+            doc = json.load(open("model.json"))  # ASCII: json escapes what is not
+            doc["meta"] = {"note": "modèle"}
+            open("model.json", "w", encoding="utf-8").write(json.dumps(doc, ensure_ascii=False))
+            assert load_model("model.json")[1] == {"note": "modèle"}
+            """), encoding="utf-8")
+        src = str(Path(emit_delimited.__code__.co_filename).parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C"}
+        done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True,
+                              encoding="utf-8", timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "UTF" not in done.stdout.upper()  # the locale's encoding is not UTF-8, so only the code's choice counts
+        assert (tmp_path / "data.csv").read_bytes() == "débit,qualité\n1.5,2.0\n-0.25,3.0\n".encode()
 
     def test_aligned_table(self):
         out = format_aligned(["name", "value"], [["a", 1], ["long-name", 2.5]])

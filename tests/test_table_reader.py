@@ -206,7 +206,7 @@ def _old_fmt(value):
 
 
 def _old_emit_delimited(path, columns, rows, manifest_name=None):
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
         if manifest_name:
             fh.write(f"# manifest: {manifest_name}\n")
         fh.write(f"# columns: {','.join(columns)}\n")
@@ -238,5 +238,62 @@ def test_emit_delimited_writes_the_per_cell_bytes(workdir, rows, manifest_name):
     columns = [f"c{j}" for j in range(len(rows[0]))]
     old, new = workdir / "old.csv", workdir / "new.csv"
     _old_emit_delimited(old, columns, rows, manifest_name)
-    rio.emit_delimited(new, columns, rows, manifest_name)
+    rio.emit_delimited(new, columns, [list(col) for col in zip(*rows)], manifest_name)
     assert new.read_bytes() == old.read_bytes()
+
+
+def _old_write_csv(data, path):
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        fh.write(",".join([*(f"x{j}" for j in range(data.d)), "y"]) + "\n")
+        for i in range(data.m):
+            fh.write(",".join([_old_fmt(v) for v in data.features[i]] + [_old_fmt(data.targets[i])]) + "\n")
+
+
+class _Writes:
+    """A file stand-in that keeps each write."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+
+
+_BLOCK = rio._BLOCK_ROWS
+_SPECIALS = (-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2)
+
+
+def test_tables_longer_than_two_blocks_keep_the_per_cell_bytes(workdir):
+    n = 2 * _BLOCK + 3
+    rng = np.random.default_rng(17)
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+    labels = [("a", True, np.int64(-7), np.float64(2.5), "")[i % 5] for i in range(n)]
+    rows = [[i, f, lab] for i, f, lab in zip(range(n), floats, labels)]
+    old, new = workdir / "old.csv", workdir / "new.csv"
+    _old_emit_delimited(old, ["i", "f", "label"], rows, "manifest.json")
+    rio.emit_delimited(new, ["i", "f", "label"], [range(n), floats, labels], "manifest.json")
+    assert new.read_bytes() == old.read_bytes()
+
+    data = Dataset(rng.standard_normal((n, 3)), floats)
+    _old_write_csv(data, old)
+    write_csv(data, new)
+    assert new.read_bytes() == old.read_bytes()
+
+
+@pytest.mark.parametrize("as_list", [False, True])
+def test_a_float_column_renders_each_special_value_at_every_block_edge(workdir, as_list):
+    n = 2 * _BLOCK + 9
+    values = np.random.default_rng(18).uniform(-1.0, 1.0, n)
+    for start in (0, _BLOCK - 2, 2 * _BLOCK - 2, n - len(_SPECIALS)):  # first rows, across each block edge, last rows
+        values[start : start + len(_SPECIALS)] = _SPECIALS
+    column = values.tolist() if as_list else values
+    old, new = workdir / "old.csv", workdir / "new.csv"
+    _old_emit_delimited(old, ["prediction"], [[v] for v in values.tolist()])
+    rio.emit_delimited(new, ["prediction"], [column])
+    assert new.read_bytes() == old.read_bytes()
+    assert new.read_bytes().count(b"\n-0.0\n5e-324\n1e+16\n1e-05\n0.30000000000000004\n") == 4
+
+    sink = _Writes()
+    rio.write_columns(sink, [column])
+    assert [part.count("\n") for part in sink.parts] == [_BLOCK, _BLOCK, 9]  # one write per block
+    assert "".join(sink.parts) == "".join(rio.fmt(v) + "\n" for v in values.tolist())

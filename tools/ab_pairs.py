@@ -8,9 +8,13 @@ parent commit will do). Pair i runs ``perfbench/run.py --seed SEED+i
 --trace 0`` in each, the parent first in even pairs and the change first in
 odd ones, so a drift in machine speed falls on both sides alike. For every
 end-to-end metric of BENCHMARK.json it prints the medians and quartiles of
-both sides, how many pairs the change won, and whether the gap between the
-medians is wider than the parent's interquartile range; then the failed and
-attempted ops of each side.
+both sides, the change of the change's median against the parent's, the
+median over pairs of each pair's change/parent ratio (as a change, "n/a"
+when a parent value is 0), how many pairs the change won, and whether the
+gap between the medians is wider than the parent's interquartile range;
+then the failed and attempted ops of each side. The paired ratio compares
+runs made back to back, so a drift of the machine's speed across the
+pairs moves it less than it moves the side medians.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ def summarize(metrics, parent_lines, change_lines):
         pq, cq = _quartiles(a), _quartiles(b)
         rows.append({
             "metric": spec["name"], "unit": spec["unit"], "parent": pq, "change": cq,
+            "paired": statistics.median(y / x for x, y in zip(a, b)) if all(a) else None,
             "wins": sum(map(better, a, b)), "pairs": len(a), "beyond_iqr": abs(cq[1] - pq[1]) > pq[2] - pq[0],
         })
     ops = {name: (sum(r["failed"] for r in side), sum(r["attempted"] for r in side))
@@ -47,13 +52,18 @@ def summarize(metrics, parent_lines, change_lines):
     return rows, ops
 
 
+def _change(ratio):
+    return "    n/a" if ratio is None else f"{100.0 * (ratio - 1.0):+6.1f}%"
+
+
 def report(rows, ops):
-    lines = [f"{'metric':14s} {'parent median [q1, q3]':>33s} {'change median [q1, q3]':>33s}  {'change':>7s}  wins  gap>IQR"]
+    lines = [f"{'metric':14s} {'parent median [q1, q3]':>33s} {'change median [q1, q3]':>33s}  {'change':>7s}  "
+             f"{'paired':>7s}  wins  gap>IQR"]
     for r in rows:
         (p1, pm, p3), (c1, cm, c3) = r["parent"], r["change"]
-        ratio = f"{100.0 * (cm / pm - 1.0):+6.1f}%" if pm else "    n/a"
         lines.append(f"{r['metric']:14s} {pm:12.4g} [{p1:8.4g}, {p3:8.4g}] {cm:12.4g} [{c1:8.4g}, {c3:8.4g}]  "
-                     f"{ratio} {r['wins']:2d}/{r['pairs']:<2d}  {'yes' if r['beyond_iqr'] else 'no'}")
+                     f"{_change(cm / pm if pm else None)}  {_change(r['paired'])} {r['wins']:2d}/{r['pairs']:<2d}  "
+                     f"{'yes' if r['beyond_iqr'] else 'no'}")
     lines += [f"{side} ops: {failed} failed / {attempted} attempted" for side, (failed, attempted) in ops.items()]
     return "\n".join(lines)
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the split-search layers on their own: one _best_split call, one fit_tree tree.
+"""Time the split-search and serve layers on their own: one _best_split call, one fit_tree tree,
+one emit, table read and model predict of 100k rows.
 
     python3 tools/bench_layers.py [--repeats N] [--out PATH]
 
@@ -18,10 +19,20 @@ most root boundaries are ties and the root scans only the untied ones
 (core.RootScan), while at 500 rows fewer than half are and the root
 takes the dense scan. Residuals are standard normal, so every run times
 the same inputs. Each record holds its regime (ties) and the sample's
-share of tied root boundaries (tied_share). Every call is made once untimed (the first fit builds the
-sample's split cache); then N rounds time each call once, and each figure
-is the median of its N times, in microseconds: per call for _best_split,
-per tree for fit_tree. Writes PATH (default BENCH_layers.json at the
+share of tied root boundaries (tied_share).
+
+The serve layers are the three parts of `rboost predict --out` on the
+serve_100k shape: io.emit_delimited of one 100k-row float column (a
+predictions.csv), io._read_table of a 100k x 11 CSV of 10 features
+uniform on [-2, 2] at 6 decimals and a target, written by write_csv, and
+core.Ensemble.predict on its 100k x 10 features of the re-scaled (u = 20)
+J = 4 model that 500 rounds fit on a 2,000-row sample of the same law.
+Their files live in a temporary directory for the run.
+
+Every call is made once untimed (the first fit builds the sample's split
+cache); then N rounds time each call once, and each figure is the median
+of its N times, in microseconds: per call for _best_split and the serve
+layers, per tree for fit_tree. Writes PATH (default BENCH_layers.json at the
 checkout's root) with the git SHA, whether the tree had uncommitted
 changes, and the Python and numpy versions.
 """
@@ -35,6 +46,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -43,7 +55,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from rboost import Dataset  # noqa: E402
+from rboost import CsvSchema, Dataset, TrainConfig, TreeLearnerSpec, train, write_csv  # noqa: E402
+from rboost.io import _read_table, emit_delimited  # noqa: E402
 from rboost.learners import _best_split, fit_tree  # noqa: E402
 
 D = 10
@@ -51,6 +64,9 @@ SEARCH_M = 2000
 SEARCH_NODES = (32, 125, 500, 2000)
 TREE_SAMPLES = (500, 2000)
 TREE_SPLITS = (1, 4)
+SERVE_ROWS = 100_000
+SERVE_TRAIN_M = 2000
+SERVE_ROUNDS = 500
 
 
 # The features of each tie regime, drawn from a seeded generator.
@@ -92,21 +108,47 @@ def _cases() -> list:
     return cases
 
 
+def _serve_table(rng, m: int):
+    """m rows of serve_100k's law: features uniform on [-2, 2]^D at 6 decimals, target 7's profile plus noise."""
+    X = np.round(rng.uniform(-2.0, 2.0, (m, D)), 6)
+    signs = np.where(np.arange(D) % 2 == 0, 1.0, -1.0)
+    return Dataset(X, np.round(np.sum(signs * X * np.sin(X * X), axis=1) + 0.5 * rng.standard_normal(m), 6))
+
+
+def _serve_cases(workdir: Path) -> list:
+    """(layer, record, call) of the three serve layers, their files in workdir."""
+    rng = np.random.default_rng(2)
+    config = TrainConfig("rboosting", SERVE_ROUNDS, TreeLearnerSpec(4), u=20)
+    model, _ = train(_serve_table(rng, SERVE_TRAIN_M), config)
+    score = _serve_table(rng, SERVE_ROWS)
+    write_csv(score, workdir / "score.csv")
+    preds = model.predict(score.features)
+    rows = {"rows": SERVE_ROWS}
+    return [
+        ("io.emit_delimited", {**rows, "cols": 1},
+         functools.partial(emit_delimited, workdir / "predictions.csv", ["prediction"], [preds], "manifest.json")),
+        ("io._read_table", {**rows, "cols": D + 1}, functools.partial(_read_table, workdir / "score.csv", CsvSchema())),
+        ("core.Ensemble.predict", {**rows, "d": D, "n_splits": 4, "stages": len(model)},
+         functools.partial(model.predict, score.features)),
+    ]
+
+
 def time_layers(repeats: int) -> dict:
     """{layer: [record with its median_us]}: every call once untimed, then repeats rounds over all calls.
 
     Rounds visit every figure in turn, so a slow spell of the machine
     falls on all of them alike.
     """
-    cases = _cases()
-    times = [[] for _ in cases]
-    for _, _, call in cases:
-        call()
-    for _ in range(repeats):
-        for spent, (_, _, call) in zip(times, cases):
-            start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as workdir:
+        cases = _cases() + _serve_cases(Path(workdir))
+        times = [[] for _ in cases]
+        for _, _, call in cases:
             call()
-            spent.append(time.perf_counter() - start)
+        for _ in range(repeats):
+            for spent, (_, _, call) in zip(times, cases):
+                start = time.perf_counter()
+                call()
+                spent.append(time.perf_counter() - start)
     layers = {}
     for spent, (layer, record, _) in zip(times, cases):
         layers.setdefault(layer, []).append({**record, "median_us": statistics.median(spent) * 1e6})
@@ -145,7 +187,7 @@ def main(argv=None) -> int:
     for layer, rows in result["layers"].items():
         for row in rows:
             shape = ", ".join(f"{k}={v:.3g}" if k == "tied_share" else f"{k}={v}" for k, v in row.items() if k != "median_us")
-            print(f"{layer:22s} {shape:64s} {row['median_us']:10.1f} us")
+            print(f"{layer:22s} {shape:64s} {row['median_us']:12.1f} us")
     print(f"wrote {args.out}")
     return 0
 
