@@ -91,9 +91,8 @@ def clip(values, bound: float):
     never increases its squared error against a target inside the band.
     """
     check_clip_bound(bound)
-    if np.ndim(values) == 0:
-        return float(min(bound, max(-bound, float(values))))
-    return np.clip(np.asarray(values, dtype=np.float64), -bound, bound)
+    out = np.clip(np.asarray(values, dtype=np.float64), -bound, bound)  # NaN stays NaN, scalar or not
+    return float(out) if out.ndim == 0 else out
 
 
 class RootScan(NamedTuple):
@@ -335,14 +334,21 @@ class Ensemble:
         return f
 
     def staged_predict(self, X) -> np.ndarray:
-        """All intermediate predictions, shape (n_stages, n_rows); row k-1 is f_k."""
+        """All intermediate predictions, shape (n_stages, n_rows); row k-1 is f_k.
+
+        Each row is written in place from the one before it (f_0 = 0):
+        row = (1 - alpha) * previous, then row += beta * g, the operations
+        of predict in its order, so row k-1 has the bits of
+        truncate(k).predict. The returned array is fresh and the caller's
+        alone; a learner's output is only read.
+        """
         X = np.asfortranarray(as_feature_matrix(X))
         out = np.empty((len(self._stages), X.shape[0]), dtype=np.float64)
-        f = np.zeros(X.shape[0])
-        for k, st in enumerate(self._stages):
-            f *= 1.0 - st.alpha  # in place, as in predict
-            f += st.beta * st.learner.predict(X)
-            out[k] = f
+        previous = np.zeros(X.shape[0])
+        for row, st in zip(out, self._stages):
+            np.multiply(previous, 1.0 - st.alpha, out=row)
+            row += st.beta * st.learner.predict(X)
+            previous = row
         return out
 
     def effective_coefficients(self) -> np.ndarray:

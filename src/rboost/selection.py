@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .boosters import train
-from .core import Dataset, TrainConfig, check_clip_bound, clip, integer
+from .core import Dataset, TrainConfig, check_clip_bound, integer
 
 
 def u_grid(count: int, lo: float = 1.0, hi: float = 1e6) -> list:
@@ -82,19 +82,22 @@ def select_k_by_validation(
     """(k, MSE) of the truncation of config, trained on learn, with the lowest MSE on validate.
 
     One staged_predict pass scores every truncation, on the clipped
-    predictions when clip_bound is set; ties take the smallest k. An empty
-    model is the zero predictor: k = 0, scored on mean(y^2) of validate.
+    predictions when clip_bound is set; ties take the smallest k. The
+    scoring clips, subtracts y and squares in place in the (K, n) matrix
+    of that pass, so a selection holds one such matrix. An empty model is
+    the zero predictor: k = 0, scored on mean(y^2) of validate.
     """
     check_clip_bound(clip_bound)
     model, _ = train(learn, config)
     y = validate.targets
     if len(model) == 0:
         return 0, float(np.mean(y * y))
-    preds = model.staged_predict(validate.features)
+    preds = model.staged_predict(validate.features)  # fresh, so scored in place
     if clip_bound is not None:
-        preds = clip(preds, clip_bound)
-    err = preds - y
-    curve = np.mean(err * err, axis=1)
+        np.clip(preds, -clip_bound, clip_bound, out=preds)
+    preds -= y
+    preds *= preds
+    curve = np.mean(preds, axis=1)
     k = int(np.argmin(curve)) + 1
     return k, float(curve[k - 1])
 

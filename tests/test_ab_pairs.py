@@ -89,3 +89,38 @@ def test_a_single_pair_has_its_value_as_every_quartile():
 def test_unequal_run_counts_are_rejected():
     with pytest.raises(ValueError, match="3 parent runs against 4 change runs"):
         ab_pairs.summarize(METRICS, PARENT[:3], CHANGE)
+
+
+def _verdicts(parent, change):
+    rows, _ = ab_pairs.summarize(METRICS, [_line(*p) for p in parent], [_line(*c) for c in change])
+    return [row["verdict"] for row in rows]
+
+
+# ten parent runs: predict_s median 1.0, quartiles [0.9725, 1.0275] (IQR 0.055); rounds_per_s all 100
+_PARENT10 = [(1.0 + 0.01 * (i - 4.5), 100.0) for i in range(10)]
+
+
+def test_a_gain_wins_nine_of_ten_pairs_past_the_parents_iqr():
+    change = [(p - 0.1, r + 5.0) for p, r in _PARENT10[:9]] + [(_PARENT10[9][0] + 0.1, 99.0)]
+    assert _verdicts(_PARENT10, change) == ["gain", "gain"]  # rounds_per_s: higher is better, 9/10 wins
+
+
+def test_eight_wins_or_a_gap_inside_the_iqr_is_no_gain():
+    eight = [(p - 0.1, r) for p, r in _PARENT10[:8]] + [(p + 0.1, r) for p, r in _PARENT10[8:]]
+    assert _verdicts(_PARENT10, eight)[0] == "same"
+    inside = [(p - 0.02, r) for p, r in _PARENT10]  # 10/10 wins, but the medians 0.02 apart
+    assert _verdicts(_PARENT10, inside)[0] == "same"
+
+
+def test_worse_is_a_median_past_the_metrics_bound():
+    slower = [(1.3 * p, 0.7 * r) for p, r in _PARENT10]  # both 25% bounds passed, each in its own direction
+    assert _verdicts(_PARENT10, slower) == ["worse", "worse"]
+    within = [(1.2 * p, 0.8 * r) for p, r in _PARENT10]  # 10/10 losses, but inside the bound
+    assert _verdicts(_PARENT10, within) == ["same", "same"]
+
+
+def test_report_prints_each_metrics_verdict_after_its_name():
+    lines = ab_pairs.report(*ab_pairs.summarize(METRICS, PARENT, CHANGE)).splitlines()
+    assert lines[0].split()[:2] == ["metric", "verdict"]
+    # 3/4 wins is short of 9 in 10; rounds_per_s moved 0.5%
+    assert [line.split()[:2] for line in lines[1:3]] == [["predict_s", "same"], ["rounds_per_s", "same"]]

@@ -10,6 +10,11 @@ import numpy as np
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py"
 
 
+def _shape(row):
+    """A figure's record without its measurements."""
+    return {k: v for k, v in row.items() if k not in ("median_us", "minflt_per_call")}
+
+
 def test_writes_every_layer_figure_with_its_provenance(tmp_path):
     out = tmp_path / "BENCH_layers.json"
     done = subprocess.run([sys.executable, str(_TOOL), "--repeats", "1", "--out", str(out)],
@@ -21,7 +26,8 @@ def test_writes_every_layer_figure_with_its_provenance(tmp_path):
     assert result["git_sha"] is None or len(result["git_sha"]) == 40
     layers = result["layers"]
     assert set(layers) == {
-        "learners._best_split", "learners.fit_tree", "io.emit_delimited", "io._read_table", "core.Ensemble.predict",
+        "learners._best_split", "learners.fit_tree", "core.Ensemble.staged_predict",
+        "selection.select_k_by_validation", "io.emit_delimited", "io._read_table", "core.Ensemble.predict",
     }
     search = layers["learners._best_split"]
     regimes = ["none", "light", "heavy"]
@@ -33,7 +39,9 @@ def test_writes_every_layer_figure_with_its_provenance(tmp_path):
         (ties, m, 10, n_splits) for ties in regimes for m in (500, 2000) for n_splits in (1, 4)
     ]
     for row in search + trees:
-        assert set(row) == {"ties", "tied_share", "median_us", *(("d", "n", "root") if "n" in row else ("m", "d", "n_splits"))}
+        assert set(row) == {
+            "ties", "tied_share", "median_us", "minflt_per_call", *(("d", "n", "root") if "n" in row else ("m", "d", "n_splits"))
+        }
         assert isinstance(row["median_us"], float) and row["median_us"] > 0
         assert isinstance(row["tied_share"], float) and 0.0 <= row["tied_share"] < 1.0
     share = {(row["ties"], row["n"]): row["tied_share"] for row in search}
@@ -42,12 +50,19 @@ def test_writes_every_layer_figure_with_its_provenance(tmp_path):
     assert len({row["tied_share"] for row in search if row["ties"] == "heavy"}) == 1
     # the serve layers: one figure each, on the 100k rows of serve_100k's predict
     serve = [row for name in ("io.emit_delimited", "io._read_table", "core.Ensemble.predict") for row in layers[name]]
-    assert [{k: v for k, v in row.items() if k != "median_us"} for row in serve] == [
+    assert [_shape(row) for row in serve] == [
         {"rows": 100_000, "cols": 1},
         {"rows": 100_000, "cols": 11},
         {"rows": 100_000, "d": 10, "n_splits": 4, "stages": 500},
     ]
-    assert all(isinstance(row["median_us"], float) and row["median_us"] > 0 for row in serve)
+    # the scoring layers on table_d10's and realdata_stumps' selection shapes
+    staged, selection = layers["core.Ensemble.staged_predict"], layers["selection.select_k_by_validation"]
+    shapes = [{"rows": 1000, "d": 10, "n_splits": 4, "stages": 200}, {"rows": 500, "d": 8, "n_splits": 1, "stages": 500}]
+    assert [_shape(row) for row in staged] == shapes
+    assert [_shape(row) for row in selection] == [{**s, "learn_rows": 500} for s in shapes]
+    for row in search + trees + serve + staged + selection:
+        assert isinstance(row["median_us"], float) and row["median_us"] > 0
+        assert isinstance(row["minflt_per_call"], float) and row["minflt_per_call"] >= 0
     assert f"wrote {out}" in done.stdout
 
 

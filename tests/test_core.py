@@ -62,6 +62,16 @@ class TestClip:
         out = clip(np.array([-10.0, 0.5, 10.0]), 1.0)
         assert np.array_equal(out, [-1.0, 0.5, 1.0])
 
+    def test_scalar_and_array_paths_agree_bit_for_bit(self):
+        # a NaN scalar stays NaN, as in an array, instead of becoming -bound
+        values = [float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 0.25, -0.75, 1.0, -1.0, 3.0, -3.0, 5e-324]
+        array = clip(np.array(values), 1.0)
+        for value, from_array in zip(values, array):
+            for scalar in (clip(value, 1.0), clip(np.float64(value), 1.0)):
+                assert type(scalar) is float
+                assert np.float64(scalar).tobytes() == from_array.tobytes(), value
+        assert np.isnan(clip(float("nan"), 1.0))
+
     def test_pointwise_loss_never_increases(self):
         # For |y| <= M, squared error against y cannot grow under clipping.
         rng = np.random.default_rng(11)
@@ -188,6 +198,15 @@ class TestEnsemble:
         staged = model.staged_predict(X)
         for k in range(1, 9):
             assert np.allclose(staged[k - 1], model.truncate(k).predict(X), rtol=0, atol=0)
+
+    def test_staged_rows_start_from_a_positive_zero(self):
+        # f_1 = (1 - 0) * 0 + 1 * (-0.0) = +0.0: row 0 is scaled from f_0 = 0, not the first output copied
+        model = Ensemble([Stage(0.0, 1.0, constant_atom(-0.0)), Stage(0.5, 2.0, constant_atom(-0.0))])
+        X = np.zeros((3, 1))
+        staged = model.staged_predict(X)
+        assert not np.signbit(staged).any()
+        for k in (1, 2):
+            assert staged[k - 1].tobytes() == model.truncate(k).predict(X).tobytes()
 
     def test_staged_equals_expanded(self):
         # Coefficient expansion c_j = beta_j * prod_{i>j}(1 - alpha_i) must

@@ -349,6 +349,36 @@ class TestStagedMse:
         assert select_k_by_validation(zeros, holdout, toy_config(9)) == (0, float(np.mean(y * y)))
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("bound", [None, 0.8])
+    def test_scoring_holds_one_staged_matrix(self, monkeypatch, bound):
+        """Clipping, errors and squares are written into the staged matrix, not into copies of it."""
+        import tracemalloc
+
+        from rboost import selection
+
+        rng = np.random.default_rng(59)
+        X = rng.uniform(-2, 2, (60, 1))
+        learn = Dataset(X, np.sin(2 * X[:, 0]))
+        Xh = rng.uniform(-2, 2, (20_000, 1))
+        holdout = Dataset(Xh, np.sin(2 * Xh[:, 0]))
+        matrix_bytes = 40 * 20_000 * 8  # the (K, n) float64 staged matrix, 6.4 MB
+        real_train = selection.train
+
+        def train_then_reset_peak(*args):
+            model, trace = real_train(*args)
+            assert len(model) == 40
+            tracemalloc.reset_peak()  # from here on, only the scoring allocates
+            return model, trace
+
+        monkeypatch.setattr(selection, "train", train_then_reset_peak)
+        tracemalloc.start()
+        try:
+            select_k_by_validation(learn, holdout, toy_config(40), clip_bound=bound)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * matrix_bytes
+
 
 class TestSelectorSignatures:
     """Both selectors take their budget from the config; the clip bound is keyword-only."""

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the split-search and serve layers on their own: one _best_split call, one fit_tree tree,
-one emit, table read and model predict of 100k rows.
+"""Time the split-search, scoring and serve layers on their own: one _best_split call, one fit_tree
+tree, one staged scoring and validation selection, one emit, table read and model predict of 100k rows.
 
     python3 tools/bench_layers.py [--repeats N] [--out PATH]
 
@@ -29,10 +29,24 @@ core.Ensemble.predict on its 100k x 10 features of the re-scaled (u = 20)
 J = 4 model that 500 rounds fit on a 2,000-row sample of the same law.
 Their files live in a temporary directory for the run.
 
-Every call is made once untimed (the first fit builds the sample's split
-cache); then N rounds time each call once, and each figure is the median
-of its N times, in microseconds: per call for _best_split and the serve
-layers, per tree for fit_tree. Writes PATH (default BENCH_layers.json at the
+The scoring layers are core.Ensemble.staged_predict and
+selection.select_k_by_validation on the two shapes whose selections
+dominate predict_s: table_d10's (a re-scaled, u = 20, model of 200 J = 4
+stages scored on 1,000 holdout rows of 10 columns) and realdata_stumps'
+(500 stumps scored on 500 rows of 8 columns). Both learn on 500 rows of
+the serve law; the selection figure trains its model, as every selection
+does, and scores all its truncations.
+
+The split-search, scoring and serve figures are timed as three groups,
+in that order (see time_layers). In each group every call is made once
+untimed (the first fit builds the sample's split cache); then N rounds
+time each call once, and each figure is the median of its N times, in
+microseconds: per call for _best_split and the scoring and serve layers,
+per tree for fit_tree. Each figure also records minflt_per_call, the
+minor page faults of the process (the ru_minflt of resource.getrusage)
+over its N timed calls divided by N: a call that maps fresh memory on
+every run faults in each of its pages each time, so allocator churn
+shows there. Writes PATH (default BENCH_layers.json at the
 checkout's root) with the git SHA, whether the tree had uncommitted
 changes, and the Python and numpy versions.
 """
@@ -43,6 +57,7 @@ import argparse
 import functools
 import json
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -58,6 +73,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from rboost import CsvSchema, Dataset, TrainConfig, TreeLearnerSpec, train, write_csv  # noqa: E402
 from rboost.io import _read_table, emit_delimited  # noqa: E402
 from rboost.learners import _best_split, fit_tree  # noqa: E402
+from rboost.selection import select_k_by_validation  # noqa: E402
 
 D = 10
 SEARCH_M = 2000
@@ -67,6 +83,9 @@ TREE_SPLITS = (1, 4)
 SERVE_ROWS = 100_000
 SERVE_TRAIN_M = 2000
 SERVE_ROUNDS = 500
+SCORING_LEARN_M = 500
+# (d, n_splits, stages, holdout rows) of table_d10's and realdata_stumps' selections
+SCORING_SHAPES = ((10, 4, 200, 1000), (8, 1, 500, 500))
 
 
 # The features of each tie regime, drawn from a seeded generator.
@@ -108,10 +127,10 @@ def _cases() -> list:
     return cases
 
 
-def _serve_table(rng, m: int):
-    """m rows of serve_100k's law: features uniform on [-2, 2]^D at 6 decimals, target 7's profile plus noise."""
-    X = np.round(rng.uniform(-2.0, 2.0, (m, D)), 6)
-    signs = np.where(np.arange(D) % 2 == 0, 1.0, -1.0)
+def _serve_table(rng, m: int, d: int = D):
+    """m rows of serve_100k's law: features uniform on [-2, 2]^d at 6 decimals, target 7's profile plus noise."""
+    X = np.round(rng.uniform(-2.0, 2.0, (m, d)), 6)
+    signs = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
     return Dataset(X, np.round(np.sum(signs * X * np.sin(X * X), axis=1) + 0.5 * rng.standard_normal(m), 6))
 
 
@@ -133,25 +152,52 @@ def _serve_cases(workdir: Path) -> list:
     ]
 
 
-def time_layers(repeats: int) -> dict:
-    """{layer: [record with its median_us]}: every call once untimed, then repeats rounds over all calls.
+def _scoring_cases() -> list:
+    """(layer, record, call) of staged scoring and validation selection on each of SCORING_SHAPES."""
+    rng = np.random.default_rng(3)
+    cases = []
+    for d, n_splits, stages, rows in SCORING_SHAPES:
+        learn, holdout = _serve_table(rng, SCORING_LEARN_M, d), _serve_table(rng, rows, d)
+        config = TrainConfig("rboosting", stages, TreeLearnerSpec(n_splits), u=20)
+        model, _ = train(learn, config)
+        record = {"rows": rows, "d": d, "n_splits": n_splits, "stages": len(model)}
+        cases += [
+            ("core.Ensemble.staged_predict", record, functools.partial(model.staged_predict, holdout.features)),
+            ("selection.select_k_by_validation", {**record, "learn_rows": SCORING_LEARN_M},
+             functools.partial(select_k_by_validation, learn, holdout, config)),
+        ]
+    return cases
 
-    Rounds visit every figure in turn, so a slow spell of the machine
+
+def time_layers(repeats: int) -> dict:
+    """{layer: [record with its median_us and minflt_per_call]}, group by group.
+
+    The groups are built and timed in turn: split search, scoring, serve.
+    Building the serve group frees 100k-row tables, and glibc then keeps
+    blocks of a few MB on its heap instead of mapping them afresh, so the
+    scoring group, timed before that, meets the allocator as a benchmark
+    op does. Within a group every call is made once untimed, then repeats
+    rounds visit every figure in turn, so a slow spell of the machine
     falls on all of them alike.
     """
-    with tempfile.TemporaryDirectory() as workdir:
-        cases = _cases() + _serve_cases(Path(workdir))
-        times = [[] for _ in cases]
-        for _, _, call in cases:
-            call()
-        for _ in range(repeats):
-            for spent, (_, _, call) in zip(times, cases):
-                start = time.perf_counter()
-                call()
-                spent.append(time.perf_counter() - start)
     layers = {}
-    for spent, (layer, record, _) in zip(times, cases):
-        layers.setdefault(layer, []).append({**record, "median_us": statistics.median(spent) * 1e6})
+    with tempfile.TemporaryDirectory() as workdir:
+        for build in (_cases, _scoring_cases, functools.partial(_serve_cases, Path(workdir))):
+            cases = build()
+            times, faults = [[] for _ in cases], [0] * len(cases)
+            for _, _, call in cases:
+                call()
+            for _ in range(repeats):
+                for i, (_, _, call) in enumerate(cases):
+                    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                    start = time.perf_counter()
+                    call()
+                    times[i].append(time.perf_counter() - start)
+                    faults[i] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            for spent, faulted, (layer, record, _) in zip(times, faults, cases):
+                layers.setdefault(layer, []).append(
+                    {**record, "median_us": statistics.median(spent) * 1e6, "minflt_per_call": faulted / repeats}
+                )
     return layers
 
 
@@ -186,8 +232,9 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     for layer, rows in result["layers"].items():
         for row in rows:
-            shape = ", ".join(f"{k}={v:.3g}" if k == "tied_share" else f"{k}={v}" for k, v in row.items() if k != "median_us")
-            print(f"{layer:22s} {shape:64s} {row['median_us']:12.1f} us")
+            shape = ", ".join(f"{k}={v:.3g}" if k == "tied_share" else f"{k}={v}"
+                              for k, v in row.items() if k not in ("median_us", "minflt_per_call"))
+            print(f"{layer:32s} {shape:64s} {row['median_us']:12.1f} us {row['minflt_per_call']:10.1f} minflt")
     print(f"wrote {args.out}")
     return 0
 
