@@ -27,7 +27,6 @@ from .core import ALGORITHMS, TrainConfig, positive_int
 from .boosters import train
 from .io import (
     CsvSchema,
-    _tree_of,
     emit_delimited,
     format_aligned,
     load_csv,
@@ -229,15 +228,10 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _model_dimension(model):
-    """Feature count of a loaded model's trees; None for a model without stages."""
-    return _tree_of(model.stages[0].learner).n_features if model.stages else None
-
-
 def _cmd_predict(args) -> int:
     model, meta = load_model(args.model)
     schema = _schema_from_args(args)
-    d = _model_dimension(model)
+    d = model.stages[0].learner.n_features if model.stages else None  # a loaded stage is a tree
     matrix = load_feature_matrix(args.data, schema, n_features=d)  # a d+1th column is the target
     if d is not None and matrix.shape[1] != d:
         raise ValueError(f"model expects {d} feature columns, file has {matrix.shape[1]}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .core import Dataset, Ensemble, Stage, check_clip_bound
-from .learners import NormalizedLearner, RegressionTree
+from .learners import RegressionTree
 
 MODEL_FORMAT = "rboost-model"
 MANIFEST_FORMAT = "rboost-manifest"
@@ -201,26 +201,20 @@ def write_csv(data: Dataset, path, feature_names: Optional[Sequence[str]] = None
         write_columns(fh, [*data.features.T, data.targets])
 
 
-def _tree_of(learner):
-    return learner.base if isinstance(learner, NormalizedLearner) else learner
-
-
-def _learner_to_dict(learner) -> dict:
-    tree = _tree_of(learner)
+def _learner_to_dict(tree) -> dict:
     if not isinstance(tree, RegressionTree):
         raise ValueError(f"cannot persist learner of type {type(tree).__name__}")
-    if isinstance(learner, NormalizedLearner):
-        return {"type": "scaled_tree", "scale": learner.scale, "tree": tree.to_dict()}
-    return {"type": "tree", "tree": tree.to_dict()}
+    return {"type": "scaled_tree", "scale": tree.scale, "tree": tree.to_dict()}
 
 
-def _learner_from_dict(spec: dict):
+def _learner_from_dict(spec: dict) -> RegressionTree:
+    """The tree of a v1 learner: a scaled_tree carries its scale, a bare tree has scale 1.0."""
     tree = RegressionTree.from_dict(spec["tree"])
     if spec["type"] == "scaled_tree":
-        return NormalizedLearner(tree, float(spec["scale"]))
-    if spec["type"] == "tree":
-        return tree
-    raise ValueError(f"unknown learner type {spec['type']!r}")
+        tree.scale = float(spec["scale"])
+    elif spec["type"] != "tree":
+        raise ValueError(f"unknown learner type {spec['type']!r}")
+    return tree
 
 
 def save_model(model: Ensemble, path, meta: Optional[dict] = None):
@@ -242,7 +236,7 @@ def save_model(model: Ensemble, path, meta: Optional[dict] = None):
     try:
         text = json.dumps(doc, indent=2, sort_keys=True)
     except RecursionError:
-        depth = max(_tree_of(st.learner).depth() for st in model.stages)
+        depth = max(st.learner.depth() for st in model.stages)
         raise ValueError(f"a tree of depth {depth} nests too deep for the v1 JSON model format") from None
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(text + "\n")
@@ -250,11 +244,11 @@ def save_model(model: Ensemble, path, meta: Optional[dict] = None):
 
 def _nonfinite_field(stage: Stage):
     """Name of the first of a loaded stage's numbers that is not finite, else None."""
-    tree = _tree_of(stage.learner)
+    tree = stage.learner
     fields = {
         "alpha": stage.alpha,
         "beta": stage.beta,
-        "scale": getattr(stage.learner, "scale", 1.0),
+        "scale": tree.scale,
         "threshold": tree.threshold[tree.feature >= 0],
         "value": tree.value[tree.feature < 0],  # a v1 split node stores no value: NaN by design
     }
@@ -358,13 +352,22 @@ def emit_delimited(path, names: Sequence[str], columns: Sequence[Sequence], mani
 
 
 def read_delimited(path):
-    """Read a file written by emit_delimited; returns (columns, list-of-string-rows)."""
+    """Read a file written by emit_delimited; returns (columns, list-of-string-rows).
+
+    Lines starting with '#' are comments and blank lines are skipped. A row
+    whose field count differs from the header's raises ValueError naming
+    the file and its line, so a ragged or non-delimited file is never
+    rendered as a table.
+    """
     with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if not line.startswith("#")]
-    if not lines:
+        records = list(_records(("\n" if line.startswith("#") else line for line in fh), ","))
+    if not records:
         raise ValueError(f"{path}: no rows")
-    parsed = list(csv.reader(lines))
-    return parsed[0], parsed[1:]
+    columns = records[0][1]
+    for line_no, row in records:
+        if len(row) != len(columns):
+            raise ValueError(f"{path}: line {line_no} has {len(row)} fields, the header {len(columns)}")
+    return columns, [row for _, row in records[1:]]
 
 
 def write_manifest(path, command: Sequence[str], config: dict, seed: int, outputs: Sequence[str]):

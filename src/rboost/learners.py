@@ -49,6 +49,11 @@ class RegressionTree:
     split's value is NaN, since nothing reads it: fit_tree takes means of
     leaves only, and a v1 dict does not store it. The achieved split count can
     fall short of the budget when the data has no further SSE-reducing split.
+
+    predict returns scale * value of each row's leaf. scale is 1.0 on
+    construction; a boosting stage's tree carries 1 / its empirical norm
+    on the fitting sample (see _TreeFitter.fit_step), so the stage is a
+    unit-norm function while value keeps the leaf means.
     """
 
     def __init__(self, feature, threshold, left, right, value, n_features: int):
@@ -56,11 +61,12 @@ class RegressionTree:
         self.threshold, self.value = (np.array(a, dtype=np.float64) for a in (threshold, value))
         self.n_splits = (self.feature.size - 1) // 2  # every split has two children
         self.n_features = n_features
+        self.scale = 1.0
         # predict's split masks: int8 keeps its id arithmetic in int8, bool promotes it to int64.
         self._mask_type = np.int8 if self.feature.size <= _INT8_NODES else np.bool_
 
     def predict(self, X) -> np.ndarray:
-        """Leaf value of every row, by an iterative children-first descent.
+        """scale times the leaf value of every row, by an iterative children-first descent.
 
         Each split maps its rows to leaf ids with right + (left - right) *
         (column <= threshold), an exact integer select without the
@@ -69,14 +75,18 @@ class RegressionTree:
         tree of at most 128 nodes the ids are int8: the bool mask is viewed,
         not copied, as int8, and Python-int ids keep the arithmetic in one
         byte a row; larger trees select in int64. Column reads are
-        contiguous when X is column-major, as Ensemble passes it.
+        contiguous when X is column-major, as Ensemble passes it. The at
+        most 2J + 1 products scale * value are formed once and then taken,
+        each the IEEE product a per-row multiply would give; a split's NaN
+        is never taken.
         """
         X = as_feature_matrix(X)
         if X.shape[1] != self.n_features:
             raise ValueError(f"tree was fit on d={self.n_features}, got d={X.shape[1]}")
         feature, threshold, left, right = (a.tolist() for a in (self.feature, self.threshold, self.left, self.right))
+        values = self.scale * self.value
         if feature[0] < 0:
-            return np.full(X.shape[0], self.value[0])
+            return np.full(X.shape[0], values[0])
         ids = list(range(len(feature)))
         stack = [0]
         while stack:
@@ -90,7 +100,7 @@ class RegressionTree:
             go_left = (X[:, feature[node]] <= threshold[node]).view(self._mask_type)
             ids[node] = (ids[lo] - ids[hi]) * go_left + ids[hi]
             ids[lo] = ids[hi] = None
-        return self.value.take(ids[0])
+        return values.take(ids[0])
 
     def depth(self) -> int:
         """Length of the longest root-to-leaf path; 0 for a single leaf."""
@@ -361,17 +371,6 @@ def fit_tree(data: Dataset, residual, n_splits: int, *, out=None) -> RegressionT
 
 
 @dataclass(frozen=True)
-class NormalizedLearner:
-    """A learner rescaled to unit empirical norm on its fitting sample."""
-
-    base: object
-    scale: float
-
-    def predict(self, X) -> np.ndarray:
-        return self.scale * self.base.predict(X)
-
-
-@dataclass(frozen=True)
 class TreeLearnerSpec:
     """Weak-learner factory: CART trees with a fixed split budget."""
 
@@ -392,14 +391,18 @@ class _TreeFitter:
         self._floor = DEGENERATE_NORM * empirical_norm(data.targets)
 
     def fit_step(self, residual):
-        """Fit one unit-norm tree to the residual; None when degenerate.
+        """(tree, g) of one unit-norm tree fit to the residual; None when degenerate.
 
-        A tree is degenerate when its empirical norm is at most
-        DEGENERATE_NORM * rms(y) of the bound sample's targets.
+        The tree keeps its leaf means and carries scale = 1 / nrm, nrm its
+        empirical norm on the bound sample; g is its in-sample prediction
+        divided by nrm. (tree.predict multiplies by 1 / nrm instead, which
+        can differ from g in the last bit.) A tree is degenerate when nrm
+        is at most DEGENERATE_NORM * rms(y) of the bound sample's targets.
         """
         pred = np.empty(self._data.m)
         tree = fit_tree(self._data, residual, self._n_splits, out=pred)
         nrm = float(np.sqrt((pred * pred).sum() / self._data.m))  # empirical_norm's bits, without its checks
         if nrm <= self._floor:
             return None
-        return NormalizedLearner(tree, 1.0 / nrm), pred / nrm
+        tree.scale = 1.0 / nrm
+        return tree, pred / nrm

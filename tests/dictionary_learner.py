@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from rboost.core import Dataset, as_feature_matrix, empirical_norm
-from rboost.learners import DEGENERATE_NORM, NormalizedLearner
+from rboost.learners import DEGENERATE_NORM
 
 
 class DegenerateLearnerError(Exception):
@@ -32,6 +32,17 @@ class DictionaryAtom:
 
     def predict(self, X) -> np.ndarray:
         return np.asarray(self.fn(as_feature_matrix(X)), dtype=np.float64)
+
+
+@dataclass(frozen=True)
+class ScaledAtom:
+    """An atom rescaled to unit empirical norm on its fitting sample."""
+
+    base: DictionaryAtom
+    scale: float
+
+    def predict(self, X) -> np.ndarray:
+        return self.scale * self.base.predict(X)
 
 
 @dataclass(frozen=True)
@@ -58,7 +69,7 @@ class _DictionaryFitter:
             nrm = empirical_norm(pred)
             if nrm <= DEGENERATE_NORM:
                 continue  # zero on this sample; can never carry signal
-            learners.append(NormalizedLearner(atom, 1.0 / nrm))
+            learners.append(ScaledAtom(atom, 1.0 / nrm))
             values.append(pred / nrm)
             ids.append(atom.atom_id)
         if not learners:

@@ -27,7 +27,8 @@ def test_writes_every_layer_figure_with_its_provenance(tmp_path):
     layers = result["layers"]
     assert set(layers) == {
         "learners._best_split", "learners.fit_tree", "core.Ensemble.staged_predict",
-        "selection.select_k_by_validation", "io.emit_delimited", "io._read_table", "core.Ensemble.predict",
+        "selection.select_k_by_validation", "io.save_model", "io.load_model", "io.emit_delimited",
+        "io._read_table", "core.Ensemble.predict",
     }
     search = layers["learners._best_split"]
     regimes = ["none", "light", "heavy"]
@@ -48,9 +49,12 @@ def test_writes_every_layer_figure_with_its_provenance(tmp_path):
     # one 2,000-row sample per regime: none tied, a few ties, and most root boundaries tied (the untied root scan)
     assert share["none", 2000] == 0.0 < share["light", 2000] < 0.01 and share["heavy", 2000] >= 0.5
     assert len({row["tied_share"] for row in search if row["ties"] == "heavy"}) == 1
-    # the serve layers: one figure each, on the 100k rows of serve_100k's predict
-    serve = [row for name in ("io.emit_delimited", "io._read_table", "core.Ensemble.predict") for row in layers[name]]
+    # the serve layers: one figure each, on serve_100k's 500-stage model and the 100k rows of its predict
+    names = ("io.save_model", "io.load_model", "io.emit_delimited", "io._read_table", "core.Ensemble.predict")
+    serve = [row for name in names for row in layers[name]]
     assert [_shape(row) for row in serve] == [
+        {"d": 10, "n_splits": 4, "stages": 500},
+        {"d": 10, "n_splits": 4, "stages": 500},
         {"rows": 100_000, "cols": 1},
         {"rows": 100_000, "cols": 11},
         {"rows": 100_000, "d": 10, "n_splits": 4, "stages": 500},

@@ -409,4 +409,4 @@ def test_power_of_two_target_scaling_scales_the_model_exactly(
     assert trace_b.alpha.tobytes() == trace_a.alpha.tobytes()
     assert trace_b.beta.tobytes() == np.ldexp(trace_a.beta, k).tobytes()
     for stage_a, stage_b in zip(model_a.stages, model_b.stages):
-        assert stage_b.learner.base.value.tobytes() == np.ldexp(stage_a.learner.base.value, k).tobytes()
+        assert stage_b.learner.value.tobytes() == np.ldexp(stage_a.learner.value, k).tobytes()

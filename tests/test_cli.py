@@ -9,6 +9,7 @@ import pytest
 
 import rboost.io as rio
 from rboost.cli import _build_parser, main
+from rboost.core import Ensemble
 from rboost.io import read_delimited
 
 
@@ -429,3 +430,19 @@ class TestReport:
         stdout = capsys.readouterr().out
         assert "mean_rmse" in stdout
         assert stdout.splitlines()[0].startswith("u")
+
+    def test_rejects_a_ragged_file_naming_its_line(self, tmp_path, capsys):
+        path = tmp_path / "ragged.csv"
+        path.write_text("# columns: a,b\na,b\n1,2,3\n4\n")
+        assert run_cli(["report", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}: line 3 has 3 fields, the header 2" in captured.err
+
+    def test_rejects_a_model_file(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        rio.save_model(Ensemble([]), path)
+        assert run_cli(["report", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}: line 2 has 2 fields, the header 1" in captured.err

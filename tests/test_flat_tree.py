@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from dictionary_learner import DictionaryAtom
 from rboost import Dataset, Ensemble, TrainConfig, TreeLearnerSpec, load_model, save_model, train
 from rboost.core import Stage, as_feature_matrix
-from rboost.learners import NormalizedLearner, RegressionTree, fit_tree
+from rboost.learners import RegressionTree, fit_tree
 
 
 class _Node:
@@ -57,8 +57,8 @@ class _RoutedTree:
 
 
 def _oracle_stage_predictions(model, X):
-    """Per-stage learner outputs through the oracle trees, scaled as NormalizedLearner does."""
-    return [st.learner.scale * _RoutedTree(st.learner.base).predict(X) for st in model.stages]
+    """Per-stage learner outputs through the oracle trees, each times its tree's scale."""
+    return [st.learner.scale * _RoutedTree(st.learner).predict(X) for st in model.stages]
 
 
 def _oracle_staged(model, X):
@@ -95,7 +95,7 @@ def models_and_queries(draw):
 
     n = draw(st.integers(1, 25))
     pool = [X.ravel(), rng.normal(size=n * d)]
-    thresholds = [t for s in model.stages for t in s.learner.base.threshold[s.learner.base.feature >= 0]]
+    thresholds = [t for s in model.stages for t in s.learner.threshold[s.learner.feature >= 0]]
     if thresholds:
         pool.append(np.array(thresholds))
     pool = np.concatenate(pool + [np.array([np.nan, np.inf, -np.inf])])
@@ -109,8 +109,8 @@ def models_and_queries(draw):
 def test_descent_matches_the_recursive_oracle(case):
     model, Q = case
     for st_ in model.stages:
-        tree = st_.learner.base
-        assert tree.predict(Q).tobytes() == _RoutedTree(tree).predict(Q).tobytes()
+        tree = st_.learner
+        assert tree.predict(Q).tobytes() == (tree.scale * _RoutedTree(tree).predict(Q)).tobytes()
     staged = _oracle_staged(model, Q)
     if staged:
         assert model.predict(Q).tobytes() == staged[-1].tobytes()
@@ -135,7 +135,8 @@ def test_save_load_round_trip_is_bit_exact(case):
     assert loaded.predict(Q).tobytes() == model.predict(Q).tobytes()
     assert loaded.staged_predict(Q).tobytes() == model.staged_predict(Q).tobytes()
     for a, b in zip(model.stages, loaded.stages):
-        assert _tree_json(b.learner.base) == _tree_json(a.learner.base)
+        assert _tree_json(b.learner) == _tree_json(a.learner)
+        assert b.learner.scale == a.learner.scale
     # the file is the sorted, 2-space-indented JSON of its own content
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
@@ -165,6 +166,19 @@ def test_single_leaf_tree_predicts_its_value():
     assert tree.predict(np.array([[7.0], [np.nan], [-1.0]])).tolist() == [2.5, 2.5, 2.5]
     assert tree.predict(np.empty((0, 1))).shape == (0,)
     assert tree.to_dict() == {"n_splits": 0, "n_features": 1, "root": {"value": 2.5}}
+    tree.scale = 0.5
+    assert tree.predict(np.array([[7.0], [np.nan]])).tolist() == [1.25, 1.25]
+    assert tree.to_dict()["root"] == {"value": 2.5}  # the scale is no part of the v1 tree
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.1, 3.0])
+def test_scaled_leaves_keep_the_sign_of_zero(scale):
+    root = {"feature": 0, "threshold": 0.0, "left": {"value": -0.0}, "right": {"value": 0.0}}
+    for spec in (root, {"value": -0.0}):
+        tree = RegressionTree.from_dict({"n_splits": int("feature" in spec), "n_features": 1, "root": spec})
+        tree.scale = scale
+        Q = np.array([[-1.0], [1.0]])
+        assert tree.predict(Q).tobytes() == (scale * _RoutedTree(tree).predict(Q)).tobytes()
 
 
 # The ROADMAP repro: alternating residuals of growing size make every split
@@ -221,6 +235,9 @@ def test_both_id_widths_match_the_recursive_oracle(n_splits, order, deep_tree):
     finally:
         sys.setrecursionlimit(limit)
     assert tree.predict(Q).tobytes() == want.tobytes()
+    scaled = RegressionTree.from_dict(tree.to_dict())  # a copy: the fixture's tree stays at scale 1.0
+    scaled.scale = 1.0 / 3.0
+    assert scaled.predict(Q).tobytes() == (scaled.scale * want).tobytes()
 
 
 def test_in_place_recursion_never_writes_a_learners_output():
@@ -252,7 +269,7 @@ def test_deep_tree_converts_to_and_from_the_nested_form(deep_tree):
 
 def test_deep_tree_save_raises_a_clear_error_and_writes_nothing(deep_tree, tmp_path):
     tree, _, _ = deep_tree
-    model = Ensemble([Stage(1.0, 1.0, NormalizedLearner(tree, 1.0))])
+    model = Ensemble([Stage(1.0, 1.0, tree)])
     path = tmp_path / "model.json"
     with pytest.raises(ValueError, match=f"depth {_DEEP_SPLITS}"):
         save_model(model, path)

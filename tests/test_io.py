@@ -200,6 +200,35 @@ class TestModelPersistence:
         assert {"alpha", "beta", "learner"} <= set(stage)
         assert stage["learner"]["type"] == "scaled_tree"
 
+    def test_a_bare_v1_tree_loads_at_scale_one_and_is_resaved_as_a_scaled_tree(self, tmp_path):
+        # A v1 learner may be a bare tree; one of its leaves here holds -0.0.
+        root = {"feature": 0, "threshold": 0.5, "left": {"value": -0.0}, "right": {"value": 2.5}}
+        bare = {"type": "tree", "tree": {"n_splits": 1, "n_features": 1, "root": root}}
+        doc = {"format": "rboost-model", "version": 1, "meta": {}, "offset": 0.0,
+               "stages": [{"alpha": 1.0, "beta": 0.75, "learner": bare}]}
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps(doc))
+        model, meta = load_model(path)
+        tree = model.stages[0].learner
+        assert tree.scale == 1.0
+        Q = np.array([[0.0], [0.5], [1.0], [np.nan]])
+        assert tree.predict(Q).tobytes() == np.array([-0.0, -0.0, 2.5, 2.5]).tobytes()
+        save_model(model, path, meta)
+        resaved = json.loads(path.read_text())["stages"][0]["learner"]
+        assert resaved == {"type": "scaled_tree", "scale": 1.0, "tree": bare["tree"]}
+        assert '"value": -0.0' in path.read_text()
+        clone = load_model(path)[0]
+        assert clone.stages[0].learner.predict(Q).tobytes() == tree.predict(Q).tobytes()
+        assert clone.predict(Q).tobytes() == model.predict(Q).tobytes()
+
+    def test_rejects_an_unknown_learner_type(self, tmp_path):
+        doc = _saved_doc(tmp_path)
+        doc["stages"][1]["learner"]["type"] = "stump"
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="stage 1 is malformed: unknown learner type 'stump'"):
+            load_model(path)
+
     def test_rejects_foreign_documents(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else"}')

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from dictionary_learner import DegenerateLearnerError, DictionaryAtom, DictionaryLearnerSpec
 from rboost import Dataset, TreeLearnerSpec
 from rboost.core import empirical_norm
-from rboost.learners import fit_tree
+from rboost.learners import RegressionTree, fit_tree
 
 
 def stump_oracle(X, r):
@@ -313,7 +313,7 @@ def test_fit_step_values_are_the_learners_in_sample_predictions(seed, m, d, n_sp
     step = TreeLearnerSpec(n_splits).bind(data).fit_step(rng.standard_normal(m))
     assert step is not None
     learner, values = step
-    pred = learner.base.predict(data.features)
+    pred = RegressionTree.from_dict(learner.to_dict()).predict(data.features)  # its leaf means: scale 1.0
     nrm = float(np.sqrt((pred * pred).sum() / m))
     assert learner.scale == 1.0 / nrm
     assert values.tobytes() == (pred / nrm).tobytes()

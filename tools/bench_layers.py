@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Time the split-search, scoring and serve layers on their own: one _best_split call, one fit_tree
-tree, one staged scoring and validation selection, one emit, table read and model predict of 100k rows.
+tree, one staged scoring and validation selection, one model save and load, and one emit, table read
+and model predict of 100k rows.
 
     python3 tools/bench_layers.py [--repeats N] [--out PATH]
 
@@ -21,13 +22,14 @@ takes the dense scan. Residuals are standard normal, so every run times
 the same inputs. Each record holds its regime (ties) and the sample's
 share of tied root boundaries (tied_share).
 
-The serve layers are the three parts of `rboost predict --out` on the
-serve_100k shape: io.emit_delimited of one 100k-row float column (a
-predictions.csv), io._read_table of a 100k x 11 CSV of 10 features
-uniform on [-2, 2] at 6 decimals and a target, written by write_csv, and
-core.Ensemble.predict on its 100k x 10 features of the re-scaled (u = 20)
-J = 4 model that 500 rounds fit on a 2,000-row sample of the same law.
-Their files live in a temporary directory for the run.
+The serve layers are the parts of `rboost fit` and `rboost predict --out`
+on the serve_100k shape past training: io.save_model and io.load_model
+of the re-scaled (u = 20) J = 4 model that 500 rounds fit on a 2,000-row
+sample of 10 features uniform on [-2, 2] at 6 decimals, io.emit_delimited
+of one 100k-row float column (a predictions.csv), io._read_table of a
+100k x 11 CSV of the same law's features and a target, written by
+write_csv, and core.Ensemble.predict of that model on its 100k x 10
+features. Their files live in a temporary directory for the run.
 
 The scoring layers are core.Ensemble.staged_predict and
 selection.select_k_by_validation on the two shapes whose selections
@@ -70,7 +72,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from rboost import CsvSchema, Dataset, TrainConfig, TreeLearnerSpec, train, write_csv  # noqa: E402
+from rboost import (  # noqa: E402
+    CsvSchema, Dataset, TrainConfig, TreeLearnerSpec, load_model, save_model, train, write_csv,
+)
 from rboost.io import _read_table, emit_delimited  # noqa: E402
 from rboost.learners import _best_split, fit_tree  # noqa: E402
 from rboost.selection import select_k_by_validation  # noqa: E402
@@ -135,19 +139,24 @@ def _serve_table(rng, m: int, d: int = D):
 
 
 def _serve_cases(workdir: Path) -> list:
-    """(layer, record, call) of the three serve layers, their files in workdir."""
+    """(layer, record, call) of the five serve layers, their files in workdir."""
     rng = np.random.default_rng(2)
     config = TrainConfig("rboosting", SERVE_ROUNDS, TreeLearnerSpec(4), u=20)
     model, _ = train(_serve_table(rng, SERVE_TRAIN_M), config)
+    model_path = workdir / "model.json"
+    save_model(model, model_path)
     score = _serve_table(rng, SERVE_ROWS)
     write_csv(score, workdir / "score.csv")
     preds = model.predict(score.features)
     rows = {"rows": SERVE_ROWS}
+    shape = {"d": D, "n_splits": 4, "stages": len(model)}
     return [
+        ("io.save_model", shape, functools.partial(save_model, model, model_path)),
+        ("io.load_model", shape, functools.partial(load_model, model_path)),
         ("io.emit_delimited", {**rows, "cols": 1},
          functools.partial(emit_delimited, workdir / "predictions.csv", ["prediction"], [preds], "manifest.json")),
         ("io._read_table", {**rows, "cols": D + 1}, functools.partial(_read_table, workdir / "score.csv", CsvSchema())),
-        ("core.Ensemble.predict", {**rows, "d": D, "n_splits": 4, "stages": len(model)},
+        ("core.Ensemble.predict", {**rows, **shape},
          functools.partial(model.predict, score.features)),
     ]
 
