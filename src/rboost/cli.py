@@ -86,11 +86,14 @@ def _write_manifest(args, config: dict, outputs):
     write_manifest(os.path.join(args.out, "manifest.json"), args.command_echo, config, args.seed, sorted(outputs))
 
 
-def _write_outputs(args, config: dict, name: str, names, columns):
-    """Write one result file, given by column, plus the manifest into --out."""
-    os.makedirs(args.out, exist_ok=True)
-    emit_delimited(os.path.join(args.out, name), names, columns, manifest_name="manifest.json")
-    _write_manifest(args, config, [name])
+def _finish(args, text: str, config: dict, name: str, names, columns) -> int:
+    """Print text; with --out, also write one result file, given by column, plus the manifest there."""
+    print(text, end="")
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        emit_delimited(os.path.join(args.out, name), names, columns, manifest_name="manifest.json")
+        _write_manifest(args, config, [name])
+    return 0
 
 
 def _add_schema_flags(p):
@@ -165,22 +168,18 @@ def _cmd_simulate(args) -> int:
                 s = report.algorithms[algo]
                 rows += _trial_rows(target, sigma, algo, s)
                 table.append([target, sigma, algo, f"{s.rmse_mean:.4f}", f"{s.rmse_std:.4f}"])
-    print(format_aligned(["target", "sigma", "algorithm", "mean_rmse", "std_rmse"], table), end="")
-    if args.out:
-        config = _bench_config(args, targets=list(args.target), sigmas=list(args.sigma), algo=args.algo)
-        _write_outputs(args, config, "results.csv", _TRIAL_COLUMNS, list(zip(*rows)))
-    return 0
+    text = format_aligned(["target", "sigma", "algorithm", "mean_rmse", "std_rmse"], table)
+    config = _bench_config(args, targets=list(args.target), sigmas=list(args.sigma), algo=args.algo)
+    return _finish(args, text, config, "results.csv", _TRIAL_COLUMNS, list(zip(*rows)))
 
 
 def _cmd_ucurve(args) -> int:
     curve = _compare(args, args.target, args.sigma, ("rboosting",)).curve
     rows = [[p.u, p.mean_rmse, p.std_rmse] for p in curve]
     table = [[p.u, f"{p.mean_rmse:.4f}", f"{p.std_rmse:.4f}"] for p in curve]
-    print(format_aligned(["u", "mean_rmse", "std_rmse"], table), end="")
-    if args.out:
-        config = _bench_config(args, target=args.target, sigma=args.sigma)
-        _write_outputs(args, config, "ucurve.csv", ["u", "mean_rmse", "std_rmse"], list(zip(*rows)))
-    return 0
+    names = ["u", "mean_rmse", "std_rmse"]
+    config = _bench_config(args, target=args.target, sigma=args.sigma)
+    return _finish(args, format_aligned(names, table), config, "ucurve.csv", names, list(zip(*rows)))
 
 
 def _cmd_adaptive(args) -> int:
@@ -191,11 +190,9 @@ def _cmd_adaptive(args) -> int:
         rows += _trial_rows(args.target, args.sigma, name, s)
         u_mean, u_std = selected_u_stats(s)
         table.append([name, f"{s.rmse_mean:.4f}", f"{s.rmse_std:.4f}", f"{u_mean:.1f}", f"{u_std:.1f}"])
-    print(format_aligned(["algorithm", "mean_rmse", "std_rmse", "mean_u", "std_u"], table), end="")
-    if args.out:
-        config = _bench_config(args, target=args.target, sigma=args.sigma)
-        _write_outputs(args, config, "adaptive.csv", _TRIAL_COLUMNS, list(zip(*rows)))
-    return 0
+    text = format_aligned(["algorithm", "mean_rmse", "std_rmse", "mean_u", "std_u"], table)
+    config = _bench_config(args, target=args.target, sigma=args.sigma)
+    return _finish(args, text, config, "adaptive.csv", _TRIAL_COLUMNS, list(zip(*rows)))
 
 
 def _cmd_fit(args) -> int:
@@ -237,12 +234,11 @@ def _cmd_predict(args) -> int:
         raise ValueError(f"model expects {d} feature columns, file has {matrix.shape[1]}")
     clip_bound = args.clip if args.clip is not None else meta.get("clip_bound")
     preds = model.predict(matrix, clip_bound=clip_bound)
-    if args.out:
-        config = {"model": os.path.basename(args.model), "data": os.path.basename(args.data)}
-        _write_outputs(args, config, "predictions.csv", ["prediction"], [preds])
-    else:
+    if not args.out:
         write_columns(sys.stdout, [preds])
-    return 0
+        return 0
+    config = {"model": os.path.basename(args.model), "data": os.path.basename(args.data)}
+    return _finish(args, "", config, "predictions.csv", ["prediction"], [preds])  # --out prints nothing
 
 
 def _cmd_realdata(args) -> int:
@@ -265,16 +261,14 @@ def _cmd_realdata(args) -> int:
         for name, out in report.methods.items()
     ]
     table = [[r[0], f"{r[1]:.4f}", r[2], r[3]] for r in rows]
-    print(format_aligned(["algorithm", "test_rmse", "selected_u", "selected_k"], table), end="")
-    if args.out:
-        config = {
-            "k_max": args.k_max, "grid": args.grid, "j": args.j, "seed": args.seed,
-            "clip": args.clip,
-            "data": os.path.basename(args.data) if args.data else None,
-            "pre_split": [os.path.basename(p) for p in args.pre_split] if args.pre_split else None,
-        }
-        _write_outputs(args, config, "realdata.csv", cols, list(zip(*rows)))
-    return 0
+    config = {
+        "k_max": args.k_max, "grid": args.grid, "j": args.j, "seed": args.seed,
+        "clip": args.clip,
+        "data": os.path.basename(args.data) if args.data else None,
+        "pre_split": [os.path.basename(p) for p in args.pre_split] if args.pre_split else None,
+    }
+    text = format_aligned(["algorithm", "test_rmse", "selected_u", "selected_k"], table)
+    return _finish(args, text, config, "realdata.csv", cols, list(zip(*rows)))
 
 
 def _cmd_report(args) -> int:

@@ -84,17 +84,6 @@ def check_clip_bound(bound: Optional[float]):
         raise ValueError(f"clip bound must be > 0, got {bound}")
 
 
-def clip(values, bound: float):
-    """Truncate to [-bound, bound], i.e. min(bound, |t|) * sign(t).
-
-    Scalars come back as float, arrays as arrays. Clipping a prediction
-    never increases its squared error against a target inside the band.
-    """
-    check_clip_bound(bound)
-    out = np.clip(np.asarray(values, dtype=np.float64), -bound, bound)  # NaN stays NaN, scalar or not
-    return float(out) if out.ndim == 0 else out
-
-
 class RootScan(NamedTuple):
     """The root's untied boundaries, laid out for a scan that skips the tied ones.
 
@@ -330,15 +319,19 @@ class Ensemble:
 
         The recursion updates its own accumulator in place: f *= 1 - alpha,
         then f += beta * g, the same bits as (1 - alpha) * f + beta * g.
-        A learner's output is only read, never written.
+        A learner's output is only read, never written. A clip_bound,
+        checked before any work, truncates f to [-clip_bound, clip_bound]
+        in place, which never increases its squared error against a target
+        inside that band.
         """
+        check_clip_bound(clip_bound)
         X = np.asfortranarray(as_feature_matrix(X))  # one copy; every tree then reads contiguous columns
         f = np.zeros(X.shape[0])
         for st in self._stages:
             f *= 1.0 - st.alpha
             f += st.beta * st.learner.predict(X)
         if clip_bound is not None:
-            f = clip(f, clip_bound)
+            np.clip(f, -clip_bound, clip_bound, out=f)  # NaN stays NaN
         return f
 
     def staged_predict(self, X) -> np.ndarray:

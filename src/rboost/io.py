@@ -26,6 +26,7 @@ MODEL_FORMAT = "rboost-model"
 MANIFEST_FORMAT = "rboost-manifest"
 FORMAT_VERSION = 1
 _BLOCK_ROWS = 8192  # rows rendered per write by write_columns
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')  # a delimited text cell holding one of these is quoted
 
 
 @dataclass(frozen=True)
@@ -190,6 +191,19 @@ def fmt(value) -> str:
     return str(value)
 
 
+def _delimited_cell(value) -> str:
+    """A cell of comma-delimited output, quoted by the CSV rule where it must be.
+
+    A float renders as fmt renders it and is not checked. Anything else
+    renders via str, and goes in double quotes, each quote doubled, when it
+    holds a comma, a quote or a line end.
+    """
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    text = str(value)
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
+
+
 def write_csv(data: Dataset, path, feature_names: Optional[Sequence[str]] = None, target_name: str = "y"):
     """Write a Dataset back out with full-precision values (round-trips via load_csv)."""
     if feature_names is None:
@@ -202,19 +216,62 @@ def write_csv(data: Dataset, path, feature_names: Optional[Sequence[str]] = None
 
 
 def _learner_to_dict(tree) -> dict:
+    """The v1 learner of a stage's tree: {"type": "scaled_tree", "scale", "tree"}.
+
+    "tree" holds n_splits, n_features and the nested root: a leaf is
+    {"value"}, a split {"feature", "threshold", "left", "right"}. Nodes
+    are linked in place, not by recursion, so a deep tree builds; a split's
+    value is not stored.
+    """
     if not isinstance(tree, RegressionTree):
         raise ValueError(f"cannot persist learner of type {type(tree).__name__}")
-    return {"type": "scaled_tree", "scale": tree.scale, "tree": tree.to_dict()}
+    feature, threshold, left, right, value = (
+        a.tolist() for a in (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+    )
+    nodes = [{"value": v} if f < 0 else {"feature": f, "threshold": t} for f, t, v in zip(feature, threshold, value)]
+    for node in np.flatnonzero(tree.feature >= 0).tolist():
+        nodes[node]["left"], nodes[node]["right"] = nodes[left[node]], nodes[right[node]]
+    spec = {"n_splits": tree.n_splits, "n_features": tree.n_features, "root": nodes[0]}
+    return {"type": "scaled_tree", "scale": tree.scale, "tree": spec}
 
 
 def _learner_from_dict(spec: dict) -> RegressionTree:
-    """The tree of a v1 learner: a scaled_tree carries its scale, a bare tree has scale 1.0."""
-    tree = RegressionTree.from_dict(spec["tree"])
+    """The tree of a v1 learner: a scaled_tree carries its scale, a bare tree has scale 1.0.
+
+    The nested root is read by an explicit stack and its nodes numbered in
+    pre-order, so children come after their parent; a split's value is
+    NaN. A split on a feature outside the tree's n_features is an error.
+    """
+    tree_spec = spec["tree"]
+    n_features = int(tree_spec["n_features"])
+    nodes = []  # [feature, threshold, left, right, value] per node
+    stack = [(tree_spec["root"], None)]  # (node spec, (parent id, its left/right column))
+    while stack:
+        node, link = stack.pop()
+        if link is not None:
+            nodes[link[0]][link[1]] = len(nodes)
+        if "value" in node:
+            nodes.append([-1, 0.0, -1, -1, float(node["value"])])
+            continue
+        feature = int(node["feature"])
+        if not 0 <= feature < n_features:
+            raise ValueError(f"split on feature {feature}, outside the tree's {n_features} features")
+        nodes.append([feature, float(node["threshold"]), -1, -1, np.nan])
+        stack += [(node["right"], (len(nodes) - 1, 3)), (node["left"], (len(nodes) - 1, 2))]
+    tree = RegressionTree(*zip(*nodes), n_features)
     if spec["type"] == "scaled_tree":
         tree.scale = float(spec["scale"])
     elif spec["type"] != "tree":
         raise ValueError(f"unknown learner type {spec['type']!r}")
     return tree
+
+
+def _depth(tree: RegressionTree) -> int:
+    """Length of the tree's longest root-to-leaf path; 0 for a single leaf."""
+    depths = [0] * tree.feature.size
+    for node in np.flatnonzero(tree.feature >= 0).tolist():  # parents come first
+        depths[tree.left[node]] = depths[tree.right[node]] = depths[node] + 1
+    return max(depths)
 
 
 def save_model(model: Ensemble, path, meta: Optional[dict] = None):
@@ -236,7 +293,7 @@ def save_model(model: Ensemble, path, meta: Optional[dict] = None):
     try:
         text = json.dumps(doc, indent=2, sort_keys=True)
     except RecursionError:
-        depth = max(st.learner.depth() for st in model.stages)
+        depth = max(_depth(st.learner) for st in model.stages)
         raise ValueError(f"a tree of depth {depth} nests too deep for the v1 JSON model format") from None
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(text + "\n")
@@ -321,16 +378,17 @@ def format_aligned(columns: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 
 def write_columns(fh, columns: Sequence[Sequence]):
-    """Write columns of one length to fh as comma-delimited lines, cells rendered by fmt.
+    """Write columns of one length to fh as comma-delimited lines, cells rendered by _delimited_cell.
 
     The one renderer of delimited output. It works a block of rows at a
-    time: one map(fmt) per column (a numpy column is first turned into
-    Python scalars with tolist), one join of the block's lines and one
-    write, so memory stays bounded by the block whatever the row count.
+    time: one map per column (a numpy column is first turned into Python
+    scalars with tolist), one join of the block's lines and one write, so
+    memory stays bounded by the block whatever the row count. Floats render
+    as fmt renders them; only other cells are checked for quoting.
     """
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         blocks = (col[start : start + _BLOCK_ROWS] for col in columns)
-        cells = [map(fmt, b.tolist() if isinstance(b, np.ndarray) else b) for b in blocks]
+        cells = [map(_delimited_cell, b.tolist() if isinstance(b, np.ndarray) else b) for b in blocks]
         fh.write("\n".join(cells[0] if len(cells) == 1 else map(",".join, zip(*cells))) + "\n")
 
 
@@ -357,9 +415,10 @@ def read_delimited(path):
     Lines starting with '#' are comments and blank lines are skipped. A row
     whose field count differs from the header's raises ValueError naming
     the file and its line, so a ragged or non-delimited file is never
-    rendered as a table.
+    rendered as a table. The file is read untranslated (newline=""), so a
+    quoted cell keeps its line ends, as the csv module asks.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         records = list(_records(("\n" if line.startswith("#") else line for line in fh), ","))
     if not records:
         raise ValueError(f"{path}: no rows")

@@ -47,8 +47,8 @@ class RegressionTree:
     threshold[i], else to right[i]. Leaves have feature, left and right -1
     and hold the mean of the fitting targets routed to them in value; a
     split's value is NaN, since nothing reads it: fit_tree takes means of
-    leaves only, and a v1 dict does not store it. The achieved split count can
-    fall short of the budget when the data has no further SSE-reducing split.
+    leaves only. The achieved split count can fall short of the budget when
+    the data has no further SSE-reducing split.
 
     predict returns scale * value of each row's leaf. scale is 1.0 on
     construction; a boosting stage's tree carries 1 / its empirical norm
@@ -101,44 +101,6 @@ class RegressionTree:
             ids[node] = (ids[lo] - ids[hi]) * go_left + ids[hi]
             ids[lo] = ids[hi] = None
         return values.take(ids[0])
-
-    def depth(self) -> int:
-        """Length of the longest root-to-leaf path; 0 for a single leaf."""
-        depths = [0] * self.feature.size
-        for node in np.flatnonzero(self.feature >= 0).tolist():  # parents come first
-            depths[self.left[node]] = depths[self.right[node]] = depths[node] + 1
-        return max(depths)
-
-    def to_dict(self) -> dict:
-        """The v1 nested form: {"value"} leaves, {"feature", "threshold", "left", "right"} splits."""
-        feature, threshold, left, right, value = (
-            a.tolist() for a in (self.feature, self.threshold, self.left, self.right, self.value)
-        )
-        nodes = [{"value": v} if f < 0 else {"feature": f, "threshold": t}
-                 for f, t, v in zip(feature, threshold, value)]
-        for node in np.flatnonzero(self.feature >= 0).tolist():
-            nodes[node]["left"], nodes[node]["right"] = nodes[left[node]], nodes[right[node]]
-        return {"n_splits": self.n_splits, "n_features": self.n_features, "root": nodes[0]}
-
-    @staticmethod
-    def from_dict(spec: dict) -> "RegressionTree":
-        """Inverse of to_dict; nodes are numbered in pre-order."""
-        n_features = int(spec["n_features"])
-        nodes = []
-        stack = [(spec["root"], None)]  # (node spec, (parent id, its left/right column))
-        while stack:
-            node, link = stack.pop()
-            if link is not None:
-                nodes[link[0]][link[1]] = len(nodes)
-            if "value" in node:
-                nodes.append(_leaf(float(node["value"])))
-                continue
-            feature = int(node["feature"])
-            if not 0 <= feature < n_features:
-                raise ValueError(f"split on feature {feature}, outside the tree's {n_features} features")
-            nodes.append([feature, float(node["threshold"]), -1, -1, np.nan])
-            stack += [(node["right"], (len(nodes) - 1, 3)), (node["left"], (len(nodes) - 1, 2))]
-        return RegressionTree(*zip(*nodes), n_features)
 
 
 def _untied_root_scan(scan: RootScan, csum: np.ndarray, n: int):

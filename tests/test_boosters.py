@@ -410,3 +410,39 @@ def test_power_of_two_target_scaling_scales_the_model_exactly(
     assert trace_b.beta.tobytes() == np.ldexp(trace_a.beta, k).tobytes()
     for stage_a, stage_b in zip(model_a.stages, model_b.stages):
         assert stage_b.learner.value.tobytes() == np.ldexp(stage_a.learner.value, k).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 60),
+    d=st.integers(1, 3),
+    n_splits=st.integers(1, 4),
+    decimals=st.sampled_from([None, 0, 1]),
+    exponent=st.integers(-40, 40),
+    u=st.integers(2**55, 2**62),
+)
+@example(seed=0, m=2, d=1, n_splits=1, decimals=None, exponent=0, u=2**55)
+@example(seed=1, m=30, d=2, n_splits=3, decimals=0, exponent=7, u=2**55)  # integer features: ties and repeats
+def test_a_re_scale_factor_past_two_to_the_55_trains_plain_boosting_bit_for_bit(
+    seed, m, d, n_splits, decimals, exponent, u
+):
+    # For k <= 40 and u >= 2**55, alpha_k = 2 / (k + u) < 2**-54, half the
+    # spacing of the doubles just below 1, so 1 - alpha_k rounds to 1.0:
+    # the bits of plain boosting's 1 - 0.0. Every update and stage then
+    # computes what plain boosting computes; only the recorded alphas,
+    # tiny but nonzero, differ.
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2, 2, (m, d))
+    if decimals is not None:
+        X = np.round(X, decimals)
+    y = np.ldexp(np.sin(2 * X[:, 0]) + 0.3 * rng.standard_normal(m), exponent)
+    data = Dataset(X, y)
+    plain_model, plain = train(data, TrainConfig("boosting", 40, TreeLearnerSpec(n_splits)))
+    model, trace = train(data, TrainConfig("rboosting", 40, TreeLearnerSpec(n_splits), u=u))
+    assert trace.stop_reason == plain.stop_reason
+    for name in ("risk", "beta", "l1_norm"):
+        assert getattr(trace, name).tobytes() == getattr(plain, name).tobytes(), name
+    assert np.all((trace.alpha > 0) & (1.0 - trace.alpha == 1.0))
+    assert model.predict(X).tobytes() == plain_model.predict(X).tobytes()
+    assert model.staged_predict(X).tobytes() == plain_model.staged_predict(X).tobytes()

@@ -3,7 +3,7 @@ import pytest
 
 from dictionary_learner import DictionaryAtom
 from rboost import Dataset, Ensemble, TrainConfig
-from rboost.core import Stage, clip, empirical_norm, empirical_risk
+from rboost.core import Stage, empirical_norm, empirical_risk
 
 
 def constant_atom(value):
@@ -40,46 +40,39 @@ class TestEmpiricalGeometry:
             empirical_risk([1], [1, 2])
 
 
-class TestClip:
-    def test_above_bound(self):
-        assert clip(5, 3) == 3.0
+def _identity_model():
+    """A one-stage model whose prediction is the first feature, bit for bit: 0 * 1.0 + 1.0 * x."""
+    return Ensemble([Stage(0.0, 1.0, DictionaryAtom(0, lambda X: X[:, 0]))])
 
-    def test_below_bound(self):
-        assert clip(-5, 3) == -3.0
 
-    def test_identity_region(self):
-        assert clip(2, 3) == 2.0
+class TestPredictClip:
+    """Ensemble.predict(clip_bound=M) truncates the prediction to [-M, M]."""
 
-    def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError):
-            clip(1.0, 0.0)
-        with pytest.raises(ValueError):
-            clip(1.0, -2.0)
-        with pytest.raises(ValueError):
-            clip(np.array([1.0, -3.0]), float("nan"))
+    def test_bounds_and_identity_region(self):
+        out = _identity_model().predict(np.array([5.0, -5.0, 2.0, -10.0, 0.5, 10.0]), clip_bound=3.0)
+        assert out.tolist() == [3.0, -3.0, 2.0, -3.0, 0.5, 3.0]
 
-    def test_array_input(self):
-        out = clip(np.array([-10.0, 0.5, 10.0]), 1.0)
-        assert np.array_equal(out, [-1.0, 0.5, 1.0])
+    def test_rejects_a_bound_that_is_not_positive(self):
+        model = _identity_model()
+        for bound in (0.0, -2.0, float("nan")):
+            with pytest.raises(ValueError, match="clip bound must be > 0"):
+                model.predict(np.array([1.0, -3.0]), clip_bound=bound)
 
-    def test_scalar_and_array_paths_agree_bit_for_bit(self):
-        # a NaN scalar stays NaN, as in an array, instead of becoming -bound
-        values = [float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 0.25, -0.75, 1.0, -1.0, 3.0, -3.0, 5e-324]
-        array = clip(np.array(values), 1.0)
-        for value, from_array in zip(values, array):
-            for scalar in (clip(value, 1.0), clip(np.float64(value), 1.0)):
-                assert type(scalar) is float
-                assert np.float64(scalar).tobytes() == from_array.tobytes(), value
-        assert np.isnan(clip(float("nan"), 1.0))
+    def test_nan_stays_nan_and_every_other_value_is_the_clipped_one(self):
+        values = [float("nan"), float("inf"), -float("inf"), 0.0, 0.25, -0.75, 1.0, -1.0, 3.0, -3.0, 5e-324]
+        out = _identity_model().predict(np.array(values), clip_bound=1.0)
+        assert np.isnan(out[0])
+        assert out[1:].tolist() == [1.0, -1.0, 0.0, 0.25, -0.75, 1.0, -1.0, 1.0, -1.0, 5e-324]
 
     def test_pointwise_loss_never_increases(self):
         # For |y| <= M, squared error against y cannot grow under clipping.
         rng = np.random.default_rng(11)
+        model = _identity_model()
         for _ in range(200):
             M = float(rng.uniform(0.1, 5.0))
-            t = float(rng.uniform(-20, 20))
-            y = float(rng.uniform(-M, M))
-            assert (clip(t, M) - y) ** 2 <= (t - y) ** 2 + 1e-15
+            t = rng.uniform(-20, 20, 5)
+            y = rng.uniform(-M, M, 5)
+            assert np.all((model.predict(t, clip_bound=M) - y) ** 2 <= (t - y) ** 2 + 1e-15)
 
 
 class TestDataset:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from rboost import (
     CsvSchema,
     Dataset,
+    Ensemble,
     TrainConfig,
     TreeLearnerSpec,
     load_csv,
@@ -24,13 +25,19 @@ from rboost import (
     write_csv,
 )
 from rboost.boosters import train_rboosting
+from rboost.core import Stage
 from rboost.io import (
+    _depth,
+    _learner_from_dict,
+    _learner_to_dict,
     emit_delimited,
     format_aligned,
     load_feature_matrix,
     read_delimited,
     write_manifest,
 )
+from rboost.learners import RegressionTree, fit_tree
+from trained_models import models_and_queries
 
 
 class TestLoadCsv:
@@ -413,6 +420,112 @@ def test_a_value_of_another_json_type_loads_or_raises_value_error(data):
             pass
 
 
+_DEEP_SPLITS = 1200
+
+
+def _chain(n_splits):
+    """A tree n_splits levels deep on one feature, numbered in pre-order.
+
+    Split 2i sends x <= i to leaf 2i + 1, whose value is i + 0.5, and the
+    rest on to node 2i + 2.
+    """
+    ids = np.arange(2 * n_splits + 1)
+    split = (ids % 2 == 0) & (ids < 2 * n_splits)
+    return RegressionTree(np.where(split, 0, -1), np.where(split, ids / 2, 0.0), np.where(split, ids + 1, -1),
+                          np.where(split, ids + 2, -1), np.where(split, np.nan, ids / 2), 1)
+
+
+def _v1_json(tree):
+    return json.dumps(_learner_to_dict(tree), sort_keys=True)
+
+
+class TestV1Form:
+    """The nested v1 learner, which io alone writes and reads."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(models_and_queries())
+    def test_save_load_round_trip_is_bit_exact(self, case):
+        model, Q = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            save_model(model, path, {"note": "round trip"})
+            loaded, meta = load_model(path)
+            text = path.read_text()
+            save_model(loaded, path, meta)
+            assert path.read_text() == text
+        assert meta == {"note": "round trip"}
+        assert loaded.predict(Q).tobytes() == model.predict(Q).tobytes()
+        assert loaded.staged_predict(Q).tobytes() == model.staged_predict(Q).tobytes()
+        for a, b in zip(model.stages, loaded.stages):
+            assert _v1_json(b.learner) == _v1_json(a.learner)
+            assert b.learner.scale == a.learner.scale
+            assert b.learner.predict(Q).tobytes() == a.learner.predict(Q).tobytes()
+            assert np.all(np.isnan(b.learner.value[b.learner.feature >= 0]))  # a split's value is not stored
+        # the file is the sorted, 2-space-indented JSON of its own content
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    def test_a_single_leaf_is_stored_as_its_value_with_the_scale_beside_it(self, tmp_path):
+        tree = fit_tree(Dataset([[0.0], [1.0]], np.zeros(2)), [2.5, 2.5], 3)
+        assert _depth(tree) == 0
+        path = tmp_path / "model.json"
+        for scale in (1.0, 0.5):
+            tree.scale = scale
+            save_model(Ensemble([Stage(1.0, 1.0, tree)]), path)
+            learner = json.loads(path.read_text())["stages"][0]["learner"]
+            # the scale is no part of the v1 tree
+            assert learner == {"type": "scaled_tree", "scale": scale,
+                               "tree": {"n_splits": 0, "n_features": 1, "root": {"value": 2.5}}}
+            loaded = load_model(path)[0].stages[0].learner
+            assert loaded.scale == scale and loaded.predict(np.array([[7.0], [np.nan]])).tolist() == [2.5 * scale] * 2
+
+    @pytest.mark.parametrize("feature", [-1, 2])
+    def test_a_split_on_a_missing_feature_is_rejected(self, tmp_path, feature):
+        root = {"feature": feature, "threshold": 0.5, "left": {"value": 1.0}, "right": {"value": 2.0}}
+        learner = {"type": "scaled_tree", "scale": 1.0, "tree": {"n_splits": 1, "n_features": 2, "root": root}}
+        doc = {"format": "rboost-model", "version": 1, "meta": {}, "offset": 0.0,
+               "stages": [{"alpha": 1.0, "beta": 1.0, "learner": learner}]}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"stage 0 is malformed: split on feature {feature}, outside the tree's 2"):
+            load_model(path)
+
+    def test_a_deep_tree_converts_to_and_from_the_nested_form(self):
+        # deeper than the recursion limit: the nested form is built and read without recursion
+        tree = _chain(_DEEP_SPLITS)
+        clone = _learner_from_dict(_learner_to_dict(tree))
+        assert _depth(tree) == _depth(clone) == _DEEP_SPLITS
+        assert (clone.n_splits, clone.n_features, clone.scale) == (_DEEP_SPLITS, 1, 1.0)
+        for name in ("feature", "threshold", "left", "right", "value"):  # a chain's pre-order is its own order
+            assert getattr(clone, name).tobytes() == getattr(tree, name).tobytes()
+        X = np.arange(-1.0, _DEEP_SPLITS + 1)[:, None]
+        assert clone.predict(X).tobytes() == tree.predict(X).tobytes()
+        assert tree.predict(X)[[0, 1, _DEEP_SPLITS, -1]].tolist() == [0.5, 0.5, _DEEP_SPLITS - 0.5, _DEEP_SPLITS]
+
+    def test_a_deep_tree_save_raises_a_clear_error_and_writes_nothing(self, tmp_path):
+        model = Ensemble([Stage(1.0, 1.0, _chain(_DEEP_SPLITS))])
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match=f"depth {_DEEP_SPLITS}"):
+            save_model(model, path)
+        assert not path.exists()
+        path.write_text("kept\n")
+        with pytest.raises(ValueError, match=f"depth {_DEEP_SPLITS}"):
+            save_model(model, path)
+        assert path.read_text() == "kept\n"
+
+    def test_over_nested_model_file_raises_a_clear_error(self, tmp_path):
+        levels = 5000
+        split = '{"feature": 0, "threshold": 0.5, "left": {"value": 1.0}, "right": '
+        root = split * levels + '{"value": 0.0}' + "}" * levels
+        tree = '{"n_splits": %d, "n_features": 1, "root": %s}' % (levels, root)
+        stages = '[{"alpha": 1.0, "beta": 1.0, "learner": {"type": "tree", "tree": %s}}]' % tree
+        # brackets inside a string do not count towards the nesting depth
+        text = '{"format": "rboost-model", "version": 1, "meta": {"note": "[[{{\\\\"}, "offset": 0.0, "stages": %s}' % stages
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"nests {levels + 6} levels deep"):
+            load_model(path)
+
+
 class TestResultEmission:
     def test_delimited_round_trip(self, tmp_path):
         path = tmp_path / "rows.csv"
@@ -422,6 +535,18 @@ class TestResultEmission:
         columns, rows = read_delimited(path)
         assert columns == ["u", "rmse"]
         assert rows == [["1", "0.5"], ["10", "0.25"]]
+
+    def test_text_cells_are_quoted_by_the_csv_rule_and_round_trip(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        names = ["name", "v"]
+        text = ["a,b", 'say "hi"', "two\nlines", "cr\rend", "plain", ""]
+        emit_delimited(path, names, [text, [1, 2.5, 3, "x", 0.1, 4]], manifest_name="manifest.json")
+        body = path.read_bytes().decode().split("\n", 3)[3]
+        # only the cells holding a comma, a quote or a line end are quoted, quotes doubled inside
+        assert body == '"a,b",1\n"say ""hi""",2.5\n"two\nlines",3\n"cr\rend",x\nplain,0.1\n,4\n'
+        columns, rows = read_delimited(path)
+        assert columns == names
+        assert rows == [[t, v] for t, v in zip(text, ["1", "2.5", "3", "x", "0.1", "4"])]
 
     def test_rejects_empty(self, tmp_path):
         with pytest.raises(ValueError):

@@ -322,7 +322,7 @@ class TestEmptyModelRule:
 
 class TestStagedMse:
     def test_one_staged_pass_and_the_same_bits_as_the_explicit_curve(self, monkeypatch):
-        from rboost.core import Ensemble, clip
+        from rboost.core import Ensemble
 
         rng = np.random.default_rng(57)
         X = rng.uniform(-2, 2, (40, 1))
@@ -336,7 +336,7 @@ class TestStagedMse:
         for bound in (None, 0.8):
             preds = real(model, Xh)
             if bound is not None:
-                preds = clip(preds, bound)
+                preds = np.clip(preds, -bound, bound)
             err = preds - holdout.targets
             curve = np.mean(err * err, axis=1)
             k, risk = select_k_by_validation(learn, holdout, toy_config(9), clip_bound=bound)

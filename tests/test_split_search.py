@@ -7,12 +7,12 @@ thresholds, leaf values and split counts, so the same in-sample predictions.
 The oracle reads nothing from Dataset.split_cache, so it also checks that
 the cached per-sample constants stand in exactly for what they replace.
 Like fit_tree, the oracle tree searches the residual scaled by a power of
-two to a largest |r| in [0.5, 1) and takes its leaf means unscaled.
+two to a largest |r| in [0.5, 1) and takes its leaf means unscaled, and
+numbers its nodes in creation order, so the trees compare array by array.
 """
 
 import heapq
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -24,22 +24,6 @@ from rboost import Dataset, TrainConfig, TreeLearnerSpec, train
 from rboost.learners import RegressionTree, fit_tree
 
 _MIN_GAIN_REL = 1e-12
-
-
-class _Node:
-    """The oracle's linked tree node; to_dict gives the v1 nested form."""
-
-    def __init__(self, value):
-        self.feature = None
-        self.threshold = 0.0
-        self.left = None
-        self.right = None
-        self.value = value
-
-    def to_dict(self):
-        if self.feature is None:
-            return {"value": self.value}
-        return {"feature": self.feature, "threshold": self.threshold, "left": self.left.to_dict(), "right": self.right.to_dict()}
 
 
 def _oracle_routed_mean(values):
@@ -90,31 +74,42 @@ def _oracle_best_split(X, r, rows):
 
 
 def _oracle_fit_tree(data, residual, n_splits):
+    """The oracle's tree: node 0 the root, a split's two children appended as it is made, left first.
+
+    A leaf holds feature, left and right -1, threshold 0.0 and its mean; a
+    split holds NaN as its value, as fit_tree writes them.
+    """
     r = np.asarray(residual, dtype=np.float64)
     peak = np.max(np.abs(r))
     searched = np.ldexp(r, -np.frexp(peak)[1]) if peak > 0 else r
     X = data.features
-    root = _Node(_oracle_routed_mean(r))
+    nodes = [[-1, 0.0, -1, -1, _oracle_routed_mean(r)]]  # feature, threshold, left, right, value
     frontier = []
     counter = 0
     cand = _oracle_best_split(X, searched, np.arange(data.m))
     if cand is not None:
-        heapq.heappush(frontier, (-cand[0], counter, root, cand))
+        heapq.heappush(frontier, (-cand[0], counter, 0, cand))
         counter += 1
     splits = 0
     while frontier and splits < n_splits:
         _, _, node, (_, feat, threshold, left_rows, right_rows) = heapq.heappop(frontier)
-        node.feature = feat
-        node.threshold = threshold
-        node.left = _Node(_oracle_routed_mean(r[left_rows]))
-        node.right = _Node(_oracle_routed_mean(r[right_rows]))
+        left = len(nodes)
+        nodes[node] = [feat, threshold, left, left + 1, np.nan]
         splits += 1
-        for child, child_rows in ((node.left, left_rows), (node.right, right_rows)):
+        for child, child_rows in ((left, left_rows), (left + 1, right_rows)):
+            nodes.append([-1, 0.0, -1, -1, _oracle_routed_mean(r[child_rows])])
             cand = _oracle_best_split(X, searched, child_rows)
             if cand is not None:
                 heapq.heappush(frontier, (-cand[0], counter, child, cand))
                 counter += 1
-    return RegressionTree.from_dict({"n_splits": splits, "n_features": data.d, "root": root.to_dict()})
+    return RegressionTree(*zip(*nodes), data.d)
+
+
+def _assert_same_arrays(tree, want):
+    """Same split count and width, and the five arrays byte for byte, the node numbering included."""
+    assert (tree.n_splits, tree.n_features) == (want.n_splits, want.n_features)
+    for name in ("feature", "threshold", "left", "right", "value"):
+        assert getattr(tree, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def _column(kind, m, rng, earlier):
@@ -155,7 +150,7 @@ def _assert_same_tree(X, r, n_splits):
     data = Dataset(X, np.zeros(X.shape[0]))
     tree = fit_tree(data, r, n_splits)
     want = _oracle_fit_tree(data, r, n_splits)
-    assert json.dumps(tree.to_dict(), sort_keys=True) == json.dumps(want.to_dict(), sort_keys=True)
+    _assert_same_arrays(tree, want)
     assert tree.predict(X).tobytes() == want.predict(X).tobytes()
 
 
@@ -209,7 +204,7 @@ def test_fits_sharing_one_dataset_grow_the_oracle_trees(case):
             assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
             assert got[1:3] == want[1:3]
             assert rows[got[3]].tolist() == want[3].tolist()
-        assert json.dumps(tree.to_dict(), sort_keys=True) == json.dumps(want_tree.to_dict(), sort_keys=True)
+        _assert_same_arrays(tree, want_tree)
         assert tree.predict(X).tobytes() == want_tree.predict(X).tobytes()
     assert data.split_cache is cache
 
@@ -265,7 +260,7 @@ def _assert_tie_heavy_fits_grow_the_oracle_trees(X, fits):
         _assert_root_search_is_the_oracles(data, r)
         tree = fit_tree(data, r, n_splits)
         want_tree = _oracle_fit_tree(data, r, n_splits)
-        assert json.dumps(tree.to_dict(), sort_keys=True) == json.dumps(want_tree.to_dict(), sort_keys=True)
+        _assert_same_arrays(tree, want_tree)
         assert tree.predict(X).tobytes() == want_tree.predict(X).tobytes()
 
 
@@ -326,9 +321,7 @@ def test_non_finite_residuals_end_as_the_dense_scan_ends(bad, where):
         if got is not None:
             assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes() and got[1:3] == want[1:3]
         for n_splits in (1, 3):
-            tree, dense_tree = fit_tree(tied, r, n_splits), fit_tree(dense, r, n_splits)
-            for name in ("feature", "threshold", "left", "right", "value"):
-                assert getattr(tree, name).tobytes() == getattr(dense_tree, name).tobytes()
+            _assert_same_arrays(fit_tree(tied, r, n_splits), fit_tree(dense, r, n_splits))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

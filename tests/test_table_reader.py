@@ -205,14 +205,23 @@ def _old_fmt(value):
     return str(value)
 
 
+def _csv_cell(value):
+    """_old_fmt's text, quoted by the CSV rule when a non-float cell holds a comma, a quote or a line end."""
+    text = _old_fmt(value)
+    if isinstance(value, (float, np.floating)) or not set(text) & set(',"\r\n'):
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
 def _old_emit_delimited(path, columns, rows, manifest_name=None):
+    """The per-cell writer, with the one intended difference since: text cells are quoted (_csv_cell)."""
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         if manifest_name:
             fh.write(f"# manifest: {manifest_name}\n")
         fh.write(f"# columns: {','.join(columns)}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_old_fmt(v) for v in row) + "\n")
+            fh.write(",".join(_csv_cell(v) for v in row) + "\n")
 
 
 cell_values = st.one_of(
@@ -234,6 +243,7 @@ cell_values = st.one_of(
     ),
     st.sampled_from([None, "manifest.json"]),
 )
+@example([["a,b", 'say "hi"'], ["two\nlines", "cr\rend"], [",", 1.5]], None)
 def test_emit_delimited_writes_the_per_cell_bytes(workdir, rows, manifest_name):
     columns = [f"c{j}" for j in range(len(rows[0]))]
     old, new = workdir / "old.csv", workdir / "new.csv"

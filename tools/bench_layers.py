@@ -70,7 +70,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from rboost import (  # noqa: E402
     CsvSchema, Dataset, TrainConfig, TreeLearnerSpec, load_model, save_model, train, write_csv,
@@ -78,6 +78,7 @@ from rboost import (  # noqa: E402
 from rboost.io import _read_table, emit_delimited  # noqa: E402
 from rboost.learners import _best_split, fit_tree  # noqa: E402
 from rboost.selection import select_k_by_validation  # noqa: E402
+from perfbench.workloads import _serve_table as _serve_law  # noqa: E402
 
 D = 10
 SEARCH_M = 2000
@@ -132,10 +133,8 @@ def _cases() -> list:
 
 
 def _serve_table(rng, m: int, d: int = D):
-    """m rows of serve_100k's law: features uniform on [-2, 2]^d at 6 decimals, target 7's profile plus noise."""
-    X = np.round(rng.uniform(-2.0, 2.0, (m, d)), 6)
-    signs = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
-    return Dataset(X, np.round(np.sum(signs * X * np.sin(X * X), axis=1) + 0.5 * rng.standard_normal(m), 6))
+    """m rows of serve_100k's law, drawn by perfbench/workloads.py, as a Dataset."""
+    return Dataset(*_serve_law(rng, m, d))
 
 
 def _serve_cases(workdir: Path) -> list:
