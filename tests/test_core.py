@@ -48,9 +48,18 @@ def _identity_model():
 class TestPredictClip:
     """Ensemble.predict(clip_bound=M) truncates the prediction to [-M, M]."""
 
-    def test_bounds_and_identity_region(self):
-        out = _identity_model().predict(np.array([5.0, -5.0, 2.0, -10.0, 0.5, 10.0]), clip_bound=3.0)
-        assert out.tolist() == [3.0, -3.0, 2.0, -3.0, 0.5, 3.0]
+    def test_above_bound(self):
+        assert _identity_model().predict(np.array([5.0]), clip_bound=3.0).tolist() == [3.0]
+
+    def test_below_bound(self):
+        assert _identity_model().predict(np.array([-5.0]), clip_bound=3.0).tolist() == [-3.0]
+
+    def test_identity_region(self):
+        assert _identity_model().predict(np.array([2.0]), clip_bound=3.0).tolist() == [2.0]
+
+    def test_array_input(self):
+        out = _identity_model().predict(np.array([-10.0, 0.5, 10.0]), clip_bound=1.0)
+        assert out.tolist() == [-1.0, 0.5, 1.0]
 
     def test_rejects_a_bound_that_is_not_positive(self):
         model = _identity_model()
