@@ -19,7 +19,6 @@ adaptive strategy is meant to solve.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
@@ -178,43 +177,39 @@ def _trial(spec, trial, methods, k_max, grid, learner_spec, clip_bound):
 
     Each fit is scored at its best truncation on the noiseless test set,
     the benchmark's oracle convention: select_k_by_validation handed the
-    test set. "rboosting" is adaptive_select handed the test set, so it
-    picks u there too; its per_u_curve is returned beside the rows (None
-    without "rboosting"). "rboosting_adaptive" picks u on a shuffled
-    learn/validate split of the training sample, recording the
-    validation-chosen iteration as "k_valid", and trains that u on the
-    full sample, so its row isolates the cost of choosing u from data.
-    With "rboosting" among the methods, that full-sample score is the
-    oracle's own for the chosen u, read from its per_u_curve: the oracle
-    runs first and has already made that very call.
+    test set. With "rboosting" or "rboosting_adaptive" among the methods,
+    one oracle sweep, adaptive_select handed the test set, scores every
+    grid u; its per_u_curve is returned beside the rows (else None).
+    "rboosting" is the sweep's best (u, k). "rboosting_adaptive" picks u
+    on a shuffled learn/validate split of the training sample, recording
+    the validation-chosen iteration as "k_valid", and reads its
+    full-sample score for that u from the sweep, so its row isolates the
+    cost of choosing u from data.
     """
     train_ds, test_ds = sample_dataset(spec, trial)
     config = TrainConfig("rboosting", k_max, learner_spec)
-    risks, curve = {}, None
-    for method in sorted(methods, key=lambda name: name != "rboosting"):  # the oracle first
+    risks, oracle = {}, None
+    if {"rboosting", "rboosting_adaptive"}.intersection(methods):
+        oracle = adaptive_select(train_ds, test_ds, grid, config, clip_bound=clip_bound)
+    for method in methods:
         if method == "rboosting":
-            oracle = adaptive_select(train_ds, test_ds, grid, config, clip_bound=clip_bound)
             risks[method] = (oracle.validation_risk, {"u": oracle.chosen_u, "k": oracle.chosen_k})
-            curve = oracle.per_u_curve
         elif method == "rboosting_adaptive":
             learn, validate = split_learn_validate(train_ds, _split_seed(spec, trial))
             sel = adaptive_select(learn, validate, grid, config)
-            if curve is None:
-                k, risk = select_k_by_validation(
-                    train_ds, test_ds, replace(config, u=sel.chosen_u), clip_bound=clip_bound
-                )
-            else:
-                k, risk = next((k, risk) for u, k, risk in curve if u == sel.chosen_u)
+            k, risk = next((k, risk) for u, k, risk in oracle.per_u_curve if u == sel.chosen_u)
             risks[method] = (risk, {"u": sel.chosen_u, "k": k, "k_valid": sel.chosen_k})
         else:
             k, risk = select_k_by_validation(train_ds, test_ds, replace(config, algorithm=method), clip_bound=clip_bound)
             risks[method] = (risk, {"k": k})
-    return {method: (float(np.sqrt(risk)), sel) for method, (risk, sel) in risks.items()}, curve
+    return {method: (float(np.sqrt(risk)), sel) for method, (risk, sel) in risks.items()}, oracle and oracle.per_u_curve
 
 
 def _map_trials(fn, arg_tuples, workers: int):
     if workers <= 1:
         return [fn(*args) for args in arg_tuples]
+    from concurrent.futures import ProcessPoolExecutor  # only a parallel run pays for its import
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *zip(*arg_tuples)))  # order-preserving
 
@@ -232,13 +227,15 @@ def run_comparison(
 
     Methods are the training algorithms plus "rboosting_adaptive" (see
     _trial). Per trial, each method trains on the noisy sample and is
-    scored at its best truncation on the noiseless test set; the re-scaled
-    variant additionally sweeps the u grid and keeps the best (u, k).
-    Mean/std are over trials. Selection on the test set reproduces the
-    comparison-table protocol and is labeled as the oracle it is. With
-    "rboosting" among the methods, curve holds the test RMSE of every grid
-    u: the u-curve. workers must be a positive integer; at 1 the trials run
-    in this process, else in a pool of that many processes.
+    scored at its best truncation on the noiseless test set. The two
+    re-scaled rows share one oracle sweep of the u grid per trial: the
+    oracle keeps its best (u, k), the adaptive row its score at the u
+    chosen from data. Mean/std are over trials. Selection on the test
+    set reproduces the comparison-table protocol and is labeled as the
+    oracle it is. With "rboosting" among the methods, curve holds the
+    test RMSE of every grid u: the u-curve. workers must be a positive
+    integer; at 1 the trials run in this process, else in a pool of that
+    many processes.
     """
     check_clip_bound(clip_bound)
     workers = positive_int(workers, "workers")

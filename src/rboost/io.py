@@ -412,14 +412,19 @@ def emit_delimited(path, names: Sequence[str], columns: Sequence[Sequence], mani
 def read_delimited(path):
     """Read a file written by emit_delimited; returns (columns, list-of-string-rows).
 
-    Lines starting with '#' are comments and blank lines are skipped. A row
-    whose field count differs from the header's raises ValueError naming
-    the file and its line, so a ragged or non-delimited file is never
-    rendered as a table. The file is read untranslated (newline=""), so a
-    quoted cell keeps its line ends, as the csv module asks.
+    Lines starting with '#' before the header are comments, where
+    emit_delimited writes them; after it, such a line is data, so a
+    quoted cell may hold one. Blank lines are skipped. A row whose field
+    count differs from the header's raises ValueError naming the file and
+    its line, so a ragged or non-delimited file is never rendered as a
+    table. The file is opened as every table is (_open_table): untranslated
+    (newline=""), so a quoted cell keeps its line ends, as the csv module
+    asks, and without a leading byte-order mark.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        records = list(_records(("\n" if line.startswith("#") else line for line in fh), ","))
+    with _open_table(path) as fh:
+        lines = fh.readlines()
+    head = next((i for i, line in enumerate(lines) if line.strip("\r\n") and not line.startswith("#")), len(lines))
+    records = list(_records(["\n"] * head + lines[head:], ","))  # comments blanked, so line numbers stay
     if not records:
         raise ValueError(f"{path}: no rows")
     columns = records[0][1]

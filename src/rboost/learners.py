@@ -11,7 +11,6 @@ implicit tree dictionary).
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -259,10 +258,10 @@ def _routed_mean(values: np.ndarray) -> float:
 def fit_tree(data: Dataset, residual, n_splits: int, *, out=None) -> RegressionTree:
     """Grow a least-squares CART tree on the residual, best-first, up to n_splits.
 
-    Growth order is by SSE reduction; frontier ties fall back to creation
-    order. A constant residual yields a single leaf at its mean. Fitting is
-    invariant to row permutations when per-column feature values are
-    distinct (the generic case for continuous data).
+    Growth order is by SSE reduction; frontier ties fall back to node id,
+    which is creation order. A constant residual yields a single leaf at
+    its mean. Fitting is invariant to row permutations when per-column
+    feature values are distinct (the generic case for continuous data).
 
     Split search runs on column blocks: the stable column order in
     data.split_cache is the root's block, and a split filters its node's
@@ -299,36 +298,32 @@ def fit_tree(data: Dataset, residual, n_splits: int, *, out=None) -> RegressionT
     cache = data.split_cache
     xt = cache.xt
     nodes = [_leaf(np.nan)]
-    node_rows = [cache.rows]  # a leaf's rows; None once it splits
+    leaves = {0: cache.rows}  # node id -> rows, open leaves only
     frontier = []
-    created = itertools.count()
 
-    def push(node, rows, block):
-        cand = _best_split(cache, searched, rows, block)
-        if cand is not None:
-            heapq.heappush(frontier, (-cand[0], next(created), node, rows, block, cand))
+    def push(node, block):
+        cand = _best_split(cache, searched, leaves[node], block)
+        if cand is not None:  # ids are unique and pushed in increasing order, so they break gain ties
+            heapq.heappush(frontier, (-cand[0], node, block, cand))
 
     if math.isfinite(peak):  # else every boundary has a non-finite sum on one side: no finite gain
-        push(0, cache.rows, cache.order)
+        push(0, cache.order)
     while frontier:
-        _, _, node, rows, block, (_, feat, threshold, go_left) = heapq.heappop(frontier)
-        left_rows = rows.compress(go_left)
-        right_rows = rows.compress(~go_left)
+        _, node, block, (_, feat, threshold, go_left) = heapq.heappop(frontier)
+        rows = leaves.pop(node)
         left_id = len(nodes)
         nodes[node][:4] = feat, threshold, left_id, left_id + 1
         nodes += [_leaf(np.nan), _leaf(np.nan)]
-        node_rows[node] = None
-        node_rows += [left_rows, right_rows]
+        leaves[left_id], leaves[left_id + 1] = rows.compress(go_left), rows.compress(~go_left)
         if len(nodes) == 2 * n_splits + 1:
             break  # budget spent; the frontier is discarded, so the children need no search
         left_block, right_block = _partition(block, xt[feat] <= threshold)
-        push(left_id, left_rows, left_block)
-        push(left_id + 1, right_rows, right_block)
-    for node, rows in enumerate(node_rows):
-        if rows is not None:
-            value = nodes[node][4] = _routed_mean(r[rows])
-            if out is not None:
-                out[rows] = value
+        push(left_id, left_block)
+        push(left_id + 1, right_block)
+    for node, rows in leaves.items():  # disjoint rows, so the order is free
+        value = nodes[node][4] = _routed_mean(r[rows])
+        if out is not None:
+            out[rows] = value
     return RegressionTree(*zip(*nodes), data.d)
 
 

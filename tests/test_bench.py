@@ -311,6 +311,18 @@ class TestRunAdaptiveEval:
             assert adaptive.rmse_per_trial[t] == np.sqrt(expected)
             assert adaptive.selected[t]["u"] == 5
 
+    @pytest.mark.parametrize("clip_bound", [None, 1.5])
+    def test_the_adaptive_row_is_the_same_with_or_without_the_oracle_row(self, clip_bound):
+        spec = SyntheticSpec(target_id=4, noise_sigma=0.5, train_m=70, test_m=40, trials=2)
+        kw = dict(k_max=8, grid=[1, 10, 100], learner_spec=TreeLearnerSpec(2), clip_bound=clip_bound)
+        alone = run_comparison(spec, ("rboosting_adaptive",), **kw)
+        both = run_comparison(spec, ("boosting", "rboosting_adaptive", "rboosting"), **kw)
+        assert alone.curve is None
+        a, b = alone.algorithms["rboosting_adaptive"], both.algorithms["rboosting_adaptive"]
+        assert a.rmse_per_trial == b.rmse_per_trial
+        assert a.selected == b.selected  # u, k and k_valid of every trial
+        assert all(set(s) == {"u", "k", "k_valid"} for s in a.selected)
+
     def test_ideal_never_worse_than_adaptive_u(self):
         # The oracle sweeps every u including the adaptive choice.
         spec = SyntheticSpec(target_id=4, noise_sigma=0.5, train_m=80, test_m=50, trials=2)

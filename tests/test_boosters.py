@@ -446,3 +446,142 @@ def test_a_re_scale_factor_past_two_to_the_55_trains_plain_boosting_bit_for_bit(
     assert np.all((trace.alpha > 0) & (1.0 - trace.alpha == 1.0))
     assert model.predict(X).tobytes() == plain_model.predict(X).tobytes()
     assert model.staged_predict(X).tobytes() == plain_model.staged_predict(X).tobytes()
+
+
+# The acceptance identities as properties. Each tolerance is twice a
+# first-order rounding bound, in units of eps = 2u (u the unit roundoff),
+# times the magnitudes that the identity's terms sum; a sum of n terms in
+# any order errs by at most (n - 1)u times the sum of their magnitudes
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2).
+EPS = float(np.finfo(np.float64).eps)
+IDENTITY_ROUNDS = 25
+IDENTITY_SAMPLES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 79),
+    d=st.integers(1, 3),
+    n_splits=st.integers(1, 5),
+    decimals=st.sampled_from([None, 0, 1]),  # rounded features: ties and repeated rows
+    exponent=st.integers(-40, 40),  # a power-of-two target scale, exact
+)
+
+
+def identity_sample(seed, m, d, decimals, exponent):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2, 2, (m, d))
+    if decimals is not None:
+        X = np.round(X, decimals)
+    return X, np.ldexp(np.sin(2 * X[:, 0]) + 0.3 * rng.standard_normal(m), exponent)
+
+
+def identity_fit(X, y, algorithm, n_splits):
+    return train(Dataset(X, y), TrainConfig(algorithm, IDENTITY_ROUNDS, TreeLearnerSpec(n_splits), u=2))
+
+
+def expansion_magnitudes(model, X):
+    """Row k-1: sum_j |c_j| |g_j(X)| over the effective coefficients of truncate(k), row by row of X.
+
+    The coefficients of truncate(k) are those of truncate(k - 1) times
+    1 - alpha_k, plus beta_k, so the rows follow the staged recursion in
+    absolute values. Carried to stage k by the later factors 1 - alpha,
+    every term that training or scoring adds up to stage k is, row by
+    row, at most row k-1 in magnitude.
+    """
+    out, row = [], np.zeros(X.shape[0])
+    for stage in model.stages:
+        row = abs(1.0 - stage.alpha) * row + abs(stage.beta) * np.abs(stage.learner.predict(X))
+        out.append(row)
+    return np.array(out)
+
+
+def rms(v):
+    return float(np.sqrt(np.mean(v * v)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**IDENTITY_SAMPLES)
+@example(seed=0, m=2, d=1, n_splits=1, decimals=None, exponent=0)
+@example(seed=1, m=30, d=2, n_splits=3, decimals=0, exponent=7)  # integer features: ties and repeats
+def test_plain_boosting_removes_beta_squared_from_the_risk_each_step(seed, m, d, n_splits, decimals, exponent):
+    # E_k = E_{k-1} - beta_k^2 for unit-norm g and beta_k = <r_{k-1}, g>.
+    # To first order, with E_0 = mean(y^2) >= E_{k-1} >= E_k, beta_k^2 <= E_{k-1}
+    # and mean(f^2) <= 4 E_0: the rounded risks err by (m + 3)u E each; beta
+    # by (m + 1)u sqrt(E) times 2|beta|; mean(g^2) = 1 within (m + 5)u, times
+    # beta^2; f_k and r_k, formed row by row, add 6u E_0 through <r, e>.
+    # That sums to (5m + 20)u E_0, so twice that is (5m + 20) eps E_0.
+    X, y = identity_sample(seed, m, d, decimals, exponent)
+    _, trace = identity_fit(X, y, "boosting", n_splits)
+    e0 = float(np.mean(y * y))
+    previous = np.concatenate([[e0], trace.risk[:-1]])
+    gap = np.abs(trace.risk - (previous - trace.beta**2))
+    assert np.all(gap <= (5 * m + 20) * EPS * e0), gap.max() / (EPS * e0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**IDENTITY_SAMPLES)
+@example(seed=0, m=2, d=1, n_splits=1, decimals=None, exponent=0)
+@example(seed=1, m=30, d=2, n_splits=3, decimals=0, exponent=7)
+def test_each_ddr_step_leaves_a_residual_orthogonal_to_its_plane(seed, m, d, n_splits, decimals, exponent):
+    # (alpha_k, beta_k) solve the normal equations of y on span{f_{k-1}, g_k},
+    # so r_k = y - f_k is orthogonal to f_{k-1} and to g_k. Here f comes from
+    # staged_predict and g from the stage's tree, whose 1/nrm * value can
+    # differ from training's value / nrm in the last bit (the trace = model
+    # gap in ROADMAP.md), so the bound covers both recursions, not training's.
+    # With Q = |y| + B_{k-1} + B_k (B from expansion_magnitudes) and V = B_{k-1}
+    # for f, |g| for g, first-order terms in units of u ||Q|| ||V||: Cramer's
+    # rule on the 2x2 system leaves 12 / (1 - cos^2) + 1, cos the cosine of
+    # f and g (Higham 1.10.1: forward stable, its residual grows with the
+    # condition); the Gram means m + 1; 1 - (1 - a) != a, 2; forming r_k and
+    # the test's own mean, m + 5; training and scoring each round twice a
+    # stage, and the two g differ by 3u|g|: 8k + 2. That is at most
+    # (2m + 8k + 22) u / (1 - cos^2), and twice it 2(m + 4k + 11) eps / (1 - cos^2).
+    X, y = identity_sample(seed, m, d, decimals, exponent)
+    model, trace = identity_fit(X, y, "ddrboosting", n_splits)
+    staged = model.staged_predict(X)
+    bound = expansion_magnitudes(model, X)
+    for k in range(2, len(model) + 1):
+        if trace.gram_fallback[k - 1]:
+            continue
+        f, g, r = staged[k - 2], model.stages[k - 1].learner.predict(X), y - staged[k - 1]
+        q = np.abs(y) + bound[k - 2] + bound[k - 1]
+        cos2 = np.mean(f * g) ** 2 / (np.mean(f * f) * np.mean(g * g))
+        for v, size in ((f, bound[k - 2]), (g, np.abs(g))):
+            tol = 2 * (m + 4 * k + 11) * EPS * rms(q) * rms(size) / (1 - cos2)
+            assert abs(np.mean(r * v)) <= tol, (k, abs(np.mean(r * v)) / tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**IDENTITY_SAMPLES)
+@example(seed=0, m=2, d=1, n_splits=1, decimals=None, exponent=0)
+@example(seed=1, m=30, d=2, n_splits=3, decimals=0, exponent=7)
+def test_the_traced_l1_norm_is_the_l1_norm_of_each_truncation(seed, m, d, n_splits, decimals, exponent):
+    # Training scales the coefficients by 1 - alpha once a stage; the model
+    # forms the same products as a reversed cumprod times beta. Either way
+    # c_j takes k - j roundings, so the two differ by 2(k - 1)u |c_j|, and the
+    # two sums of k magnitudes add (k - 1)u l1 each: 4(k - 1)u l1 in all,
+    # and twice that is below 4k eps l1.
+    X, y = identity_sample(seed, m, d, decimals, exponent)
+    for algorithm in ("boosting", "rboosting", "ddrboosting"):
+        model, trace = identity_fit(X, y, algorithm, n_splits)
+        for k in range(1, len(model) + 1):
+            l1 = model.truncate(k).l1_norm()
+            assert abs(trace.l1_norm[k - 1] - l1) <= 4 * k * EPS * l1, (algorithm, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**IDENTITY_SAMPLES)
+@example(seed=0, m=2, d=1, n_splits=1, decimals=None, exponent=0)
+@example(seed=1, m=30, d=2, n_splits=3, decimals=0, exponent=7)
+def test_staged_rows_are_the_expansion_of_each_truncation(seed, m, d, n_splits, decimals, exponent):
+    # Both sides use the same floats 1 - alpha_j, beta_j and g_j(X). A staged
+    # row rounds twice a stage, 2u times magnitudes that, carried to stage k,
+    # sum to at most B_k (expansion_magnitudes): 2k u B_k. The expansion rounds
+    # each c_j k - j times, each c_j g_j once, and sums k terms: (2k - 1)u B_k.
+    # So |staged - expanded| <= (4k - 1)u B_k, and twice that is below 4k eps B_k.
+    X, y = identity_sample(seed, m, d, decimals, exponent)
+    for algorithm in ("boosting", "rboosting", "ddrboosting"):
+        model, _ = identity_fit(X, y, algorithm, n_splits)
+        staged = model.staged_predict(X)
+        bound = expansion_magnitudes(model, X)
+        for k in range(1, len(model) + 1):
+            gap = np.abs(staged[k - 1] - model.truncate(k).expanded_predict(X))
+            assert np.all(gap <= 4 * k * EPS * bound[k - 1]), (algorithm, k)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -547,6 +548,28 @@ class TestResultEmission:
         columns, rows = read_delimited(path)
         assert columns == names
         assert rows == [[t, v] for t, v in zip(text, ["1", "2.5", "3", "x", "0.1", "4"])]
+
+    def test_a_quoted_cell_whose_second_line_starts_with_a_hash_round_trips(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        emit_delimited(path, ["name", "v"], [["a\n#b", "ok"], [1, 2]], manifest_name="manifest.json")
+        assert read_delimited(path) == (["name", "v"], [["a\n#b", "1"], ["ok", "2"]])
+
+    def test_a_hash_line_after_the_header_is_data_and_keeps_its_file_line_number(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("# columns: a,b\n\n# note\na,b\n#x,1\n")
+        assert read_delimited(path) == (["a", "b"], [["#x", "1"]])
+        path.write_text("# columns: a,b\n\n# note\na,b\n#x,1\n#y\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line 6 has 1 fields, the header 2"):
+            read_delimited(path)
+
+    @pytest.mark.parametrize("comment", ["", "# manifest: manifest.json\n"])
+    def test_a_leading_byte_order_mark_is_dropped_as_load_csv_drops_it(self, tmp_path, comment):
+        path = tmp_path / "rows.csv"
+        path.write_text(comment + "a,b\n1,2\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert read_delimited(path) == (["a", "b"], [["1", "2"]])
+        if not comment:  # the same file, read by name as a data table
+            assert load_csv(path, CsvSchema(target_column="a")).targets.tolist() == [1.0]
 
     def test_rejects_empty(self, tmp_path):
         with pytest.raises(ValueError):

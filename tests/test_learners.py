@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dictionary_learner import DegenerateLearnerError, DictionaryAtom, DictionaryLearnerSpec
-from rboost import Dataset, TreeLearnerSpec
+from rboost import Dataset, TreeLearnerSpec, learners
 from rboost.core import empirical_norm
 from rboost.learners import RegressionTree, fit_tree
 
@@ -94,6 +94,22 @@ class TestFitTree:
         data = Dataset([[0.0], [1.0]], np.zeros(2))
         tree = fit_tree(data, [1.0, 2.0], 4)
         assert tree.n_splits == 1  # only one boundary exists
+
+    def test_equal_frontier_gains_split_the_lower_node_id_first(self):
+        X = np.array([[0, 0, 0, 0, 1, 1, 1, 1], [0, 1, 2, 3, 0, 1, 2, 3]], dtype=np.float64).T
+        r = np.array([1.5, 1.5, -0.5, -0.5, 0.5, 0.5, -1.5, -1.5])
+        data = Dataset(X, r)
+        # Both children of the root's x1 <= 1.5 split search to x0 <= 0.5 with
+        # bit-equal gains on the searched scale (r / 2), so only the id decides.
+        cache, searched = data.split_cache, r / 2
+        go_left = X[:, 1] <= 1.5
+        children = zip((go_left, ~go_left), learners._partition(cache.order, go_left))
+        gains = [learners._best_split(cache, searched, cache.rows[rows], block)[:3] for rows, block in children]
+        assert gains[0] == gains[1] == (0.25, 0, 0.5)
+        tree = fit_tree(data, r, 2)
+        assert tree.feature.tolist() == [1, 0, -1, -1, -1]
+        assert (tree.left.tolist(), tree.right.tolist()) == ([1, 3, -1, -1, -1], [2, 4, -1, -1, -1])
+        assert tree.value[2:].tolist() == [-1.0, 1.5, 0.5]  # node 2 stays the leaf of rows 2, 3, 6 and 7
 
     def test_rejects_bad_inputs(self):
         data = Dataset([[0.0], [1.0]], np.zeros(2))
