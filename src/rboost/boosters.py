@@ -16,15 +16,19 @@ zero or the fitted learner is degenerate, reporting the achieved count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import Dataset, Ensemble, Stage, TrainConfig, empirical_norm
+from .core import Dataset, Ensemble, Stage, TrainConfig
 
 # Residual below this (relative to the target scale) means the sample is fit.
 _RESIDUAL_TOL = 1e-13
+
+# The smallest normal double: a mean square of nonzero targets below it has lost bits to underflow.
+_TINY = float(np.finfo(np.float64).tiny)
 
 # Gram determinants at or below this relative level trigger the 1-d fallback.
 _GRAM_TOL = 1e-12
@@ -104,7 +108,8 @@ def train(data: Dataset, config: TrainConfig):
 
     Training stops with "zero_residual" once rms(r) <= 1e-13 * rms(y), a
     tolerance relative to the targets at every scale. Raises ValueError
-    when the mean square of the targets overflows, since no residual could
+    when the mean square of the targets overflows, or of targets not all
+    zero falls below the smallest normal double, since no residual could
     then be measured against the target scale.
 
     Every mean here is (v * v).sum() / m or the like: np.mean's one
@@ -112,19 +117,19 @@ def train(data: Dataset, config: TrainConfig):
     """
     y = data.targets
     m = data.m
+    f = np.zeros(m)
+    r = y - f
     with np.errstate(over="ignore"):
-        y_rms = empirical_norm(y)
-    if not np.isfinite(y_rms):
+        risk = float((r * r).sum() / m)  # mean(y^2)
+    if risk == math.inf or (risk < _TINY and y.any()):
+        flow = "overflows" if risk == math.inf else "underflows"
         raise ValueError(
-            f"the mean square of the targets overflows float64 (max |y| = {np.abs(y).max():.3g}); rescale them"
+            f"the mean square of the targets {flow} float64 (max |y| = {np.abs(y).max():.3g}); rescale them"
         )
-    tolerance = _RESIDUAL_TOL * y_rms
+    tolerance = _RESIDUAL_TOL * math.sqrt(risk)
     fitter = config.learner_spec.bind(data)
     algorithm = config.algorithm
 
-    f = np.zeros(m)
-    r = y - f
-    risk = float((r * r).sum() / m)
     stages = []
     coeffs = np.empty(config.max_iterations)
     risks, l1s, fallbacks = [], [], []

@@ -85,55 +85,50 @@ def check_clip_bound(bound: Optional[float]):
 
 
 class RootScan(NamedTuple):
-    """The root's untied boundaries, laid out for a scan that skips the tied ones.
+    """The root's untied boundaries, where a root search builds its gains.
 
     Of the (d, m - 1) boundaries between neighbours in the column order,
     the untied ones, column by column and in position order. at and
-    total_at are flat positions in a (d, m) C-contiguous cumsum: boundary p
-    of column j at j * m + p, its column's total at j * m + m - 1. nl and nr
-    are the boundary's left and right row counts as float64, the integers
-    p + 1 and m - p - 1. A live column holds at least one untied boundary:
-    live lists their ids, starts the first boundary of each, seg each
-    boundary's index into live and pos its position p.
+    total_at are flat positions in a (d, m) C-contiguous cumsum, and so in
+    the root's (d, m) gain matrix: boundary p of column j at j * m + p, its
+    column's total at j * m + m - 1. nl and nr are the boundary's left and
+    right row counts as float64, the integers p + 1 and m - p - 1. Every
+    other position of the gain matrix, a tie or a column's end, reads -inf.
     """
 
     at: np.ndarray
     total_at: np.ndarray
     nl: np.ndarray
     nr: np.ndarray
-    starts: np.ndarray
-    seg: np.ndarray
-    pos: np.ndarray
-    live: np.ndarray
 
 
-# A root search scans only the untied boundaries when at least this share
-# of the root's boundaries are ties. Per root _best_split call on 10-column
-# samples (medians of 7 alternating rounds of 201 calls, ranges over runs
-# on a shared 2-vCPU machine, numpy 2.4), dense scan vs untied scan:
-#   no ties:         2,000 rows 300 vs 440 us, 500 rows 67 vs 85 us
-#   2.4% ties:       2,000 rows 250 vs 260-330 us
-#   6% ties:         500 rows 103 vs 80 us
-#   12% ties:        1,000 rows 143-173 vs 119-135 us
-#   21% ties:        2,000 rows 270-310 vs 205-225 us
-#   43% ties:        500 rows 105-175 vs 65-100 us
-# Each tied column costs the dense scan a masked write, so the untied scan
-# breaks even at a few percent of ties, not at one half. No benchmark
-# sample has a share between 0.0003 and 0.5, so the value stays.
+# A root search computes gains at the untied boundaries only when at least
+# this share of the root's boundaries are ties. Per root _best_split call
+# (medians of 7 alternating rounds of 201 calls, ranges over rounds, on a
+# shared 2-vCPU machine, numpy 2.4; 10 columns uniform on [-2, 2], rounded
+# to 4, 3 or 2 decimals for ties), dense build vs untied build:
+#   no ties:         2,000 rows 188-203 vs 401-426 us, 500 rows 67-94 vs 80-115 us
+#   0.7% ties:       500 rows 92-99 vs 74-80 us
+#   2.4% ties:       2,000 rows 243-296 vs 242-252 us
+#   5.8% ties:       500 rows 96-100 vs 75-78 us
+#   11% ties:        1,000 rows 146-214 vs 118-155 us
+#   21% ties:        2,000 rows 289-458 vs 214-324 us
+#   43% ties:        500 rows 106-109 vs 64-66 us
+#   63% ties:        1,000 rows 186-271 vs 95-128 us
+#   69.5% ties:      realdata_stumps' 500 x 8 learning half, 88-140 vs 51-75 us
+# Each tied column costs the dense build a masked write, so the untied
+# build breaks even near 2% of ties at 2,000 rows and below 1% at 500,
+# not at one half, and wins from there on. No benchmark sample has a
+# share between 0.0003 and 0.5, so the value stays.
 _ROOT_SCAN_TIED_SHARE = 0.5
 
 
 def _root_scan(tied: np.ndarray) -> RootScan:
     """The RootScan of a (d, m - 1) mask of tied root boundaries."""
-    d, gaps = tied.shape
+    gaps = tied.shape[1]
     col, pos = np.nonzero(~tied)
-    live, starts, counts = np.unique(col, return_index=True, return_counts=True)
-    at = col * (gaps + 1) + pos
     nl = (pos + 1).astype(np.float64)
-    return RootScan(
-        at, col * (gaps + 1) + gaps, nl, gaps - nl + 1.0, starts,
-        np.repeat(np.arange(live.size), counts), pos, live,
-    )
+    return RootScan(col * (gaps + 1) + pos, col * (gaps + 1) + gaps, nl, gaps - nl + 1.0)
 
 
 class SplitCache(NamedTuple):
@@ -152,8 +147,11 @@ class SplitCache(NamedTuple):
     counts[m - n:m], the integers n - 1..1 and a placeholder 1, right of
     them; both are contiguous slices.
     root_scan is the RootScan of the untied root boundaries when at least
-    _ROOT_SCAN_TIED_SHARE of them are ties, a property of the features;
-    otherwise None, and the root scans every boundary.
+    _ROOT_SCAN_TIED_SHARE of them are ties, a property of the features:
+    the root then computes gains at those boundaries only and writes them
+    into its (d, m) gain matrix of -inf. Otherwise it is None, and the
+    root builds the matrix densely and masks ties as every node does.
+    Either way one argmax over the matrix's rows picks each column's best.
     """
 
     xt: np.ndarray

@@ -102,15 +102,12 @@ class RegressionTree:
         return values.take(ids[0])
 
 
-def _untied_root_scan(scan: RootScan, csum: np.ndarray, n: int):
-    """Best gain and position of every column at the root from its untied boundaries only.
+def _untied_root_gains(scan: RootScan, csum: np.ndarray) -> np.ndarray:
+    """The root's (d, m) gain matrix with a gain at every untied boundary and -inf elsewhere.
 
     Each gain is built from the same cumsum entries with the same
     operations in the same order as the dense scan, so it has the same
-    bits. A column's best is its segment's maximum, which is NaN when any
-    of its gains is, and its position the first boundary reaching it, the
-    smallest threshold: the dense argmax over gains whose ties are -inf.
-    A column without untied boundaries gets -inf.
+    bits; ties and column ends read -inf, as the dense scan masks them.
     """
     flat = csum.ravel()
     sl = flat.take(scan.at)
@@ -121,12 +118,9 @@ def _untied_root_scan(scan: RootScan, csum: np.ndarray, n: int):
     sr *= sr
     sr /= scan.nr
     gain += sr
-    seg_best = np.maximum.reduceat(gain, scan.starts)
-    best_gain = np.full(csum.shape[0], -np.inf)
-    best_gain[scan.live] = seg_best
-    best_pos = np.zeros(csum.shape[0], dtype=np.intp)
-    best_pos[scan.live] = np.minimum.reduceat(np.where(gain == seg_best[scan.seg], scan.pos, n), scan.starts)
-    return best_gain, best_pos
+    out = np.full(csum.shape, -np.inf)
+    out.ravel()[scan.at] = gain
+    return out
 
 
 def _best_split(cache: SplitCache, r: np.ndarray, rows: np.ndarray, block: np.ndarray):
@@ -148,19 +142,23 @@ def _best_split(cache: SplitCache, r: np.ndarray, rows: np.ndarray, block: np.nd
     bit-equal across features, so ties genuinely break toward the lower
     feature index (and, within a column, the smaller threshold).
 
-    The scan builds gains on the whole contiguous (d, n) prefix-sum array,
-    in place and with the same operations in the same order as
+    Every search builds one (d, n) gain matrix, a gain at every boundary
+    and -inf at every tie and column end, and ends in one argmax over its
+    rows: the first maximum of a row is the column's best boundary at the
+    smallest threshold. A column holding a NaN gain reads NaN there and
+    one holding +inf reads inf; the re-score skips both. Gains are built
+    in place with the same operations in the same order as
     sl*sl/nl + sr*sr/(n - nl), so every boundary has that expression's
-    bits. The last column is each column's end, no boundary: its counts,
-    n and 1, are placeholders, and its gain is set to -inf before the
-    argmax. Both count rows are contiguous slices of the cache's count
-    vector. Every node, the root included, masks its boundaries by one
-    rule: the end column by one column write, then, in each column that
-    holds a tie at all, the boundaries between equal neighbouring values
-    of its block; a re-scored column reads just the two values around its
-    boundary. On a sample whose cache holds a root_scan the root builds
-    gains at its untied boundaries only (see _untied_root_scan), with the
-    same winner per column.
+    bits. Most nodes build them on the whole contiguous (d, n) prefix-sum
+    array: the last column is each column's end, no boundary, whose
+    counts, n and 1, are placeholders; both count rows are contiguous
+    slices of the cache's count vector. The end column is then set to
+    -inf by one column write and, in each column that holds a tie at all,
+    the boundaries between equal neighbouring values of its block. On a
+    sample whose cache holds a root_scan the root computes gains at its
+    untied boundaries only and writes them into a matrix of -inf (see
+    _untied_root_gains). A re-scored column reads just the two values
+    around its boundary.
 
     Only columns whose prefix-sum gain lies within ``band`` of the best one
     are re-scored. With unit roundoff u = eps/2 and S = sum |r| over the
@@ -186,7 +184,7 @@ def _best_split(cache: SplitCache, r: np.ndarray, rows: np.ndarray, block: np.nd
     root = n == xt.shape[1]
     csum = r[block].cumsum(axis=1)
     if root and cache.root_scan is not None:
-        best_gain, best_pos = _untied_root_scan(cache.root_scan, csum, n)
+        gain = _untied_root_gains(cache.root_scan, csum)
     else:
         m = xt.shape[1]
         sr = csum[:, -1:] - csum
@@ -199,8 +197,8 @@ def _best_split(cache: SplitCache, r: np.ndarray, rows: np.ndarray, block: np.nd
         for j in cache.tied.tolist():
             values = xt[j].take(block[j])
             gain[j, :-1][values[1:] == values[:-1]] = -np.inf  # a basic-slice view, so this writes gain
-        best_pos = gain.argmax(axis=1)  # first max in a column = smallest threshold
-        best_gain = gain[np.arange(gain.shape[0]), best_pos]
+    best_pos = gain.argmax(axis=1)  # first max in a column = smallest threshold
+    best_gain = gain[np.arange(gain.shape[0]), best_pos]
     finite = np.isfinite(best_gain)
     if not finite.any():
         return None

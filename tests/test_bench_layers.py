@@ -34,7 +34,7 @@ def test_writes_every_layer_figure_with_its_provenance(tmp_path):
     regimes = ["none", "light", "heavy"]
     assert [(row["ties"], row["d"], row["n"], row["root"]) for row in search] == [
         (ties, 10, n, n == 2000) for ties in regimes for n in (32, 125, 500, 2000)
-    ]
+    ] + [("realdata_stumps", 8, 500, True)]  # the root of realdata_stumps' learning half
     trees = layers["learners.fit_tree"]
     assert [(row["ties"], row["m"], row["d"], row["n_splits"]) for row in trees] == [
         (ties, m, 10, n_splits) for ties in regimes for m in (500, 2000) for n_splits in (1, 4)
@@ -49,6 +49,8 @@ def test_writes_every_layer_figure_with_its_provenance(tmp_path):
     # one 2,000-row sample per regime: none tied, a few ties, and most root boundaries tied (the untied root scan)
     assert share["none", 2000] == 0.0 < share["light", 2000] < 0.01 and share["heavy", 2000] >= 0.5
     assert len({row["tied_share"] for row in search if row["ties"] == "heavy"}) == 1
+    # 69.5% of that root's 8 x 499 boundaries are ties, so it builds gains at the untied ones only
+    assert share["realdata_stumps", 500] == 2773 / 3992
     # the serve layers: one figure each, on serve_100k's 500-stage model and the 100k rows of its predict
     names = ("io.save_model", "io.load_model", "io.emit_delimited", "io._read_table", "core.Ensemble.predict")
     serve = [row for name in names for row in layers[name]]

@@ -206,6 +206,19 @@ class TestTrainBoosting:
         assert len(model) == len(trace) == 20
         assert trace.stop_reason is None
 
+    def test_underflowing_target_scale_is_rejected(self):
+        # At 1e-162 and 1e-170 the targets' squares underflow; training used
+        # to report zero_residual after 0 stages instead of failing.
+        X = np.random.default_rng(24).uniform(-2, 2, (40, 2))
+        y = np.sin(X).sum(axis=1)
+        config = TrainConfig("rboosting", 30, TreeLearnerSpec(2), u=3)
+        for scale in (1e-170, 1e-162):
+            with pytest.raises(ValueError, match=r"mean square of the targets underflows float64 \(max \|y\| = "):
+                train(Dataset(X, scale * y), config)
+        model, trace = train(Dataset(X, 1e-150 * y), config)
+        assert len(model) == len(trace) == 30
+        assert trace.stop_reason is None
+
     def test_integral_float_settings_train(self):
         # An integral float budget, u or split count is used as an int; a
         # 10.0 budget used to reach np.empty and fail with a TypeError.

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rboost.core as core
 import rboost.learners as learners
 from rboost import Dataset, TrainConfig, TreeLearnerSpec, train
 from rboost.learners import RegressionTree, fit_tree
@@ -324,6 +325,44 @@ def test_non_finite_residuals_end_as_the_dense_scan_ends(bad, where):
             _assert_same_arrays(fit_tree(tied, r, n_splits), fit_tree(dense, r, n_splits))
 
 
+@st.composite
+def any_tie_share_cases(draw):
+    """(X, r): m in 2..60, d in 1..4, each column tied at a drawn share of 0 to 0.9 of its boundaries.
+
+    A column of k distinct values has m - k of its m - 1 boundaries tied.
+    r is normal or integer, scaled by 10^e, and may hold NaN or +-inf.
+    """
+    m, d = draw(st.integers(2, 60)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for _ in range(d):
+        k = m - round(draw(st.floats(0.0, 0.9)) * (m - 1))
+        levels = rng.choice(1000, k, replace=False) / 8.0
+        cols.append(rng.permutation(np.concatenate([levels, levels[rng.integers(0, k, m - k)]])))
+    r = _residual(draw(st.sampled_from(["normal", "integer"])), m, rng) * 10.0 ** draw(st.integers(-150, 300))
+    for bad in draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=2)):
+        r[rng.integers(m)] = bad
+    return np.column_stack(cols), r
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_tie_share_cases())
+@example((np.array([[0.5], [-2.0], [3.0], [1.0], [0.25]]), np.array([1.0, -2.0, 0.5, 3.0, -1.0])))  # no ties
+def test_the_untied_root_scan_finds_the_dense_split_at_any_tie_share(case):
+    # The untied scan installed on samples whose cache picks either scan.
+    X, r = case
+    cache = Dataset(X, np.zeros(X.shape[0])).split_cache
+    xs = np.take_along_axis(cache.xt, cache.order, axis=1)
+    untied = cache._replace(root_scan=core._root_scan(xs[:, 1:] == xs[:, :-1]))
+    with np.errstate(over="ignore", invalid="ignore"):  # unscaled gains overflow at the largest scales
+        got = learners._best_split(untied, r, cache.rows, cache.order)
+        want = learners._best_split(cache._replace(root_scan=None), r, cache.rows, cache.order)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes() and got[1:3] == want[1:3]
+        assert got[3].tobytes() == want[3].tobytes()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", [0, 2, 4])
 def test_a_non_finite_residual_grows_one_leaf_without_a_warning(bad, where):
@@ -580,8 +619,7 @@ class TestSplitCache:
         assert scan.total_at.tolist() == [3, 3, 7, 11]
         assert scan.nl.dtype == scan.nr.dtype == np.float64
         assert scan.nl.tolist() == [1.0, 2.0, 1.0, 3.0] and scan.nr.tolist() == [3.0, 2.0, 3.0, 1.0]
-        assert scan.live.tolist() == [0, 1, 2] and scan.starts.tolist() == [0, 2, 3]
-        assert scan.seg.tolist() == [0, 0, 1, 2] and scan.pos.tolist() == [0, 1, 0, 2]
+        assert scan._fields == ("at", "total_at", "nl", "nr")
 
     @pytest.mark.parametrize("m, d, ties", [(9, 2, 8), (9, 2, 7), (2, 3, 3), (3, 1, 2), (5, 3, 12)])
     def test_root_scan_from_half_the_boundaries_tied(self, m, d, ties):

@@ -16,11 +16,15 @@ seeded uniform draws: "none", on [-1, 1] with no value twice, so the
 root takes the dense scan; "light", on [-2, 2] rounded to 6 decimals as
 the serve_100k sample is, where at 2,000 rows a few columns hold a tie;
 and "heavy", the same draws rounded to 2 decimals, where at 2,000 rows
-most root boundaries are ties and the root scans only the untied ones
-(core.RootScan), while at 500 rows fewer than half are and the root
-takes the dense scan. Residuals are standard normal, so every run times
-the same inputs. Each record holds its regime (ties) and the sample's
-share of tied root boundaries (tied_share).
+most root boundaries are ties and the root builds gains at the untied
+ones only (core.RootScan), while at 500 rows fewer than half are and
+the root takes the dense scan. One more _best_split figure, ties
+"realdata_stumps", times the root that benchmark workload searches in
+every round: its 500-row learning half of 8 Abalone-shaped columns,
+drawn by perfbench/workloads.py at seed 0 and halved twice as
+realdata_experiment halves it, where most root boundaries are ties.
+Residuals are standard normal, so every run times the same inputs. Each record holds its regime
+(ties) and the sample's share of tied root boundaries (tied_share).
 
 The serve layers are the parts of `rboost fit` and `rboost predict --out`
 on the serve_100k shape past training: io.save_model and io.load_model
@@ -77,12 +81,14 @@ from rboost import (  # noqa: E402
 )
 from rboost.io import _read_table, emit_delimited  # noqa: E402
 from rboost.learners import _best_split, fit_tree  # noqa: E402
-from rboost.selection import select_k_by_validation  # noqa: E402
-from perfbench.workloads import _serve_table as _serve_law  # noqa: E402
+from rboost.realdata import _SELECT_SALT  # noqa: E402
+from rboost.selection import select_k_by_validation, split_learn_validate  # noqa: E402
+from perfbench.workloads import _serve_table as _serve_law, abalone_like  # noqa: E402
 
 D = 10
 SEARCH_M = 2000
 SEARCH_NODES = (32, 125, 500, 2000)
+REALDATA_ROWS = 2000  # realdata_stumps' full size, halved twice to its 500-row learning half
 TREE_SAMPLES = (500, 2000)
 TREE_SPLITS = (1, 4)
 SERVE_ROWS = 100_000
@@ -101,13 +107,29 @@ TIES = {
 }
 
 
+def _tied_share(X) -> float:
+    """The share of X's root boundaries, neighbours in a sorted column, that are ties."""
+    xs = np.sort(X, axis=0)
+    return float(np.count_nonzero(xs[1:] == xs[:-1]) / xs[1:].size)
+
+
 def _sample(m: int, seed: int, ties: str):
     """A sample of m rows in the ties regime, its record keys and a residual."""
     rng = np.random.default_rng(seed)
     X = TIES[ties](rng, m)
-    xs = np.sort(X, axis=0)
-    share = float(np.count_nonzero(xs[1:] == xs[:-1]) / xs[1:].size)
-    return Dataset(X, np.zeros(m)), {"ties": ties, "tied_share": share}, rng.standard_normal(m)
+    return Dataset(X, np.zeros(m)), {"ties": ties, "tied_share": _tied_share(X)}, rng.standard_normal(m)
+
+
+def _realdata_learn_half() -> Dataset:
+    """realdata_stumps' learning half at seed 0, where every round of its stumps searches the root.
+
+    The benchmark's Abalone-shaped table, halved into train and test and
+    the train half into learn and validate, as realdata_experiment does.
+    """
+    columns = abalone_like(np.random.default_rng([0, 0xABA]), REALDATA_ROWS)[1]
+    train_half, _ = split_learn_validate(Dataset(np.column_stack(columns[:-1]), columns[-1]), 0)
+    select_seed = int(np.random.SeedSequence([0, _SELECT_SALT]).generate_state(1)[0])
+    return split_learn_validate(train_half, select_seed)[0]
 
 
 def _cases() -> list:
@@ -129,6 +151,11 @@ def _cases() -> list:
             for n_splits in TREE_SPLITS:
                 call = functools.partial(fit_tree, data, r, n_splits)
                 cases.append(("learners.fit_tree", {**regime, "m": m, "d": D, "n_splits": n_splits}, call))
+    learn = _realdata_learn_half()
+    cache = learn.split_cache
+    record = {"ties": "realdata_stumps", "tied_share": _tied_share(learn.features), "d": learn.d, "n": learn.m, "root": True}
+    call = functools.partial(_best_split, cache, np.random.default_rng(4).standard_normal(learn.m), cache.rows, cache.order)
+    cases.append(("learners._best_split", record, call))
     return cases
 
 
