@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import ALGORITHMS, Dataset, TrainConfig, as_feature_matrix, check_clip_bound, empirical_risk, integer, positive_int
+from .core import ALGORITHMS, Dataset, TrainConfig, as_feature_matrix, check_clip_bound, integer, positive_int, rmse
 from .learners import TreeLearnerSpec
 from .selection import adaptive_select, select_k_by_validation, split_learn_validate, u_grid
 
@@ -75,11 +75,6 @@ def target_values(target_id: int, X) -> np.ndarray:
     if target_id == 8:
         return _m6_profile(np.sum(X[:, :5], axis=1), np.sum(X[:, 5:], axis=1))
     return _m2_profile(np.sum(X, axis=1))  # target 9
-
-
-def rmse(pred, truth) -> float:
-    """Root mean squared error, sqrt of the empirical risk."""
-    return float(np.sqrt(empirical_risk(pred, truth)))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import Dataset, Ensemble, Stage, TrainConfig
+from .core import Dataset, Ensemble, Stage, TrainConfig, inner
 
 # Residual below this (relative to the target scale) means the sample is fit.
 _RESIDUAL_TOL = 1e-13
@@ -66,13 +66,13 @@ def two_dim_linear_search(f_prev, g, y) -> TwoDimResult:
     yv = np.asarray(y, dtype=np.float64)
     if not f.shape == gv.shape == yv.shape:
         raise ValueError(f"length mismatch: {f.shape}, {gv.shape}, {yv.shape}")
-    gg = float(np.mean(gv * gv))
+    gg = inner(gv, gv)
     if gg <= 0.0:
         raise ValueError("g must have positive empirical norm")
-    ff = float(np.mean(f * f))
-    fg = float(np.mean(f * gv))
-    yf = float(np.mean(yv * f))
-    yg = float(np.mean(yv * gv))
+    ff = inner(f, f)
+    fg = inner(f, gv)
+    yf = inner(yv, f)
+    yg = inner(yv, gv)
     det = ff * gg - fg * fg
     if det <= _GRAM_TOL * ff * gg:
         return TwoDimResult(0.0, (yg - fg) / gg, ff > 0.0)
@@ -111,16 +111,12 @@ def train(data: Dataset, config: TrainConfig):
     when the mean square of the targets overflows, or of targets not all
     zero falls below the smallest normal double, since no residual could
     then be measured against the target scale.
-
-    Every mean here is (v * v).sum() / m or the like: np.mean's one
-    pairwise sum and one division, without its per-call overhead.
     """
     y = data.targets
-    m = data.m
-    f = np.zeros(m)
+    f = np.zeros(data.m)
     r = y - f
     with np.errstate(over="ignore"):
-        risk = float((r * r).sum() / m)  # mean(y^2)
+        risk = inner(r, r)  # mean(y^2)
     if risk == math.inf or (risk < _TINY and y.any()):
         flow = "overflows" if risk == math.inf else "underflows"
         raise ValueError(
@@ -149,14 +145,14 @@ def train(data: Dataset, config: TrainConfig):
             alpha, beta, fallback = two_dim_linear_search(f, g, y)
         else:  # plain boosting is the re-scaled step with alpha = 0, where y - 1.0 * f is r bit for bit
             alpha = shrinkage_alpha(k, config.u) if algorithm == "rboosting" else 0.0
-            beta = float(((y - (1.0 - alpha) * f) * g).sum() / m)
+            beta = inner(y - (1.0 - alpha) * f, g)
         f = (1.0 - alpha) * f + beta * g
 
         coeffs[: k - 1] *= 1.0 - alpha
         coeffs[k - 1] = beta
         stages.append(Stage(alpha, beta, learner))
         r = y - f  # the next round's residual; (y - f)^2 has the bits of (f - y)^2
-        risk = float((r * r).sum() / m)
+        risk = inner(r, r)
         risks.append(risk)
         l1s.append(float(np.sum(np.abs(coeffs[:k]))))
         fallbacks.append(fallback)

@@ -23,13 +23,14 @@ import numpy as np
 
 from . import __version__
 from .bench import SyntheticSpec, run_comparison, selected_u_stats
-from .core import ALGORITHMS, TrainConfig, positive_int
+from .core import ALGORITHMS, TrainConfig, inner, positive_int
 from .boosters import train
 from .io import (
     CsvSchema,
     emit_delimited,
     format_aligned,
     load_csv,
+    load_csv_pair,
     load_feature_matrix,
     load_model,
     read_delimited,
@@ -220,7 +221,7 @@ def _cmd_fit(args) -> int:
     model_path = os.path.join(args.out, "model.json")
     save_model(model, model_path, meta)
     _write_manifest(args, {**meta, "data": os.path.basename(args.data), "seed": args.seed}, ["model.json"])
-    final_risk = float(trace.risk[-1]) if len(trace) else float(np.mean(data.targets**2))
+    final_risk = float(trace.risk[-1]) if len(trace) else inner(data.targets, data.targets)
     print(f"fit {algorithm}: {len(model)} stages, training rmse {np.sqrt(final_risk):.6g}, model at {model_path}")
     return 0
 
@@ -247,7 +248,7 @@ def _cmd_realdata(args) -> int:
     if args.pre_split and args.data:
         raise ValueError("pass a data CSV or --pre-split TRAIN TEST, not both")
     if args.pre_split:
-        inputs = {"pre_split": tuple(load_csv(path, schema) for path in args.pre_split)}
+        inputs = {"pre_split": load_csv_pair(*args.pre_split, schema)}
     elif args.data:
         inputs = {"data": load_csv(args.data, schema)}
     else:

@@ -14,7 +14,7 @@ earlier iteration and to track the l1 norm of the expanded coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -40,10 +40,18 @@ def _as_vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def inner(a: np.ndarray, b: np.ndarray) -> float:
+    """The sample inner product <a, b>_m = mean(a_i * b_i) of two float arrays of one shape, unchecked.
+
+    One pairwise sum and one division: np.mean's bits, without its per-call overhead.
+    """
+    return float((a * b).sum() / a.size)
+
+
 def empirical_norm(values) -> float:
     """sqrt(mean(v_i^2)) over the sample entries."""
     v = _as_vector(values, "values")
-    return float(np.sqrt(np.mean(v * v)))
+    return float(np.sqrt(inner(v, v)))
 
 
 def empirical_risk(pred, targets) -> float:
@@ -53,7 +61,12 @@ def empirical_risk(pred, targets) -> float:
     if pv.shape != yv.shape:
         raise ValueError(f"length mismatch: {pv.size} vs {yv.size}")
     d = pv - yv
-    return float(np.mean(d * d))
+    return inner(d, d)
+
+
+def rmse(pred, truth) -> float:
+    """Root mean squared error, sqrt of the empirical risk."""
+    return float(np.sqrt(empirical_risk(pred, truth)))
 
 
 def integer(value, name: str, minimum: int) -> int:
@@ -84,84 +97,6 @@ def check_clip_bound(bound: Optional[float]):
         raise ValueError(f"clip bound must be > 0, got {bound}")
 
 
-class RootScan(NamedTuple):
-    """The root's untied boundaries, where a root search builds its gains.
-
-    Of the (d, m - 1) boundaries between neighbours in the column order,
-    the untied ones, column by column and in position order. at and
-    total_at are flat positions in a (d, m) C-contiguous cumsum, and so in
-    the root's (d, m) gain matrix: boundary p of column j at j * m + p, its
-    column's total at j * m + m - 1. nl and nr are the boundary's left and
-    right row counts as float64, the integers p + 1 and m - p - 1. Every
-    other position of the gain matrix, a tie or a column's end, reads -inf.
-    """
-
-    at: np.ndarray
-    total_at: np.ndarray
-    nl: np.ndarray
-    nr: np.ndarray
-
-
-# A root search computes gains at the untied boundaries only when at least
-# this share of the root's boundaries are ties. Per root _best_split call
-# (medians of 7 alternating rounds of 201 calls, ranges over rounds, on a
-# shared 2-vCPU machine, numpy 2.4; 10 columns uniform on [-2, 2], rounded
-# to 4, 3 or 2 decimals for ties), dense build vs untied build:
-#   no ties:         2,000 rows 188-203 vs 401-426 us, 500 rows 67-94 vs 80-115 us
-#   0.7% ties:       500 rows 92-99 vs 74-80 us
-#   2.4% ties:       2,000 rows 243-296 vs 242-252 us
-#   5.8% ties:       500 rows 96-100 vs 75-78 us
-#   11% ties:        1,000 rows 146-214 vs 118-155 us
-#   21% ties:        2,000 rows 289-458 vs 214-324 us
-#   43% ties:        500 rows 106-109 vs 64-66 us
-#   63% ties:        1,000 rows 186-271 vs 95-128 us
-#   69.5% ties:      realdata_stumps' 500 x 8 learning half, 88-140 vs 51-75 us
-# Each tied column costs the dense build a masked write, so the untied
-# build breaks even near 2% of ties at 2,000 rows and below 1% at 500,
-# not at one half, and wins from there on. No benchmark sample has a
-# share between 0.0003 and 0.5, so the value stays.
-_ROOT_SCAN_TIED_SHARE = 0.5
-
-
-def _root_scan(tied: np.ndarray) -> RootScan:
-    """The RootScan of a (d, m - 1) mask of tied root boundaries."""
-    gaps = tied.shape[1]
-    col, pos = np.nonzero(~tied)
-    nl = (pos + 1).astype(np.float64)
-    return RootScan(col * (gaps + 1) + pos, col * (gaps + 1) + gaps, nl, gaps - nl + 1.0)
-
-
-class SplitCache(NamedTuple):
-    """The constants of an exact split search that depend only on the features.
-
-    Every array is read-only. xt is the features transposed, (d, m) and
-    C-contiguous: one row per column. order holds the row ids of each
-    column in stable ascending order, (d, m): the root's block, which tree
-    fitting filters instead of sorting every node. tied holds the ids of
-    the columns with some value twice; a node's rows are a subset of the
-    sample's, so a column without ties has none at any node, and every
-    node, the root included, masks ties only in these columns. rows is
-    arange(m), the root's row ids. counts is the float64 vector
-    [m - 1, ..., 1, 1, 2, ..., m]: a node of n rows has counts[m - 1:m - 1 + n],
-    the integers 1..n, rows left of its prefix positions and
-    counts[m - n:m], the integers n - 1..1 and a placeholder 1, right of
-    them; both are contiguous slices.
-    root_scan is the RootScan of the untied root boundaries when at least
-    _ROOT_SCAN_TIED_SHARE of them are ties, a property of the features:
-    the root then computes gains at those boundaries only and writes them
-    into its (d, m) gain matrix of -inf. Otherwise it is None, and the
-    root builds the matrix densely and masks ties as every node does.
-    Either way one argmax over the matrix's rows picks each column's best.
-    """
-
-    xt: np.ndarray
-    order: np.ndarray
-    tied: np.ndarray
-    rows: np.ndarray
-    counts: np.ndarray
-    root_scan: Optional[RootScan]
-
-
 class Dataset:
     """An immutable regression sample: features (m, d) and targets (m,).
 
@@ -170,7 +105,7 @@ class Dataset:
     numeric kernels never have to re-check.
     """
 
-    __slots__ = ("_features", "_targets", "_split_cache")
+    __slots__ = ("_features", "_targets", "__weakref__")  # learners keeps each sample's split cache in a weak map
 
     def __init__(self, features, targets):
         X = as_feature_matrix(features)
@@ -191,7 +126,6 @@ class Dataset:
         y.setflags(write=False)
         self._features = X
         self._targets = y
-        self._split_cache = None
 
     @property
     def features(self) -> np.ndarray:
@@ -200,29 +134,6 @@ class Dataset:
     @property
     def targets(self) -> np.ndarray:
         return self._targets
-
-    @property
-    def split_cache(self) -> SplitCache:
-        """What every split search on this sample would otherwise re-derive (see SplitCache).
-
-        Computed on first use and kept, since the features never change: a
-        boosting run fits hundreds of trees to one sample, and a u sweep
-        dozens of runs.
-        """
-        if self._split_cache is None:
-            xt = np.ascontiguousarray(self._features.T)
-            order = np.ascontiguousarray(np.argsort(self._features, axis=0, kind="stable").T)
-            xs = np.take_along_axis(xt, order, axis=1)
-            equal = xs[:, 1:] == xs[:, :-1]
-            scan = _root_scan(equal) if np.count_nonzero(equal) >= _ROOT_SCAN_TIED_SHARE * equal.size else None
-            cache = SplitCache(
-                xt, order, np.flatnonzero(equal.any(axis=1)), np.arange(self.m),
-                np.concatenate([np.arange(self.m - 1, 0, -1), np.arange(1, self.m + 1)]).astype(np.float64), scan,
-            )
-            for array in (*cache[:-1], *(scan or ())):
-                array.setflags(write=False)
-            self._split_cache = cache
-        return self._split_cache
 
     @property
     def m(self) -> int:

@@ -162,13 +162,46 @@ def _resolve_target(schema: CsvSchema, names: list) -> int:
     return int(target)
 
 
-def load_csv(path, schema: CsvSchema = CsvSchema()) -> Dataset:
-    """Read a delimited file into a Dataset; errors name the offending line/column."""
-    names, values = _read_table(path, schema)
+def _dataset(path, schema: CsvSchema, names: list, values: np.ndarray) -> Dataset:
+    """The Dataset of a parsed table: the schema's target column split off from the features."""
     if len(names) < 2:
         raise ValueError(f"{path}: need at least one feature column and one target column")
     target_idx = _resolve_target(schema, names)
     return Dataset(np.delete(values, target_idx, axis=1), values[:, target_idx])
+
+
+def load_csv(path, schema: CsvSchema = CsvSchema()) -> Dataset:
+    """Read a delimited file into a Dataset; errors name the offending line/column."""
+    return _dataset(path, schema, *_read_table(path, schema))
+
+
+def load_csv_pair(train, test, schema: CsvSchema = CsvSchema()):
+    """(train, test) Datasets of a table that ships in two files.
+
+    With a header, test's columns are matched to train's by name and put
+    in train's order before the target column is picked, so both Datasets
+    have one column order; a name repeated in either file, missing from
+    test or not in train raises ValueError naming it. Without a header,
+    columns match by position, and files of different column counts raise.
+    Both files are read and checked before any Dataset is built.
+    """
+    train_names, train_values = _read_table(train, schema)
+    test_names, test_values = _read_table(test, schema)
+    if schema.has_header:
+        for path, names in ((train, train_names), (test, test_names)):
+            repeated = next((name for name in names if names.count(name) > 1), None)
+            if repeated is not None:
+                raise ValueError(f"{path}: column {repeated!r} appears more than once")
+        missing = next((name for name in train_names if name not in test_names), None)
+        if missing is not None:
+            raise ValueError(f"{test}: no column {missing!r}, which {train} has")
+        extra = next((name for name in test_names if name not in train_names), None)
+        if extra is not None:
+            raise ValueError(f"{test}: column {extra!r} is not in {train}")
+        test_values = test_values[:, [test_names.index(name) for name in train_names]]
+    elif len(test_names) != len(train_names):
+        raise ValueError(f"{test} has {len(test_names)} columns, {train} has {len(train_names)}")
+    return _dataset(train, schema, train_names, train_values), _dataset(test, schema, train_names, test_values)
 
 
 def load_feature_matrix(path, schema: CsvSchema = CsvSchema(), n_features: Optional[int] = None) -> np.ndarray:

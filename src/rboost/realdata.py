@@ -14,8 +14,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bench import rmse
-from .core import ALGORITHMS, Dataset, Ensemble, TrainConfig, check_clip_bound, integer
+from .core import ALGORITHMS, Dataset, Ensemble, TrainConfig, check_clip_bound, integer, rmse
 from .boosters import train
 from .learners import TreeLearnerSpec
 from .selection import adaptive_select, select_k_by_validation, split_learn_validate, u_grid

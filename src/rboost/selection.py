@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .boosters import train
-from .core import Dataset, TrainConfig, check_clip_bound, integer
+from .core import Dataset, TrainConfig, check_clip_bound, inner, integer
 
 
 def u_grid(count: int, lo: float = 1.0, hi: float = 1e6) -> list:
@@ -91,7 +91,7 @@ def select_k_by_validation(
     model, _ = train(learn, config)
     y = validate.targets
     if len(model) == 0:
-        return 0, float(np.mean(y * y))
+        return 0, inner(y, y)
     preds = model.staged_predict(validate.features)  # fresh, so scored in place
     if clip_bound is not None:
         np.clip(preds, -clip_bound, clip_bound, out=preds)

@@ -5,7 +5,10 @@ to come with a documented use.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import rboost
@@ -36,3 +39,16 @@ def test_exports_are_what_the_demos_and_readme_import():
 def test_every_export_resolves():
     for name in rboost.__all__:
         assert getattr(rboost, name) is not None, name
+
+
+def test_importing_the_package_and_its_cli_loads_no_process_pool():
+    # Only a parallel benchmark run imports the pool, inside bench; every
+    # command pays for what a bare import loads, and perfbench times it.
+    code = (
+        "import sys, rboost, rboost.cli; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -3,7 +3,7 @@ import pytest
 
 from dictionary_learner import DictionaryAtom, DictionaryLearnerSpec
 from rboost import SyntheticSpec, TrainConfig, TreeLearnerSpec, run_comparison
-from rboost.bench import rmse, sample_dataset, selected_u_stats, target_values
+from rboost.bench import AlgorithmResult, rmse, sample_dataset, selected_u_stats, target_values
 from rboost.core import empirical_risk
 from rboost.selection import adaptive_select, select_k_by_validation
 
@@ -340,3 +340,8 @@ class TestRunAdaptiveEval:
         assert mean_u == 2.0
         assert std_u == 0.0
         assert all("k_valid" in s for s in report.algorithms["rboosting_adaptive"].selected)
+
+    def test_selected_u_stats_needs_some_u(self):
+        result = AlgorithmResult(1.0, 0.0, (1.0,), ({"k": 3},))
+        with pytest.raises(ValueError, match="no u selections recorded"):
+            selected_u_stats(result)

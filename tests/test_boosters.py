@@ -43,6 +43,10 @@ class TestShrinkageSchedule:
 
 
 class TestTwoDimLinearSearch:
+    def test_rejects_vectors_of_different_lengths(self):
+        with pytest.raises(ValueError, match=r"length mismatch: \(3,\), \(2,\), \(3,\)"):
+            two_dim_linear_search(np.ones(3), np.ones(2), np.ones(3))
+
     def test_orthogonal_unit_norm_projection(self):
         f = np.array([1.0, -1.0, 1.0, -1.0])
         g = np.array([1.0, 1.0, -1.0, -1.0])

@@ -138,6 +138,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("grid, message", [
         ("3:1:inf", "hi must be finite, got inf"), ("2.5:1:10", "count must be an integer, got 2.5"),
+        ("3:1", "grid must be COUNT:LO:HI, got '3:1'"),
     ])
     def test_a_fractional_grid_count_or_an_infinite_grid_end_fails_by_name(self, tmp_path, capsys, grid, message):
         out = tmp_path / "run"
@@ -257,6 +258,18 @@ class TestFitPredict:
         lines = (tmp_path / "preds" / "predictions.csv").read_text().splitlines(keepends=True)
         assert lines[:3] == ["# manifest: manifest.json\n", "# columns: prediction\n", "prediction\n"]
         assert stdout == "".join(lines[3:]) and len(lines[3:]) == 50
+
+    def test_predict_rejects_a_file_of_two_columns_more_than_the_model_reads(self, tmp_path, capsys):
+        data = tmp_path / "train.csv"
+        write_constant_csv(data)  # two features and the target
+        model = tmp_path / "model"
+        assert run_cli(["fit", str(data), "--j", "1", "--k-max", "2", "--out", str(model)]) == 0
+        wide = tmp_path / "wide.csv"
+        wide.write_text("a,b,c,d\n0.1,0.2,0.3,0.4\n")
+        capsys.readouterr()
+        assert run_cli(["predict", str(model / "model.json"), str(wide)]) == 1
+        captured = capsys.readouterr()
+        assert "model expects 2 feature columns, file has 4" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("bound", ['"abc"', "[1]", "true"])
     def test_predict_rejects_a_hand_edited_clip_bound(self, tmp_path, capsys, bound):
@@ -393,6 +406,49 @@ class TestRealdataCommand:
         )
         assert code == 0
         assert "rboosting" in capsys.readouterr().out
+
+    @staticmethod
+    def _write_columns(path, columns, order, header=True):
+        """Write the named columns of a dict in the given order, with or without a header line."""
+        lines = [",".join(order)] if header else []
+        lines += [",".join(repr(float(v)) for v in row) for row in zip(*(columns[name] for name in order))]
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_pre_split_matches_test_columns_to_train_by_name(self, tmp_path):
+        # The TEST file lists its features in another order than TRAIN: the
+        # run must be the run on a TEST file in TRAIN's order, byte for byte.
+        def table(m, seed):
+            rng = np.random.default_rng(seed)
+            a, b, c = rng.uniform(-1, 1, (3, m))
+            return {"a": a, "b": 0.1 * b, "c": 10.0 * c, "y": 3 * a - 20 * b + 0.2 * c}
+
+        train = tmp_path / "train.csv"
+        self._write_columns(train, table(40, 94), ["a", "b", "c", "y"])
+        outputs = []
+        for order in (["a", "b", "c", "y"], ["c", "b", "a", "y"]):
+            test = tmp_path / f"test_{''.join(order)}.csv"
+            self._write_columns(test, table(30, 95), order)
+            out = tmp_path / f"run_{''.join(order)}"
+            argv = ["realdata", "--pre-split", str(train), str(test), "--k-max", "20", "--grid", "3:1:100"]
+            assert run_cli([*argv, "--out", str(out)]) == 0
+            outputs.append((out / "realdata.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_pre_split_rejects_headerless_files_of_other_column_counts_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        columns = {name: np.arange(12.0) * (i + 1) for i, name in enumerate("abcy")}
+        self._write_columns(train, columns, ["a", "b", "c", "y"], header=False)
+        self._write_columns(test, columns, ["a", "b", "y"], header=False)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("rboost.cli.realdata_experiment", no_training)
+        assert run_cli(["realdata", "--pre-split", str(train), str(test), "--no-header"]) == 1
+        err = capsys.readouterr().err
+        assert "test.csv has 3 columns" in err and "train.csv has 4" in err
 
     def test_requires_some_input(self, capsys):
         assert run_cli(["realdata", "--k-max", "5"]) == 1

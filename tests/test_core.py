@@ -3,7 +3,7 @@ import pytest
 
 from dictionary_learner import DictionaryAtom
 from rboost import Dataset, Ensemble, TrainConfig
-from rboost.core import Stage, empirical_norm, empirical_risk
+from rboost.core import Stage, as_feature_matrix, empirical_norm, empirical_risk, inner
 
 
 def constant_atom(value):
@@ -38,6 +38,21 @@ class TestEmpiricalGeometry:
     def test_risk_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             empirical_risk([1], [1, 2])
+
+    def test_norm_rejects_two_dimensional_values(self):
+        with pytest.raises(ValueError, match=r"values must be 1-d, got shape \(2, 2\)"):
+            empirical_norm(np.ones((2, 2)))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 1000, 4097])
+    def test_inner_has_the_bits_of_np_mean(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal(n) * 1e3, rng.standard_normal(n)
+        for x, y in ((a, b), (a, a), (b, a)):
+            assert np.float64(inner(x, y)).tobytes() == np.float64(np.mean(x * y)).tobytes()
+
+    def test_features_of_three_dimensions_are_rejected(self):
+        with pytest.raises(ValueError, match=r"features must be 1-d or 2-d, got shape \(2, 2, 2\)"):
+            as_feature_matrix(np.zeros((2, 2, 2)))
 
 
 def _identity_model():
@@ -100,6 +115,10 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset([[1.0], [2.0]], [np.inf, 0.0])
 
+    def test_rejects_two_dimensional_targets(self):
+        with pytest.raises(ValueError, match=r"targets must be 1-d, got shape \(2, 1\)"):
+            Dataset([[1.0], [2.0]], [[1.0], [2.0]])
+
     def test_rejects_row_mismatch(self):
         with pytest.raises(ValueError):
             Dataset([[1.0], [2.0]], [1.0])
@@ -148,6 +167,10 @@ class TestTrainConfig:
     def test_rejects_a_non_integral_u_for_rboosting(self, bad):
         with pytest.raises(ValueError, match=f"u must be a positive integer, got {bad!r}"):
             TrainConfig("rboosting", 10, learner_spec=object(), u=bad)
+
+    def test_requires_a_learner_spec(self):
+        with pytest.raises(ValueError, match="learner_spec is required"):
+            TrainConfig("boosting", 10, learner_spec=None)
 
     def test_integral_values_are_stored_as_ints(self):
         cfg = TrainConfig("rboosting", 10.0, learner_spec=object(), u=np.int64(3))

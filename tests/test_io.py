@@ -33,6 +33,7 @@ from rboost.io import (
     _learner_to_dict,
     emit_delimited,
     format_aligned,
+    load_csv_pair,
     load_feature_matrix,
     read_delimited,
     write_manifest,
@@ -171,6 +172,63 @@ class TestLoadCsv:
         assert np.array_equal(back.features, ds.features)  # repr round-trips exactly
         assert np.array_equal(back.targets, ds.targets)
 
+    def test_a_one_column_file_is_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("y\n1\n2\n")
+        with pytest.raises(ValueError, match="need at least one feature column and one target column"):
+            load_csv(path)
+
+    def test_write_csv_needs_one_name_per_feature(self, tmp_path):
+        ds = Dataset(np.zeros((2, 3)), np.zeros(2))
+        with pytest.raises(ValueError, match="need 3 feature names, got 2"):
+            write_csv(ds, tmp_path / "out.csv", feature_names=["a", "b"])
+
+
+class TestLoadCsvPair:
+    def test_test_columns_are_matched_to_train_by_name(self, tmp_path):
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        train.write_text("a,b,c,y\n1,2,3,4\n5,6,7,8\n")
+        test.write_text("c,y,a,b\n30,40,10,20\n")
+        train_ds, test_ds = load_csv_pair(train, test)
+        assert train_ds.features.tolist() == [[1.0, 2.0, 3.0], [5.0, 6.0, 7.0]]
+        assert test_ds.features.tolist() == [[10.0, 20.0, 30.0]] and test_ds.targets.tolist() == [40.0]
+
+    def test_the_target_rule_reads_train_order(self, tmp_path):
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        train.write_text("a,y,b\n1,2,3\n")
+        test.write_text("b,a,y\n30,10,20\n")
+        for target in (1, "y"):
+            _, test_ds = load_csv_pair(train, test, CsvSchema(target_column=target))
+            assert test_ds.features.tolist() == [[10.0, 30.0]] and test_ds.targets.tolist() == [20.0]
+
+    @pytest.mark.parametrize(
+        "train_header, test_header, message",
+        [
+            ("a,b,y", "a,y,q", r"test\.csv: no column 'b', which .*train\.csv has"),
+            ("a,b,y", "b,a,y,q", r"test\.csv: column 'q' is not in .*train\.csv"),
+            ("a,a,y", "a,a,y", r"train\.csv: column 'a' appears more than once"),
+            ("a,b,y", "a,b,b,y", r"test\.csv: column 'b' appears more than once"),
+        ],
+        ids=["missing", "extra", "repeated_in_train", "repeated_in_test"],
+    )
+    def test_unmatched_names_are_rejected_by_name(self, tmp_path, train_header, test_header, message):
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        train.write_text(train_header + "\n" + ",".join(["1"] * len(train_header.split(","))) + "\n")
+        test.write_text(test_header + "\n" + ",".join(["1"] * len(test_header.split(","))) + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_csv_pair(train, test)
+
+    def test_headerless_files_match_by_position_and_must_agree_in_count(self, tmp_path):
+        train, test, short = tmp_path / "train.csv", tmp_path / "test.csv", tmp_path / "short.csv"
+        train.write_text("1,2,3\n4,5,6\n")
+        test.write_text("7,8,9\n")
+        short.write_text("7,8\n")
+        schema = CsvSchema(has_header=False)
+        _, test_ds = load_csv_pair(train, test, schema)
+        assert test_ds.features.tolist() == [[7.0, 8.0]] and test_ds.targets.tolist() == [9.0]
+        with pytest.raises(ValueError, match=r"short\.csv has 2 columns, .*train\.csv has 3"):
+            load_csv_pair(train, short, schema)
+
 
 class TestFeatureMatrix:
     def test_loads_all_columns(self, tmp_path):
@@ -237,10 +295,24 @@ class TestModelPersistence:
         with pytest.raises(ValueError, match="stage 1 is malformed: unknown learner type 'stump'"):
             load_model(path)
 
+    def test_save_rejects_a_learner_that_is_not_a_tree(self, tmp_path):
+        model = Ensemble([Stage(0.0, 1.0, object())])
+        with pytest.raises(ValueError, match="cannot persist learner of type object"):
+            save_model(model, tmp_path / "model.json")
+        assert not (tmp_path / "model.json").exists()
+
     def test_rejects_foreign_documents(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
+            load_model(path)
+
+    def test_rejects_an_unsupported_version(self, tmp_path):
+        doc = _saved_doc(tmp_path)
+        doc["version"] = 99
+        path = tmp_path / "future.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="future.json: unsupported version 99"):
             load_model(path)
 
 
@@ -576,6 +648,12 @@ class TestResultEmission:
             emit_delimited(tmp_path / "rows.csv", ["a"], [])
         with pytest.raises(ValueError):
             emit_delimited(tmp_path / "rows.csv", ["a"], [[]])
+
+    def test_read_rejects_a_file_of_comments_only(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("# manifest: manifest.json\n# columns: a,b\n\n")
+        with pytest.raises(ValueError, match="rows.csv: no rows"):
+            read_delimited(path)
 
     @pytest.mark.parametrize("columns", [[[1, 2], [3]], [[1, 2]], [[1], [2], [3]]])
     def test_rejects_columns_that_do_not_match_the_names_or_each_other(self, tmp_path, columns):

@@ -101,7 +101,7 @@ class TestFitTree:
         data = Dataset(X, r)
         # Both children of the root's x1 <= 1.5 split search to x0 <= 0.5 with
         # bit-equal gains on the searched scale (r / 2), so only the id decides.
-        cache, searched = data.split_cache, r / 2
+        cache, searched = learners.split_cache(data), r / 2
         go_left = X[:, 1] <= 1.5
         children = zip((go_left, ~go_left), learners._partition(cache.order, go_left))
         gains = [learners._best_split(cache, searched, cache.rows[rows], block)[:3] for rows, block in children]

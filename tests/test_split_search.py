@@ -4,22 +4,23 @@ The oracle below sorts every node's rows again and re-scores every feature
 in Python, which is how split search worked before column blocks. The
 column-block search must grow the same trees bit for bit: same features,
 thresholds, leaf values and split counts, so the same in-sample predictions.
-The oracle reads nothing from Dataset.split_cache, so it also checks that
+The oracle reads nothing from learners.split_cache, so it also checks that
 the cached per-sample constants stand in exactly for what they replace.
 Like fit_tree, the oracle tree searches the residual scaled by a power of
 two to a largest |r| in [0.5, 1) and takes its leaf means unscaled, and
 numbers its nodes in creation order, so the trees compare array by array.
 """
 
+import gc
 import heapq
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import rboost.core as core
 import rboost.learners as learners
 from rboost import Dataset, TrainConfig, TreeLearnerSpec, train
 from rboost.learners import RegressionTree, fit_tree
@@ -56,9 +57,10 @@ def _oracle_best_split(X, r, rows):
         pos = int(best_pos[feat])
         if not np.isfinite(gain[pos, feat]):
             continue
-        threshold = 0.5 * (xs[pos, feat] + xs[pos + 1, feat])
-        if not xs[pos, feat] <= threshold < xs[pos + 1, feat]:
-            threshold = float(xs[pos, feat])
+        lo, hi = float(xs[pos, feat]), float(xs[pos + 1, feat])
+        threshold = 0.5 * (lo + hi)
+        if not lo <= threshold < hi:
+            threshold = lo
         go_left = sub[:, feat] <= threshold
         n_left = int(np.count_nonzero(go_left))
         s_left = float(np.sum(r_node[go_left]))
@@ -192,7 +194,7 @@ def test_fits_sharing_one_dataset_grow_the_oracle_trees(case):
     # and partition); the trees, J = 1 to 8, cover the searches below it.
     X, fits = case
     data = Dataset(X, np.zeros(X.shape[0]))
-    cache = data.split_cache
+    cache = learners.split_cache(data)
     rows = np.arange(data.m)
     for r, n_splits in fits:
         with np.errstate(over="ignore", invalid="ignore"):  # unscaled gains overflow at the largest scales
@@ -207,7 +209,7 @@ def test_fits_sharing_one_dataset_grow_the_oracle_trees(case):
             assert rows[got[3]].tolist() == want[3].tolist()
         _assert_same_arrays(tree, want_tree)
         assert tree.predict(X).tobytes() == want_tree.predict(X).tobytes()
-    assert data.split_cache is cache
+    assert learners.split_cache(data) is cache
 
 
 def _tied_share(X):
@@ -241,7 +243,7 @@ def tie_heavy_cases(draw):
 
 def _assert_root_search_is_the_oracles(data, r):
     """The root search, untied scan or dense, against the oracle and each other, gain bits included."""
-    cache = data.split_cache
+    cache = learners.split_cache(data)
     with np.errstate(over="ignore", invalid="ignore"):  # unscaled gains overflow at the largest scales
         got = learners._best_split(cache, r, cache.rows, cache.order)
         dense = learners._best_split(cache._replace(root_scan=None), r, cache.rows, cache.order)
@@ -256,7 +258,7 @@ def _assert_root_search_is_the_oracles(data, r):
 
 def _assert_tie_heavy_fits_grow_the_oracle_trees(X, fits):
     data = Dataset(X, np.zeros(X.shape[0]))
-    assert data.split_cache.root_scan is not None
+    assert learners.split_cache(data).root_scan is not None
     for r, n_splits in fits:
         _assert_root_search_is_the_oracles(data, r)
         tree = fit_tree(data, r, n_splits)
@@ -312,17 +314,40 @@ def test_non_finite_residuals_end_as_the_dense_scan_ends(bad, where):
         r[where + 11] = -bad  # inf - inf: NaN sums beside the infinite ones
     tied = Dataset(X, np.zeros(30))
     dense = Dataset(X, np.zeros(30))
-    dense._split_cache = dense.split_cache._replace(root_scan=None)
-    assert tied.split_cache.root_scan is not None
-    cache = tied.split_cache
+    learners._SPLIT_CACHES[dense] = learners.split_cache(dense)._replace(root_scan=None)
+    assert learners.split_cache(tied).root_scan is not None
+    cache = learners.split_cache(tied)
     with np.errstate(over="ignore", invalid="ignore"):
         got = learners._best_split(cache, r, cache.rows, cache.order)
-        want = learners._best_split(dense.split_cache, r, cache.rows, cache.order)
+        want = learners._best_split(learners.split_cache(dense), r, cache.rows, cache.order)
         assert (got is None) == (want is None)
         if got is not None:
             assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes() and got[1:3] == want[1:3]
         for n_splits in (1, 3):
             _assert_same_arrays(fit_tree(tied, r, n_splits), fit_tree(dense, r, n_splits))
+
+
+_MAX = float(np.finfo(np.float64).max)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (np.nextafter(1.0, 0.0), 1.0),  # lo + hi rounds to 2.0, so the midpoint is hi
+        (np.nextafter(_MAX, 0.0), _MAX),  # lo + hi overflows
+        (-_MAX, np.nextafter(-_MAX, 0.0)),
+    ],
+    ids=["adjacent", "near_max", "near_min"],
+)
+def test_a_midpoint_off_the_open_interval_falls_back_to_the_lower_value(lo, hi):
+    # Every other search keeps its midpoint strictly between the two values;
+    # here only the lower value itself separates them.
+    data = Dataset(np.array([[lo], [hi], [lo], [hi], [hi]]), np.zeros(5))
+    r = np.array([1.0, -1.0, 2.0, -2.0, -0.5])
+    tree = fit_tree(data, r, 1)
+    assert tree.feature.tolist() == [0, -1, -1] and tree.threshold[0] == lo
+    _assert_same_arrays(tree, _oracle_fit_tree(data, r, 1))
+    assert tree.predict(data.features).tolist() == [1.5, -7 / 6, 1.5, -7 / 6, -7 / 6]
 
 
 @st.composite
@@ -351,9 +376,9 @@ def any_tie_share_cases(draw):
 def test_the_untied_root_scan_finds_the_dense_split_at_any_tie_share(case):
     # The untied scan installed on samples whose cache picks either scan.
     X, r = case
-    cache = Dataset(X, np.zeros(X.shape[0])).split_cache
+    cache = learners.split_cache(Dataset(X, np.zeros(X.shape[0])))
     xs = np.take_along_axis(cache.xt, cache.order, axis=1)
-    untied = cache._replace(root_scan=core._root_scan(xs[:, 1:] == xs[:, :-1]))
+    untied = cache._replace(root_scan=learners._root_scan(xs[:, 1:] == xs[:, :-1]))
     with np.errstate(over="ignore", invalid="ignore"):  # unscaled gains overflow at the largest scales
         got = learners._best_split(untied, r, cache.rows, cache.order)
         want = learners._best_split(cache._replace(root_scan=None), r, cache.rows, cache.order)
@@ -482,7 +507,7 @@ _SMALL_NODE_SAMPLE = np.column_stack([
 def test_nodes_of_two_and_three_rows_are_searched_as_the_oracle_searches(n):
     # Below the root the end column, a placeholder, is a third to a half of each gain row.
     data = Dataset(_SMALL_NODE_SAMPLE, np.zeros(8))
-    cache = data.split_cache
+    cache = learners.split_cache(data)
     rng = np.random.default_rng(n)
     for rows in itertools.combinations(range(8), n):
         rows = np.array(rows)
@@ -530,7 +555,7 @@ def test_the_dense_root_and_its_child_mask_the_tied_boundary_with_the_largest_pr
     ])
     r = np.array([0.0, -1.0, -1.0, -1.0, -2.0, 0.0, 0.0, 4.0, 2.0, 2.0])
     data = Dataset(X, np.zeros(10))
-    cache = data.split_cache
+    cache = learners.split_cache(data)
     assert cache.root_scan is None and cache.tied.tolist() == [0]
     rows, block = cache.rows, cache.order
     for want_rows, want_split in ((list(range(10)), (0, 4.5)), ([3, 7, 8, 9], (1, 0.5 * (0.1 + 0.2)))):
@@ -551,22 +576,22 @@ class TestColumnOrder:
     def test_stable_read_only_and_cached(self):
         X = np.array([[2.0, 1.0], [1.0, 1.0], [2.0, 0.0], [0.0, 1.0]])
         data = Dataset(X, np.zeros(4))
-        order = data.split_cache.order
+        order = learners.split_cache(data).order
         assert order.shape == (2, 4)
         assert order.tolist() == [[3, 1, 0, 2], [2, 0, 1, 3]]
         assert not order.flags.writeable
         with pytest.raises(ValueError):
             order[0, 0] = 1
-        assert data.split_cache.order is order
+        assert learners.split_cache(data).order is order
 
     def test_subset_gets_its_own(self):
         X = np.array([[2.0, 1.0], [1.0, 1.0], [2.0, 0.0], [0.0, 1.0]])
         data = Dataset(X, np.zeros(4))
-        parent = data.split_cache.order
+        parent = learners.split_cache(data).order
         sub = data.subset([2, 0, 3])
-        assert sub.split_cache.order is not parent
-        assert sub.split_cache.order.tolist() == np.argsort(X[[2, 0, 3]], axis=0, kind="stable").T.tolist()
-        assert data.split_cache.order is parent
+        assert learners.split_cache(sub).order is not parent
+        assert learners.split_cache(sub).order.tolist() == np.argsort(X[[2, 0, 3]], axis=0, kind="stable").T.tolist()
+        assert learners.split_cache(data).order is parent
 
 
 def _tie_positions(X):
@@ -589,7 +614,7 @@ class TestSplitCache:
     TIED = np.array([[2.0, 1.0, 0.5], [1.0, 1.0, 0.5], [2.0, 0.0, 0.5], [0.0, 1.0, 1.0]])
 
     def test_contents(self):
-        cache = Dataset(self.X, np.zeros(4)).split_cache
+        cache = learners.split_cache(Dataset(self.X, np.zeros(4)))
         assert cache.xt.tolist() == self.X.T.tolist() and cache.xt.flags.c_contiguous
         assert cache.order.tolist() == [[3, 1, 0, 2], [2, 0, 1, 3], [1, 0, 2, 3]] and cache.order.flags.c_contiguous
         assert cache.tied.tolist() == [0, 1]  # column 2 has no repeated value
@@ -605,7 +630,7 @@ class TestSplitCache:
         assert cache.root_scan is None  # a third of the boundaries are ties: the dense scan
 
     def test_root_scan_contents(self):
-        cache = Dataset(self.TIED, np.zeros(4)).split_cache
+        cache = learners.split_cache(Dataset(self.TIED, np.zeros(4)))
         # sorted: column 0 is 0, 1, 2, 2 (boundaries 0 and 1 untied), column 1 is 0, 1, 1, 1
         # (boundary 0), column 2 is 0.5, 0.5, 0.5, 1 (boundary 2)
         ties = _tie_positions(self.TIED)
@@ -630,7 +655,7 @@ class TestSplitCache:
             k = min(left, m - 1)
             X[: k + 1, j] = 0.0
             left -= k
-        cache = Dataset(X, np.zeros(m)).split_cache
+        cache = learners.split_cache(Dataset(X, np.zeros(m)))
         assert len(_tie_positions(X)) == ties
         assert cache.tied.tolist() == sorted({p // m for p in _tie_positions(X)})
         assert (cache.root_scan is not None) == (2 * ties >= d * (m - 1))
@@ -638,24 +663,33 @@ class TestSplitCache:
     def test_read_only_and_cached(self):
         for X in (self.X, self.TIED):
             data = Dataset(X, np.zeros(4))
-            cache = data.split_cache
+            cache = learners.split_cache(data)
             for array in _cache_arrays(cache):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array.flat[0] = 0
-            assert data.split_cache is cache
+            assert learners.split_cache(data) is cache
         assert cache.root_scan is not None
 
     def test_subset_gets_its_own(self):
         data = Dataset(self.X, np.zeros(4))
-        parent = data.split_cache
+        parent = learners.split_cache(data)
         sub = data.subset([1, 2, 3])  # column 0 is 1, 2, 0 there: its tie left with row 0
-        assert sub.split_cache is not parent
-        assert sub.split_cache.xt.tolist() == self.X[[1, 2, 3]].T.tolist()
-        assert sub.split_cache.tied.tolist() == [1]
+        assert learners.split_cache(sub) is not parent
+        assert learners.split_cache(sub).xt.tolist() == self.X[[1, 2, 3]].T.tolist()
+        assert learners.split_cache(sub).tied.tolist() == [1]
         assert _tie_positions(self.X[[1, 2, 3]]) == [1 * 3 + 1]
-        assert data.split_cache is parent
+        assert learners.split_cache(data) is parent
         assert parent.tied.tolist() == [0, 1]
+
+    def test_an_entry_dies_with_its_dataset(self):
+        data = Dataset(self.X, np.zeros(4))
+        xt = weakref.ref(learners.split_cache(data).xt)
+        gc.collect()
+        assert xt() is not None  # the map keeps the cache while its Dataset lives
+        del data
+        gc.collect()
+        assert xt() is None
 
     def test_fits_never_write_to_the_dataset(self):
         rng = np.random.default_rng(3)
@@ -665,11 +699,11 @@ class TestSplitCache:
         for data in (Dataset(X, y), Dataset(np.column_stack([X, rng.integers(0, 2, 60)]), y)):
 
             def snapshot():
-                return [a.tobytes() for a in (data.features, data.targets, *_cache_arrays(data.split_cache))]
+                return [a.tobytes() for a in (data.features, data.targets, *_cache_arrays(learners.split_cache(data)))]
 
             before = snapshot()
             for n_splits in (1, 3, 8):
                 fit_tree(data, rng.normal(size=60), n_splits)
             train(data, TrainConfig("ddrboosting", 10, TreeLearnerSpec(4)))
             assert snapshot() == before
-        assert data.split_cache.root_scan is not None
+        assert learners.split_cache(data).root_scan is not None

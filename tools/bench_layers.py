@@ -17,7 +17,7 @@ root takes the dense scan; "light", on [-2, 2] rounded to 6 decimals as
 the serve_100k sample is, where at 2,000 rows a few columns hold a tie;
 and "heavy", the same draws rounded to 2 decimals, where at 2,000 rows
 most root boundaries are ties and the root builds gains at the untied
-ones only (core.RootScan), while at 500 rows fewer than half are and
+ones only (learners.RootScan), while at 500 rows fewer than half are and
 the root takes the dense scan. One more _best_split figure, ties
 "realdata_stumps", times the root that benchmark workload searches in
 every round: its 500-row learning half of 8 Abalone-shaped columns,
@@ -80,7 +80,7 @@ from rboost import (  # noqa: E402
     CsvSchema, Dataset, TrainConfig, TreeLearnerSpec, load_model, save_model, train, write_csv,
 )
 from rboost.io import _read_table, emit_delimited  # noqa: E402
-from rboost.learners import _best_split, fit_tree  # noqa: E402
+from rboost.learners import _best_split, fit_tree, split_cache  # noqa: E402
 from rboost.realdata import _SELECT_SALT  # noqa: E402
 from rboost.selection import select_k_by_validation, split_learn_validate  # noqa: E402
 from perfbench.workloads import _serve_table as _serve_law, abalone_like  # noqa: E402
@@ -137,7 +137,7 @@ def _cases() -> list:
     cases = []
     for ties in TIES:
         data, regime, r = _sample(SEARCH_M, 0, ties)
-        cache = data.split_cache
+        cache = split_cache(data)
         rng = np.random.default_rng(1)
         for n in SEARCH_NODES:
             rows = np.sort(rng.choice(SEARCH_M, n, replace=False)) if n < SEARCH_M else cache.rows
@@ -152,7 +152,7 @@ def _cases() -> list:
                 call = functools.partial(fit_tree, data, r, n_splits)
                 cases.append(("learners.fit_tree", {**regime, "m": m, "d": D, "n_splits": n_splits}, call))
     learn = _realdata_learn_half()
-    cache = learn.split_cache
+    cache = split_cache(learn)
     record = {"ties": "realdata_stumps", "tied_share": _tied_share(learn.features), "d": learn.d, "n": learn.m, "root": True}
     call = functools.partial(_best_split, cache, np.random.default_rng(4).standard_normal(learn.m), cache.rows, cache.order)
     cases.append(("learners._best_split", record, call))
