@@ -410,18 +410,30 @@ def format_aligned(columns: Sequence[str], rows: Sequence[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _column_cells(block):
+    """The rendered cells of a block of one column, lazily.
+
+    A float64 array renders by float.__repr__ alone, the bytes
+    _delimited_cell gives a float, without its per-cell dispatch. Any
+    other numpy column is first turned into Python scalars with tolist.
+    """
+    if not isinstance(block, np.ndarray):
+        return map(_delimited_cell, block)
+    return map(float.__repr__ if block.dtype == np.float64 else _delimited_cell, block.tolist())
+
+
 def write_columns(fh, columns: Sequence[Sequence]):
     """Write columns of one length to fh as comma-delimited lines, cells rendered by _delimited_cell.
 
     The one renderer of delimited output. It works a block of rows at a
-    time: one map per column (a numpy column is first turned into Python
-    scalars with tolist), one join of the block's lines and one write, so
-    memory stays bounded by the block whatever the row count. Floats render
-    as fmt renders them; only other cells are checked for quoting.
+    time: one map per column (_column_cells), one join of the block's lines
+    and one write, so memory stays bounded by the block whatever the row
+    count. Floats render as fmt renders them; only other cells are checked
+    for quoting.
     """
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         blocks = (col[start : start + _BLOCK_ROWS] for col in columns)
-        cells = [map(_delimited_cell, b.tolist() if isinstance(b, np.ndarray) else b) for b in blocks]
+        cells = [_column_cells(b) for b in blocks]
         fh.write("\n".join(cells[0] if len(cells) == 1 else map(",".join, zip(*cells))) + "\n")
 
 

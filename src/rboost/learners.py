@@ -72,14 +72,21 @@ class RegressionTree:
         Each split maps its rows to leaf ids with right + (left - right) *
         (column <= threshold), an exact integer select without the
         data-dependent branch of np.where; a child's array is dropped once
-        its parent is built, so one array per level at most is alive. In a
-        tree of at most 128 nodes the ids are int8: the bool mask is viewed,
-        not copied, as int8, and Python-int ids keep the arithmetic in one
-        byte a row; larger trees select in int64. Column reads are
-        contiguous when X is column-major, as Ensemble passes it. The at
-        most 2J + 1 products scale * value are formed once and then taken,
-        each the IEEE product a per-row multiply would give; a split's NaN
-        is never taken.
+        its parent is built, so one array per level at most is alive. A
+        leaf pair, a split whose children are leaves with ids c and c + 1
+        (fit_tree numbers every pair of siblings so), selects in one op,
+        (c + 1) - mask. A stump, a root whose children are such a pair,
+        folds that op into the final lookup: values[c + 1], values[c] taken
+        at the mask viewed as uint8, one comparison and one take. Any other
+        layout, as a hand-edited model file may hold, keeps the general
+        select. In a tree of at most 128 nodes the ids are int8: the bool
+        mask is viewed, not copied, as int8, and Python-int ids keep the
+        arithmetic in one byte a row; larger trees select in int64. Column
+        reads are contiguous when X is column-major, as Ensemble passes it.
+        The integer ops and the take only select leaf ids, so every path
+        gives the same bits: the at most 2J + 1 products scale * value are
+        formed once and then taken, each the IEEE product a per-row
+        multiply would give; a split's NaN is never taken.
         """
         X = as_feature_matrix(X)
         if X.shape[1] != self.n_features:
@@ -88,6 +95,9 @@ class RegressionTree:
         values = self.scale * self.value
         if feature[0] < 0:
             return np.full(X.shape[0], values[0])
+        lo, hi = left[0], right[0]
+        if hi == lo + 1 and feature[lo] < 0 and feature[hi] < 0:  # a stump
+            return values[hi : lo - 1 : -1].take((X[:, feature[0]] <= threshold[0]).view(np.uint8))
         ids = list(range(len(feature)))
         stack = [0]
         while stack:
@@ -99,7 +109,10 @@ class RegressionTree:
             node = ~node
             lo, hi = left[node], right[node]
             go_left = (X[:, feature[node]] <= threshold[node]).view(self._mask_type)
-            ids[node] = (ids[lo] - ids[hi]) * go_left + ids[hi]
+            if hi == lo + 1 and feature[lo] < 0 and feature[hi] < 0:  # a leaf pair
+                ids[node] = hi - go_left
+            else:
+                ids[node] = (ids[lo] - ids[hi]) * go_left + ids[hi]
             ids[lo] = ids[hi] = None
         return values.take(ids[0])
 

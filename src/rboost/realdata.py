@@ -57,6 +57,8 @@ def realdata_experiment(
     check_clip_bound(clip_bound)
     if pre_split is not None:
         train_ds, test_ds = pre_split
+        if train_ds.d != test_ds.d:
+            raise ValueError(f"pre_split train has d={train_ds.d} features but test has d={test_ds.d}")
     else:
         if data.m < 4:
             raise ValueError(f"need m >= 4 to split, got {data.m}")

@@ -28,7 +28,7 @@ def test_writes_every_layer_figure_with_its_provenance(tmp_path):
     assert set(layers) == {
         "learners._best_split", "learners.fit_tree", "core.Ensemble.staged_predict",
         "selection.select_k_by_validation", "io.save_model", "io.load_model", "io.emit_delimited",
-        "io._read_table", "core.Ensemble.predict",
+        "io._read_table", "core.Ensemble.predict", "learners.RegressionTree.predict",
     }
     search = layers["learners._best_split"]
     regimes = ["none", "light", "heavy"]
@@ -66,7 +66,15 @@ def test_writes_every_layer_figure_with_its_provenance(tmp_path):
     shapes = [{"rows": 1000, "d": 10, "n_splits": 4, "stages": 200}, {"rows": 500, "d": 8, "n_splits": 1, "stages": 500}]
     assert [_shape(row) for row in staged] == shapes
     assert [_shape(row) for row in selection] == [{**s, "learn_rows": 500} for s in shapes]
-    for row in search + trees + serve + staged + selection:
+    # single trees: a realdata_stumps stump, table_d10's J = 4 and the same at 100k rows, and one past 128 nodes
+    tree_predict = layers["learners.RegressionTree.predict"]
+    assert [_shape(row) for row in tree_predict] == [
+        {"rows": 500, "d": 8, "n_splits": 1, "nodes": 3},
+        {"rows": 1000, "d": 10, "n_splits": 4, "nodes": 9},
+        {"rows": 100_000, "d": 10, "n_splits": 4, "nodes": 9},
+        {"rows": 2000, "d": 10, "n_splits": 200, "nodes": 401},
+    ]
+    for row in search + trees + serve + staged + selection + tree_predict:
         assert isinstance(row["median_us"], float) and row["median_us"] > 0
         assert isinstance(row["minflt_per_call"], float) and row["minflt_per_call"] >= 0
     assert f"wrote {out}" in done.stdout

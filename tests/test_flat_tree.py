@@ -4,14 +4,17 @@ The oracle keeps the recursive row routing that trees used before they
 were stored as flat arrays: a node sends its rows left or right by fancy
 indexing and every leaf writes its value into the output. The iterative
 descent must give the same bits for single trees, for Ensemble.predict,
-staged_predict and expanded_predict, on C- and F-ordered inputs.
+staged_predict and expanded_predict, on C- and F-ordered inputs. A second
+oracle walks each row from the root on its own, for trees of any node
+numbering, fitted or built by hand.
 """
 
+import itertools
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies
 
 from dictionary_learner import DictionaryAtom
 from rboost import Dataset, Ensemble
@@ -206,3 +209,83 @@ def test_in_place_recursion_never_writes_a_learners_output():
     assert X.tobytes() == before.tobytes()
     assert model.staged_predict(X).tobytes() == np.array(staged).tobytes()
     assert X.tobytes() == before.tobytes()
+
+
+def _walk(tree, X):
+    """scale * value of each row's leaf, each row walked on its own from the root."""
+    feature, threshold, left, right, value = (
+        a.tolist() for a in (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+    )
+    out = []
+    for row in as_feature_matrix(X).tolist():
+        node = 0
+        while feature[node] >= 0:
+            node = left[node] if row[feature[node]] <= threshold[node] else right[node]
+        out.append(tree.scale * value[node])
+    return np.array(out, dtype=np.float64)
+
+
+@strategies.composite
+def _fitted_trees(draw):
+    """A tree fit_tree grows with J from 1 to 8, or 64 past the int8 ids, on tie-free or tie-heavy columns."""
+    n_splits = draw(strategies.one_of(strategies.integers(1, 8), strategies.just(64)))
+    m, d = draw(strategies.integers(2, 80)) if n_splits <= 8 else 300, draw(strategies.integers(1, 4))
+    rng = np.random.default_rng(draw(strategies.integers(0, 2**32 - 1)))
+    X = rng.uniform(-2, 2, (m, d))
+    if draw(strategies.booleans()):
+        X = np.round(X, 1)  # at most 41 values a column: tie-heavy
+    return fit_tree(Dataset(X, np.zeros(m)), rng.standard_normal(m), n_splits), X
+
+
+@strategies.composite
+def _hand_built_trees(draw):
+    """A random tree whose non-root nodes take shuffled ids, so siblings may be reversed or far apart."""
+    n_splits = draw(strategies.one_of(strategies.integers(1, 8), strategies.integers(64, 70)))
+    d = draw(strategies.integers(1, 3))
+    rng = np.random.default_rng(draw(strategies.integers(0, 2**32 - 1)))
+    ids = [0, *draw(strategies.permutations(range(1, 2 * n_splits + 1)))]
+    size = 2 * n_splits + 1
+    feature, left, right = [-1] * size, [-1] * size, [-1] * size
+    threshold, value = [0.0] * size, np.round(rng.normal(size=size), 1).tolist()
+    leaves = [0]  # in growth order; node k of that order has id ids[k]
+    for grown in range(1, size, 2):  # split a random leaf of the tree grown so far
+        node = ids[leaves.pop(int(rng.integers(len(leaves))))]
+        feature[node], threshold[node], value[node] = int(rng.integers(d)), float(np.round(rng.normal(), 1)), np.nan
+        left[node], right[node] = ids[grown], ids[grown + 1]
+        leaves += [grown, grown + 1]
+    return RegressionTree(feature, threshold, left, right, value, d), np.round(rng.normal(size=(20, d)), 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(strategies.one_of(_fitted_trees(), _hand_built_trees()), strategies.data())
+def test_predict_gives_the_bits_of_a_per_row_walk(case, data):
+    tree, X = case
+    # rows on a threshold exactly, on a sample value, NaN and infinities, in C or F order
+    pool = np.concatenate([X.ravel(), tree.threshold[tree.feature >= 0], [np.nan, np.inf, -np.inf]])
+    rng = np.random.default_rng(data.draw(strategies.integers(0, 2**32 - 1)))
+    Q = rng.choice(pool, size=(data.draw(strategies.integers(0, 30)), tree.n_features))
+    if data.draw(strategies.booleans()):
+        Q = np.asfortranarray(Q)
+    tree.scale = data.draw(strategies.sampled_from([1.0, 1.0 / 3.0, -2.5]))
+    assert tree.predict(Q).tobytes() == _walk(tree, Q).tobytes()
+
+
+# (left, right) of each split, by node id: stumps in both sibling orders, and leaf pairs reversed or apart
+@pytest.mark.parametrize("children", [
+    {0: (2, 1)}, {0: (1, 2)}, {0: (1, 2), 1: (4, 3)}, {0: (1, 2), 2: (3, 4)}, {0: (1, 2), 1: (3, 5), 2: (4, 6)},
+    {0: (2, 1), 2: (4, 3)}, {0: (1, 4), 4: (3, 2)},
+], ids=str)
+def test_hand_built_sibling_layouts_predict_as_a_per_row_walk(children):
+    size = 2 * len(children) + 1
+    depth = {0: 0}
+    for node in sorted(children):  # parents have the lower ids here
+        depth.update((child, depth[node] + 1) for child in children[node])
+    # a split at depth k reads column k, so every leaf is reached by some row of the grid
+    feature = [depth[node] if node in children else -1 for node in range(size)]
+    left, right = ([children[node][side] if node in children else -1 for node in range(size)] for side in (0, 1))
+    value = [np.nan if node in children else float(node) for node in range(size)]
+    tree = RegressionTree(feature, [0.0] * size, left, right, value, 3)
+    Q = np.array(list(itertools.product([-1.0, 0.0, 1.0, np.nan], repeat=3)))
+    pred = tree.predict(Q)
+    assert pred.tobytes() == _walk(tree, Q).tobytes()
+    assert set(pred.tolist()) == {float(node) for node in range(size) if node not in children}

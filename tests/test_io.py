@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import re
@@ -30,12 +31,14 @@ from rboost.core import Stage
 from rboost.io import (
     _depth,
     _learner_from_dict,
+    _delimited_cell,
     _learner_to_dict,
     emit_delimited,
     format_aligned,
     load_csv_pair,
     load_feature_matrix,
     read_delimited,
+    write_columns,
     write_manifest,
 )
 from rboost.learners import RegressionTree, fit_tree
@@ -668,6 +671,19 @@ class TestResultEmission:
         emit_delimited(path, ["v"], [np.array([value])])
         _, rows = read_delimited(path)
         assert float(rows[0][0]) == value
+
+    def test_a_float_array_renders_byte_equal_to_the_per_cell_renderer(self):
+        special = [-0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf, 0.1 + 0.2]
+        # more rows than one block, so a block boundary falls inside the column
+        col = np.concatenate([np.random.default_rng(5).standard_normal(9000) * 1e-3, special])
+        for columns in ([col], [col, np.arange(col.size)], [col.tolist(), col]):
+            out = io.StringIO()
+            write_columns(out, columns)
+            rows = zip(*(map(_delimited_cell, c.tolist() if isinstance(c, np.ndarray) else c) for c in columns))
+            assert out.getvalue() == "".join(",".join(row) + "\n" for row in rows)
+        out = io.StringIO()
+        write_columns(out, [np.array(special)])
+        assert out.getvalue() == "-0.0\n5e-324\n1e+300\nnan\ninf\n-inf\n0.30000000000000004\n"
 
     def test_files_are_written_and_read_as_utf8_whatever_the_locale(self, tmp_path):
         script = tmp_path / "round_trip.py"  # a source file is read as UTF-8; a C-locale argv would not be

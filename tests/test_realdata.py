@@ -132,6 +132,21 @@ class TestRealDataExperiment:
         with pytest.raises(ValueError, match="seed must be an integer, got"):
             realdata_experiment(data=data, k_max=3, grid=[1], seed=seed)
 
+    def test_rejects_pre_split_halves_of_two_widths_before_training(self, monkeypatch):
+        import rboost.realdata
+        import rboost.selection
+
+        def no_training(*args):
+            raise AssertionError("train was called")
+
+        for module in (rboost.realdata, rboost.selection):
+            monkeypatch.setattr(module, "train", no_training)
+        rng = np.random.default_rng(90)
+        train, test = make_tabular(rng, m=20, d=3), make_tabular(rng, m=20, d=3)
+        test = Dataset(test.features[:, :2], test.targets)
+        with pytest.raises(ValueError, match="pre_split train has d=3 features but test has d=2"):
+            realdata_experiment(pre_split=(train, test), k_max=3, grid=[1])
+
     def test_stumps_by_default(self):
         data = make_tabular(np.random.default_rng(86))
         report = realdata_experiment(data=data, k_max=10, grid=[1], seed=1)

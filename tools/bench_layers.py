@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the split-search, scoring and serve layers on their own: one _best_split call, one fit_tree
-tree, one staged scoring and validation selection, one model save and load, and one emit, table read
-and model predict of 100k rows.
+tree, one staged scoring and validation selection, one tree predict, one model save and load, and one
+emit, table read and model predict of 100k rows.
 
     python3 tools/bench_layers.py [--repeats N] [--out PATH]
 
@@ -43,12 +43,21 @@ stages scored on 1,000 holdout rows of 10 columns) and realdata_stumps'
 the serve law; the selection figure trains its model, as every selection
 does, and scores all its truncations.
 
-The split-search, scoring and serve figures are timed as three groups,
-in that order (see time_layers). In each group every call is made once
+learners.RegressionTree.predict is timed per call on single trees fit to
+the serve law's targets, their query rows column-major as Ensemble
+passes them: a stump on 500 rows of 8 columns (a realdata_stumps stage),
+J = 4 on 1,000 and on 100k rows of 10 (a table_d10 stage, and one at
+serve size, where the rows and not the fixed cost of a call dominate),
+and 200 splits on 2,000 rows of 10, a tree past 128 nodes whose ids
+select in int64. Each record holds the tree's achieved n_splits and its
+node count (nodes).
+
+The split-search, scoring, tree-predict and serve figures are timed as
+four groups, in that order (see time_layers). In each group every call is made once
 untimed (the first fit builds the sample's split cache); then N rounds
 time each call once, and each figure is the median of its N times, in
-microseconds: per call for _best_split and the scoring and serve layers,
-per tree for fit_tree. Each figure also records minflt_per_call, the
+microseconds: per call for _best_split, RegressionTree.predict and the
+scoring and serve layers, per tree for fit_tree. Each figure also records minflt_per_call, the
 minor page faults of the process (the ru_minflt of resource.getrusage)
 over its N timed calls divided by N: a call that maps fresh memory on
 every run faults in each of its pages each time, so allocator churn
@@ -97,6 +106,8 @@ SERVE_ROUNDS = 500
 SCORING_LEARN_M = 500
 # (d, n_splits, stages, holdout rows) of table_d10's and realdata_stumps' selections
 SCORING_SHAPES = ((10, 4, 200, 1000), (8, 1, 500, 500))
+# (d, n_splits, learning rows, scored rows) of the single trees timed by RegressionTree.predict
+TREE_PREDICT_SHAPES = ((8, 1, 500, 500), (10, 4, 500, 1000), (10, 4, 500, SERVE_ROWS), (10, 200, 2000, 2000))
 
 
 # The features of each tie regime, drawn from a seeded generator.
@@ -204,20 +215,33 @@ def _scoring_cases() -> list:
     return cases
 
 
+def _tree_predict_cases() -> list:
+    """(layer, record, call) of one RegressionTree.predict on each of TREE_PREDICT_SHAPES."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for d, n_splits, learn_m, rows in TREE_PREDICT_SHAPES:
+        learn = _serve_table(rng, learn_m, d)
+        tree = fit_tree(learn, learn.targets, n_splits)
+        X = np.asfortranarray(_serve_table(rng, rows, d).features)  # column-major, as Ensemble passes it
+        record = {"rows": rows, "d": d, "n_splits": tree.n_splits, "nodes": tree.feature.size}
+        cases.append(("learners.RegressionTree.predict", record, functools.partial(tree.predict, X)))
+    return cases
+
+
 def time_layers(repeats: int) -> dict:
     """{layer: [record with its median_us and minflt_per_call]}, group by group.
 
-    The groups are built and timed in turn: split search, scoring, serve.
-    Building the serve group frees 100k-row tables, and glibc then keeps
-    blocks of a few MB on its heap instead of mapping them afresh, so the
-    scoring group, timed before that, meets the allocator as a benchmark
-    op does. Within a group every call is made once untimed, then repeats
+    The groups are built and timed in turn: split search, scoring, tree
+    predict, serve. The tree-predict and serve groups free 100k-row arrays,
+    and glibc then keeps blocks of that size on its heap instead of mapping
+    them afresh, so the scoring group, timed before them, meets the
+    allocator as a benchmark op does. Within a group every call is made once untimed, then repeats
     rounds visit every figure in turn, so a slow spell of the machine
     falls on all of them alike.
     """
     layers = {}
     with tempfile.TemporaryDirectory() as workdir:
-        for build in (_cases, _scoring_cases, functools.partial(_serve_cases, Path(workdir))):
+        for build in (_cases, _scoring_cases, _tree_predict_cases, functools.partial(_serve_cases, Path(workdir))):
             cases = build()
             times, faults = [[] for _ in cases], [0] * len(cases)
             for _, _, call in cases:
