@@ -78,11 +78,11 @@ class RegressionTree:
         (c + 1) - mask. A stump, a root whose children are such a pair,
         folds that op into the final lookup: values[c + 1], values[c] taken
         at the mask viewed as uint8, one comparison and one take. Any other
-        layout, as a hand-edited model file may hold, keeps the general
-        select. In a tree of at most 128 nodes the ids are int8: the bool
-        mask is viewed, not copied, as int8, and Python-int ids keep the
-        arithmetic in one byte a row; larger trees select in int64. Column
-        reads are contiguous when X is column-major, as Ensemble passes it.
+        layout, as a tree built by hand may hold, keeps the general select.
+        In a tree of at most 128 nodes the ids are int8: the bool mask is
+        viewed, not copied, as int8, and Python-int ids keep the arithmetic
+        in one byte a row; larger trees select in int64. Column reads are
+        contiguous when X is column-major, as Ensemble passes it.
         The integer ops and the take only select leaf ids, so every path
         gives the same bits: the at most 2J + 1 products scale * value are
         formed once and then taken, each the IEEE product a per-row
